@@ -67,11 +67,7 @@ def projection_symbol(modulus: int, n1: float, n2: float) -> np.ndarray:
     """Symbol of the smooth major-arc projection at the grid frequencies:
     sum over canonical fractions theta of eta((j/Q - theta)/n2), offsets
     wrapped to (-1/2, 1/2]."""
-    xs = grid_frequencies(modulus)
-    sym = np.zeros(modulus)
-    for fr in canonical_fractions(n1):
-        sym += eta(wrap_signed(xs - fr.value) / n2)
-    return sym
+    return projection_op(n1, n2).symbol_on_grid(modulus).real
 
 
 def project(f: Signal, n1: float, n2: float) -> Signal:
@@ -162,9 +158,10 @@ class MultiplierOp:
     """Operator with symbol sum_theta S(theta) * base(xi - theta).
 
     `coefficients` maps each frequency to its weight (missing keys count as
-    1).  `base_symbol` must accept a float array of wrapped offsets; when
-    `support_halfwidth` is set, the base symbol is treated as 0 beyond that
-    offset, which skips useless evaluations.
+    1).  `base_symbol` must accept a float array of wrapped offsets and act
+    elementwise; beyond `support_halfwidth` (if set) it counts as 0, and
+    `symbol_on_grid` visits only the ~2*halfwidth*Q grid points around each
+    center, so it costs O(total support) instead of O(#centers * Q).
     """
 
     frequencies: tuple[ReducedFraction, ...]
@@ -176,29 +173,29 @@ class MultiplierOp:
         if not self.frequencies:
             raise ValueError("multiplier needs at least one frequency")
 
-    def weight(self, fr: ReducedFraction) -> complex:
-        if self.coefficients is None:
-            return 1.0
-        return complex(self.coefficients.get(fr, 1.0))
-
     def symbol_on_grid(self, modulus: int) -> np.ndarray:
-        xs = grid_frequencies(modulus)
+        """Exact symbol at j/Q from one base_symbol call per batch of center
+        windows, summed in center order (bit-identical to a full-grid sum)."""
+        h = self.support_halfwidth
+        centers = np.array([fr.value for fr in self.frequencies])
+        coeffs = self.coefficients or {}
+        weights = np.array([coeffs.get(fr, 1.0) for fr in self.frequencies], dtype=np.complex128)
+        width, starts = modulus, np.zeros(centers.size, dtype=np.int64)
+        if h is not None and 0 <= h < 0.5:
+            width = min(modulus, math.floor(2 * h * modulus) + 5)
+            starts = np.floor((centers - h) * modulus).astype(np.int64) - 1
         sym = np.zeros(modulus, dtype=np.complex128)
-        for fr in self.frequencies:
-            offsets = wrap_signed(xs - fr.value)
-            if self.support_halfwidth is not None:
-                live = np.abs(offsets) <= self.support_halfwidth
-                if not live.any():
-                    continue
-                vals = np.zeros(modulus, dtype=np.complex128)
-                vals[live] = self.weight(fr) * np.asarray(
-                    self.base_symbol(offsets[live]), dtype=np.complex128
-                )
-                sym += vals
-            else:
-                sym += self.weight(fr) * np.asarray(
-                    self.base_symbol(offsets), dtype=np.complex128
-                )
+        step = max(1, (1 << 18) // width)  # caps scratch memory for wide windows
+        for lo in range(0, centers.size, step):
+            idx = (starts[lo : lo + step, None] + np.arange(width)) % modulus
+            offsets = wrap_signed(idx / modulus - centers[lo : lo + step, None])
+            wts = np.broadcast_to(weights[lo : lo + step, None], idx.shape)
+            if h is not None:
+                live = np.abs(offsets) <= h
+                idx, offsets, wts = idx[live], offsets[live], wts[live]
+            if offsets.size:
+                vals = np.asarray(self.base_symbol(offsets.ravel()), dtype=np.complex128)
+                np.add.at(sym, idx.ravel(), wts.ravel() * vals)
         return sym
 
 
@@ -417,10 +414,10 @@ def approx_average_op(
 
     def base(offsets: np.ndarray) -> np.ndarray:
         offs = np.atleast_1d(np.asarray(offsets, dtype=float))
-        out = np.empty(offs.shape, dtype=np.complex128)
-        for i, x in enumerate(offs):
-            out[i] = continuous_multiplier(poly, n, float(x), quad)
-        return out * cut(offs)
+        # centers that sit on a common grid share offsets: one mm_N per value
+        uniq, inverse = np.unique(offs, return_inverse=True)
+        mm = np.array([continuous_multiplier(poly, n, float(x), quad) for x in uniq], complex)
+        return mm[inverse.reshape(offs.shape)] * cut(offs)
 
     return MultiplierOp(
         freqs,

@@ -188,12 +188,16 @@ class Signal:
 
     @classmethod
     def from_csv(cls, src: IO[str]) -> "Signal":
+        """Read `index,re,im` rows; the indices must read 0, 1, ..., Q-1 in
+        row order."""
         rows = []
         for line in src:
             line = line.strip()
             if not line or line.startswith("index"):
                 continue
-            _, re, im = line.split(",")
+            idx, re, im = line.split(",")
+            if int(idx) != len(rows):
+                raise ValueError(f"CSV row {len(rows)} has index {idx}; expected {len(rows)}")
             rows.append(complex(float(re), float(im)))
         return cls(len(rows), np.asarray(rows))
 

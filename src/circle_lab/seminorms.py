@@ -30,6 +30,8 @@ class RealSequence:
         vals = np.asarray(values, dtype=np.complex128).copy()
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("sequence needs at least one value")
+        if not np.isfinite(vals).all():
+            raise ValueError("sequence values must be finite")
         if labels is None:
             labs = np.arange(vals.size)
         else:

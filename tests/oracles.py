@@ -108,3 +108,25 @@ def naive_weyl(poly, n: int, xi: float) -> complex:
         complex(math.cos(2 * math.pi * xi * poly(k)), math.sin(2 * math.pi * xi * poly(k)))
         for k in range(1, n + 1)
     ) / n
+
+
+def planted_symbol(op, modulus: int) -> np.ndarray:
+    """Full-grid planted sum of a multiplier symbol: for every center, in
+    order, evaluate the base symbol at all Q wrapped offsets j/Q - theta
+    (zeroed beyond the support halfwidth) and add it over the whole grid.
+    Costs O(#centers * Q)."""
+    xs = np.arange(modulus) / modulus
+    sym = np.zeros(modulus, dtype=np.complex128)
+    for fr in op.frequencies:
+        x = xs - fr.numerator / fr.denominator
+        offsets = x - np.ceil(x - 0.5)
+        weight = 1.0 if op.coefficients is None else complex(op.coefficients.get(fr, 1.0))
+        if op.support_halfwidth is None:
+            sym += weight * np.asarray(op.base_symbol(offsets), dtype=np.complex128)
+            continue
+        live = np.abs(offsets) <= op.support_halfwidth
+        if live.any():
+            vals = np.zeros(modulus, dtype=np.complex128)
+            vals[live] = weight * np.asarray(op.base_symbol(offsets[live]), dtype=np.complex128)
+            sym += vals
+    return sym

@@ -115,6 +115,14 @@ class TestSubcommands:
         assert out.modulus == 64
         assert doc["result"]["l2_out"] <= doc["result"]["l2_in"] + 1e-12
 
+    def test_project_rejects_shuffled_csv(self, capsys, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("index,re,im\n1,1.0,0.0\n0,0.0,0.0\n2,0.0,0.0\n3,0.0,0.0\n")
+        code, out, err = run_cli(
+            capsys, "project", "--q", "4", "--n1", "1", "--n2", "0.5", "--in", str(path)
+        )
+        assert code == 2 and out == "" and "index" in err
+
     def test_project_symbol_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "project", "--q", "32", "--n1", "2", "--n2", "0.01",
@@ -195,6 +203,13 @@ class TestSequenceCommands:
         path.write_text("label,re,im\n0,0.5,0\n1,0,0\n2,1,0\n")
         doc = run_json(capsys, "jumps", "--lam", "1", "--in", str(path))
         assert doc["result"]["value"] == 1.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_series_exits_2(self, capsys, tmp_path, value):
+        path = tmp_path / "seq.csv"
+        path.write_text(f"label,re,im\n0,0,0\n1,{value},0\n2,1,0\n")
+        code, out, err = run_cli(capsys, "variation", "--r", "2", "--in", str(path))
+        assert code == 2 and out == "" and "finite" in err
 
     def test_oscillation(self, capsys, tmp_path):
         path = tmp_path / "seq.csv"

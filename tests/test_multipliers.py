@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import circle_lab.expsums as expsums
 from circle_lab._util import substream
 from circle_lab.arcs import DyadicScale, ReducedFraction, canonical_fractions, wrap_signed
 from circle_lab.expsums import weyl_multiplier_grid
@@ -29,6 +34,7 @@ from circle_lab.polyavg import (
     signal_from_spectrum,
     spectrum,
 )
+from oracles import planted_symbol
 
 SQUARE = IntPolynomial((0, 0, 1))
 
@@ -338,3 +344,96 @@ class TestApproximationOperators:
         f = random_signal(q, 17)
         gap = factorization_gap(f, SQUARE, 2**6, level=0, high_scale=5, narrow_scale=8)
         assert gap <= 1e-9 * f.norm(2)
+
+
+class TestSymbolEngine:
+    """The windowed evaluator against the full-grid planted-sum oracle."""
+
+    @given(
+        st.sampled_from([1, 2, 7, 97, 127, 256, 331, 1000, 1024]),
+        st.sampled_from([1, 2, 3, 5, 8]),
+        st.one_of(
+            st.floats(1e-5, 0.02),
+            st.floats(0.02, 0.6),
+            st.sampled_from([0.25, 0.5, 0.75, 1.0, 3.0]),
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_projection_op_matches_oracle(self, q, n1, halfwidth):
+        # n2 = 2 * halfwidth: halfwidths below 1/Q hit no grid point except
+        # exact centers, halfwidths >= 1/2 make every window the whole grid
+        op = projection_op(n1, 2.0 * halfwidth)
+        assert np.array_equal(op.symbol_on_grid(q), planted_symbol(op, q))
+        assert np.array_equal(
+            projection_symbol(q, n1, 2.0 * halfwidth), op.symbol_on_grid(q).real
+        )
+
+    @given(
+        st.sampled_from([5, 64, 97, 101, 256, 509]),
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 41)), min_size=1, max_size=12
+        ),
+        st.one_of(
+            st.none(), st.floats(1e-4, 0.7), st.sampled_from([2.0**-k for k in range(1, 9)])
+        ),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_weighted_centers_match_oracle(self, q, pairs, halfwidth, seed):
+        # repeated and wrapping centers (near 0 and 1), complex weights with
+        # some centers left at the default weight 1; the base does not vanish
+        # at the support edge, and dyadic halfwidths put grid points on it
+        freqs = tuple(ReducedFraction.reduce(a, b) for a, b in pairs)
+        rng = substream(seed)
+        coeffs = {fr: complex(*rng.standard_normal(2)) for fr in freqs[::2]}
+        base = lambda x: np.exp(2j * np.asarray(x)) * (1.5 + np.asarray(x))
+        op = MultiplierOp(freqs, coeffs, base, support_halfwidth=halfwidth)
+        assert np.array_equal(op.symbol_on_grid(q), planted_symbol(op, q))
+
+    def test_wrapping_centers(self):
+        freqs = (ReducedFraction(0, 1), ReducedFraction(1, 97), ReducedFraction(96, 97))
+        op = MultiplierOp(freqs, None, lambda x: 1.0 - np.abs(x) * 10, support_halfwidth=0.03)
+        for q in (97, 100, 1009):
+            assert np.array_equal(op.symbol_on_grid(q), planted_symbol(op, q))
+
+    def test_wide_windows_split_into_batches(self):
+        # about 1300 whole-grid windows do not fit one evaluation batch
+        op = projection_op(64, 1.0)
+        assert np.array_equal(op.symbol_on_grid(1024), planted_symbol(op, 1024))
+
+    @pytest.mark.parametrize(
+        "q, n, level, high, shell",
+        [(4096, 64, 2, 2, False), (1000, 256, 2, 2, False), (1024, 256, 2, 3, True)],
+    )
+    def test_approx_average_op_matches_oracle(self, q, n, level, high, shell):
+        op = approx_average_op(SQUARE, n, level, high, shell_only=shell)
+        assert np.array_equal(op.symbol_on_grid(q), planted_symbol(op, q))
+
+    def test_projection_work_is_total_support(self):
+        q, halfwidth = 2**16, 2.0**-15
+        op = projection_op(64, 2 * halfwidth)
+        received = []
+
+        def counting(x):
+            received.append(np.size(x))
+            return op.base_symbol(x)
+
+        sym = dataclasses.replace(op, base_symbol=counting).symbol_on_grid(q)
+        assert np.array_equal(sym, op.symbol_on_grid(q))
+        assert len(received) == 1
+        assert 0 < received[0] <= len(op.frequencies) * (2 * halfwidth * q + 4)
+
+    def test_approx_mm_once_per_distinct_offset(self, monkeypatch):
+        calls = []
+        original = expsums.continuous_multiplier
+
+        def counting(poly, n, xi, quad=None):
+            calls.append(xi)
+            return original(poly, n, xi, quad)
+
+        monkeypatch.setattr(expsums, "continuous_multiplier", counting)
+        op = approx_average_op(SQUARE, 256, 2, 2)
+        op.symbol_on_grid(4096)
+        assert len(op.frequencies) == 6
+        # 0, 1/4, 1/2, 3/4 share their 257 grid offsets; 1/3 and 2/3 add 256 each
+        assert len(calls) == len(set(calls)) == 769

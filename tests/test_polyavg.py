@@ -245,6 +245,19 @@ class TestSignal:
         g = Signal.from_csv(buf)
         assert np.allclose(g.values, f.values)
 
+    @pytest.mark.parametrize(
+        "indices",
+        [[1, 0, 2, 3], [0, 1, 1, 3], [0, 1, 3, 4], [1, 2, 3, 4], [0, 2, 1, 3]],
+        ids=["swapped-head", "duplicated", "missing", "shifted", "shuffled"],
+    )
+    def test_csv_rejects_bad_index_column(self, indices):
+        f = random_signal(4, 18)
+        rows = "".join(
+            f"{i},{float(v.real)!r},{float(v.imag)!r}\n" for i, v in zip(indices, f.values)
+        )
+        with pytest.raises(ValueError, match="index"):
+            Signal.from_csv(io.StringIO("index,re,im\n" + rows))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             Signal(2, np.array([1.0, np.nan]))

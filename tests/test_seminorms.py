@@ -291,6 +291,13 @@ class TestRealSequence:
         with pytest.raises(ValueError):
             RealSequence([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RealSequence([0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            variation([0.0, bad, 1.0], 2.0)
+
     def test_report_dict(self):
         rep = variation([0.0, 1.0], math.inf)
         d = rep.to_dict()
