@@ -34,7 +34,10 @@ class TorusPoint:
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value) % 1.0)
+        value = float(self.value)
+        if not math.isfinite(value):
+            raise ValueError(f"torus point must be finite, got {value}")
+        object.__setattr__(self, "value", value % 1.0)
 
     @classmethod
     def of(cls, x: "TorusPoint | float") -> "TorusPoint":
@@ -249,8 +252,8 @@ class ArcSystem:
     centers: tuple[ReducedFraction, ...] = field(default=())
 
     def __post_init__(self):
-        if self.halfwidth < 0:
-            raise ValueError("halfwidth must be >= 0")
+        if not 0 <= self.halfwidth < math.inf:
+            raise ValueError(f"halfwidth must be finite and >= 0, got {self.halfwidth}")
         expected = tuple(canonical_fractions(self.denominator_bound))
         if self.centers and tuple(self.centers) != expected:
             raise ValueError("centers must equal canonical_fractions(denominator_bound)")

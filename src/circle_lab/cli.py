@@ -127,13 +127,16 @@ def _read_signal(path: str | None, modulus: int | None, seed: int | None) -> Sig
 def _read_sequence(path: str) -> tuple[np.ndarray, np.ndarray]:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     labels, vals = [], []
-    for line in text.splitlines():
+    for row, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("label"):
             continue
         parts = line.split(",")
-        labels.append(int(parts[0]))
-        vals.append(complex(float(parts[1]), float(parts[2]) if len(parts) > 2 else 0.0))
+        try:
+            labels.append(int(parts[0]))
+            vals.append(complex(float(parts[1]), float(parts[2]) if len(parts) > 2 else 0.0))
+        except (IndexError, ValueError):
+            raise ValueError(f"sequence row {row} ({line!r}) needs label,re[,im] numbers") from None
     return np.array(labels), np.array(vals)
 
 

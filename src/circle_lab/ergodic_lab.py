@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyavg import IntPolynomial, Signal, average_linear, riesz_split
+from .polyavg import IntPolynomial, Signal, _residues, average_linear, riesz_split
 from .seminorms import LacunarySet, variation_values
 
 
@@ -192,14 +192,12 @@ class DiscrepancyReport:
 
 def _orbit_fractions(poly: IntPolynomial, theta: float, n_max: int) -> np.ndarray:
     """Fractional parts of P(n) * theta for n = 1..n_max, exact with respect
-    to the binary value of theta: P(n) is an exact integer and theta an
-    exact dyadic rational, so each product is reduced mod 1 in integers."""
+    to the binary value of theta: with theta = num/den exactly, they are the
+    residues of num*P(n) mod den, divided by den."""
     frac_theta = Fraction(theta)
     num, den = frac_theta.numerator, frac_theta.denominator
-    out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        out[n - 1] = ((poly(n) * num) % den) / den
-    return out
+    scaled = IntPolynomial(num * c for c in poly.coefficients)
+    return np.asarray(_residues(scaled, n_max, den) / den, dtype=float)
 
 
 def star_discrepancy(points: np.ndarray) -> float:
@@ -217,6 +215,8 @@ def discrepancy(
     ns = sorted(set(int(n) for n in n_values))
     if not ns or ns[0] < 1:
         raise ValueError("discrepancy needs N values >= 1")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     pts = _orbit_fractions(poly, theta, ns[-1])
     entries = tuple((n, star_discrepancy(pts[:n])) for n in ns)
     return DiscrepancyReport(entries)

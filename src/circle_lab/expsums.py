@@ -5,10 +5,11 @@ m_N(xi)  = mean over n = 1..N of e(xi * P(n)),  e(t) = exp(2*pi*i*t)
 G(a/q)   = m_q(a/q), the complete rational sum
 mm_N(xi) = integral over t in [0,1] of e(xi * P(N*t)) dt
 
-Rational points are evaluated with exact integer phase reduction through a
-root-of-unity table; real points use Horner recursion with a mod-1 reduction
-at every step, which keeps the phase error near machine precision even when
-P(n) is huge.
+Rational points reduce a*P(n) mod q exactly in integers (`polyavg._residues`)
+over n = 1..min(N, q).  Real points reduce every coefficient exactly against
+the binary value of xi and then run Horner recursion with a mod-1 reduction
+at every step, so the phase error does not grow with the size of P(n) or of
+its coefficients.
 """
 
 from __future__ import annotations
@@ -23,24 +24,29 @@ import numpy as np
 
 from ._util import parallel_map, substream
 from .arcs import ArcSystem, ReducedFraction, TorusPoint, minor_sample, wrap_signed
-from .polyavg import IndexRange, IntPolynomial, kernel, spectrum
+from .polyavg import IndexRange, IntPolynomial, _residues, kernel, spectrum
 
 
-@lru_cache(maxsize=256)
-def _unity_roots(q: int) -> np.ndarray:
-    table = np.exp(2j * math.pi * np.arange(q) / q)
-    table.flags.writeable = False
-    return table
+def _phase_fracs(poly: IntPolynomial, xs: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Fractional parts of xi * P(n) for every point xi in xs (rows) and
+    every n in ns (columns): the library's one real Horner loop.
 
-
-def _phase_fracs(poly: IntPolynomial, xi: float, ns: np.ndarray) -> np.ndarray:
-    """Fractional parts of xi * P(n), reduced mod 1 after each Horner step.
-
-    Valid because multiplying by an integer n preserves values mod 1.
+    Each coefficient is first reduced exactly against the binary value of
+    xi = num/den (den a power of two): frac(xi * c) = (num * c mod den) / den
+    in integers, rounded once to a float.  The Horner recursion then reduces
+    mod 1 after each step, which is valid because multiplying by an integer
+    n preserves values mod 1.
     """
-    acc = np.full(ns.shape, (xi * poly.coefficients[-1]) % 1.0)
-    for c in reversed(poly.coefficients[:-1]):
-        acc = (acc * ns + (xi * c) % 1.0) % 1.0
+    rows = []
+    for x in np.asarray(xs, dtype=float).tolist():
+        if not math.isfinite(x):
+            raise ValueError(f"xi must be finite, got {x}")
+        num, den = x.as_integer_ratio()
+        rows.append([(num * c % den) / den for c in poly.coefficients])
+    fracs = np.array(rows)
+    acc = fracs[:, -1:].repeat(ns.size, axis=1)
+    for k in range(poly.degree - 1, -1, -1):
+        acc = (acc * ns + fracs[:, k : k + 1]) % 1.0
     return acc
 
 
@@ -52,32 +58,29 @@ def weyl_sum(
     """Normalized exponential sum m_N(xi); |m_N| <= 1 always.
 
     A ReducedFraction or Fraction argument takes the exact path: phases
-    a*P(n) are reduced mod q in integers, the sum uses only q-th roots of
-    unity, and periodicity in n collapses the cost to O(q).
+    a*P(n) are reduced mod q in integers, and since n and n + q give the
+    same phase only n = 1..min(N, q) are visited, each weighted by how
+    often its residue class occurs in [1, N].  A real xi must be finite.
     """
     n = int(IndexRange.of(n_range))
     if isinstance(xi, (ReducedFraction, Fraction)):
         a, q = xi.numerator % xi.denominator, xi.denominator
-        table = _unity_roots(q)
-        # n and n + q produce identical phases, so count residues of [1, N]
-        counts = np.full(q, n // q, dtype=np.int64)
-        for r in range(1, n % q + 1):
-            counts[r % q] += 1
-        phases = np.array([(a * poly.eval_mod(r, q)) % q for r in range(q)])
-        return complex(np.dot(counts, table[phases]) / n)
+        m = min(n, q)
+        scaled = IntPolynomial(a * c for c in poly.coefficients)
+        phases = np.asarray(_residues(scaled, m, q) / q, dtype=float)
+        weights = np.full(m, n // q)
+        weights[: n % q] += 1
+        return complex(np.dot(weights, np.exp(2j * math.pi * phases)) / n)
     x = TorusPoint.of(xi).value if isinstance(xi, TorusPoint) else float(xi)
     ns = np.arange(1, n + 1, dtype=float)
-    return complex(np.exp(2j * math.pi * _phase_fracs(poly, x, ns)).mean())
+    return complex(np.exp(2j * math.pi * _phase_fracs(poly, [x], ns)[0]).mean())
 
 
+@lru_cache(maxsize=4096)
 def complete_sum(poly: IntPolynomial, theta: ReducedFraction) -> complex:
-    """G(a/q) = m_q(a/q), computed with exact rational phases."""
-    a, q = theta.numerator, theta.denominator
-    table = _unity_roots(q)
-    acc = 0j
-    for n in range(1, q + 1):
-        acc += table[(a * poly.eval_mod(n, q)) % q]
-    return acc / q
+    """G(a/q) = m_q(a/q), computed with exact rational phases.  Cached,
+    because lemma-1 sweeps draw the same few centers many times."""
+    return weyl_sum(poly, theta.denominator, theta)
 
 
 def weyl_multiplier_grid(poly: IntPolynomial, n_range: IndexRange | int, grid_q: int) -> np.ndarray:
@@ -132,9 +135,7 @@ def _integrate_panels(scaled_coeffs: np.ndarray, panels: int) -> complex:
     edges = np.linspace(0.0, 1.0, panels + 1)
     widths = np.diff(edges)
     ts = edges[:-1, None] + widths[:, None] * nodes[None, :]
-    phase = np.zeros_like(ts)
-    for c in scaled_coeffs[::-1]:
-        phase = phase * ts + c
+    phase = np.polyval(scaled_coeffs[::-1], ts)
     vals = np.exp(2j * math.pi * (phase % 1.0))
     return complex(np.sum(vals * (widths[:, None] * weights[None, :])))
 
@@ -154,6 +155,8 @@ def continuous_multiplier(
     """
     n = int(IndexRange.of(n_range))
     x = float(xi)
+    if not math.isfinite(x):
+        raise ValueError(f"xi must be finite, got {x}")
     variation = abs(x) * poly.abs_bound(n)
     panels = max(
         quad.base_panels,
@@ -279,17 +282,11 @@ def weyl_decay_scan(
 def _weyl_abs_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     """|m_N| at an array of real points, chunked to bound memory."""
     ns = np.arange(1, n + 1, dtype=float)
-    out = np.empty(xs.size)
-    chunk = max(1, (1 << 21) // max(n, 1))
-    for start in range(0, xs.size, chunk):
-        block = xs[start : start + chunk]
-        acc = np.full((block.size, n), (block[:, None] * poly.coefficients[-1]) % 1.0)
-        for c in reversed(poly.coefficients[:-1]):
-            acc = (acc * ns[None, :] + (block[:, None] * c) % 1.0) % 1.0
-        out[start : start + block.size] = np.abs(
-            np.exp(2j * math.pi * acc).mean(axis=1)
-        )
-    return out
+    chunk = max(1, (1 << 21) // n)
+    return np.concatenate([
+        np.abs(np.exp(2j * math.pi * _phase_fracs(poly, xs[s : s + chunk], ns)).mean(axis=1))
+        for s in range(0, xs.size, chunk)
+    ])
 
 
 # ---------------------------------------------------------------------------

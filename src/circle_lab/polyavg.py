@@ -56,11 +56,8 @@ class IntPolynomial:
         return acc
 
     def eval_mod(self, n: int, q: int) -> int:
-        """P(n) mod q in 0..q-1, reduced at every Horner step."""
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = (acc * n + c) % q
-        return acc
+        """P(n) mod q in 0..q-1."""
+        return self(n) % q
 
     def abs_bound(self, n_max: int) -> int:
         """Sum of |c_k| * n_max^k, an upper bound for |P(n)| on [1, n_max]."""
@@ -233,18 +230,20 @@ def eval_poly(poly: IntPolynomial, n: int) -> int:
 
 
 def _residues(poly: IntPolynomial, n_max: int, modulus: int) -> np.ndarray:
-    """P(n) mod Q for n = 1..n_max as an int64 array.
+    """P(n) mod Q for n = 1..n_max: the library's one integer Horner loop.
 
-    Fast path keeps every Horner intermediate below Q*(n_max+1); anything
-    larger falls back to exact Python integers.
+    With n reduced mod Q first, every intermediate stays below
+    Q*(min(n_max, Q-1)+1); the loop runs in int64 while that is below 2^62
+    and in exact Python integers otherwise.  Returns int64 when Q <= 2^63.
     """
-    if modulus * (n_max + 1) < 2**62:
-        ns = np.arange(1, n_max + 1, dtype=np.int64)
-        acc = np.zeros(n_max, dtype=np.int64)
-        for c in reversed(poly.coefficients):
-            acc = (acc * ns + c % modulus) % modulus
-        return acc
-    return np.array([poly.eval_mod(n, modulus) for n in range(1, n_max + 1)], dtype=np.int64)
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    if modulus * (min(n_max, modulus - 1) + 1) >= 2**62:
+        ns = ns.astype(object)
+    ns %= modulus
+    acc = np.full(n_max, poly.coefficients[-1] % modulus, dtype=ns.dtype)
+    for c in reversed(poly.coefficients[:-1]):
+        acc = (acc * ns + c % modulus) % modulus
+    return acc.astype(np.int64, copy=False) if modulus <= 2**63 else acc
 
 
 def kernel(poly: IntPolynomial, n_range: IndexRange | int, modulus: int) -> Signal:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -108,6 +109,28 @@ def naive_weyl(poly, n: int, xi: float) -> complex:
         complex(math.cos(2 * math.pi * xi * poly(k)), math.sin(2 * math.pi * xi * poly(k)))
         for k in range(1, n + 1)
     ) / n
+
+
+def exact_weyl(poly, n: int, xi) -> complex:
+    """m_N(xi) with every phase xi * P(k) reduced mod 1 in exact rationals;
+    a float xi is taken at its exact binary value."""
+    x = Fraction(xi)
+    total = 0j
+    for k in range(1, n + 1):
+        phase = 2 * math.pi * float(x * poly(k) % 1)
+        total += complex(math.cos(phase), math.sin(phase))
+    return total / n
+
+
+def float_weyl(poly, n: int, xi: float) -> complex:
+    """m_N(xi) by float Horner recursion with each coefficient reduced as
+    (xi * c) % 1.0.  That reduction is exact when c is -1, 0 or 1, so the
+    library must match this bit for bit on such polynomials."""
+    ns = np.arange(1, n + 1, dtype=float)
+    acc = np.full(ns.shape, (xi * poly.coefficients[-1]) % 1.0)
+    for c in reversed(poly.coefficients[:-1]):
+        acc = (acc * ns + (xi * c) % 1.0) % 1.0
+    return complex(np.exp(2j * math.pi * acc).mean())
 
 
 def planted_symbol(op, modulus: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,8 @@ from circle_lab.arcs import (
     torus_distance,
     wrap_signed,
 )
+
+from circle_lab.expsums import scan_arcs
 
 from oracles import trial_totient
 
@@ -247,6 +250,13 @@ class TestArcSystem:
         with pytest.raises(ValueError):
             ArcSystem(3, 0.01, (ReducedFraction(0, 1),))
 
+    @pytest.mark.parametrize("halfwidth", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_rejects_bad_halfwidth(self, halfwidth):
+        with pytest.raises(ValueError, match="halfwidth"):
+            ArcSystem(3, halfwidth)
+        with pytest.raises(ValueError, match="halfwidth"):
+            scan_arcs(64, 2, 0.125, 1.0, halfwidth)
+
 
 class TestMinorSample:
     def test_deterministic(self):
@@ -278,6 +288,11 @@ class TestTorusPoint:
     def test_normalization(self):
         assert TorusPoint(1.25).value == 0.25
         assert TorusPoint(-0.25).value == 0.75
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            TorusPoint(value)
 
     def test_distance(self):
         assert TorusPoint(0.9).distance(TorusPoint(0.1)) == pytest.approx(0.2)

@@ -211,6 +211,13 @@ class TestSequenceCommands:
         code, out, err = run_cli(capsys, "variation", "--r", "2", "--in", str(path))
         assert code == 2 and out == "" and "finite" in err
 
+    @pytest.mark.parametrize("row", ["1", "1,abc", "x,0.5", ","])
+    def test_malformed_row_exits_2(self, capsys, tmp_path, row):
+        path = tmp_path / "seq.csv"
+        path.write_text(f"label,re,im\n0,0,0\n{row}\n")
+        code, out, err = run_cli(capsys, "variation", "--r", "2", "--in", str(path))
+        assert code == 2 and out == "" and "row 3" in err
+
     def test_oscillation(self, capsys, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("label,re,im\n0,0,0\n1,5,0\n2,1,0\n")
@@ -240,6 +247,15 @@ class TestErrors:
             "--seed", "0", "--fixed-halfwidth", "0.5",
         )
         assert code == 2 and "coverage" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("mfrak", "--poly", "0,0,1", "--n", "64", "--xi", "inf"),
+        ("mfrak", "--poly", "0,0,1", "--n", "64", "--xi", "nan"),
+        ("discrepancy", "--poly", "0,1", "--theta", "inf", "--ns", "10"),
+    ])
+    def test_nonfinite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "finite" in err
 
     def test_run_config_direct(self, capsys):
         code = run(RunConfig("fractions", {"n1": 2.0}))

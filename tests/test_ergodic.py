@@ -182,6 +182,11 @@ class TestDiscrepancy:
         direct = sorted((k * theta) % 1.0 for k in range(1, 51))
         assert rep.entries[0][1] == pytest.approx(star_discrepancy(np.array(direct)), abs=1e-9)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_rejects_nonfinite_theta(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            discrepancy(LINEAR, theta, [10])
+
     def test_star_discrepancy_formula(self):
         # one point at 0.5: D* = max(1 - 0.5, 0.5 - 0) = 0.5
         assert star_discrepancy(np.array([0.5])) == pytest.approx(0.5)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_lab.arcs import ReducedFraction
+from circle_lab._util import substream
+from circle_lab.arcs import ReducedFraction, minor_sample
 from circle_lab.expsums import (
+    _weyl_abs_many,
     DecayScanReport,
     QuadratureSpec,
     complete_sum,
@@ -23,7 +25,7 @@ from circle_lab.expsums import (
 )
 from circle_lab.polyavg import IntPolynomial
 
-from oracles import naive_weyl, trial_totient
+from oracles import exact_weyl, float_weyl, naive_weyl, trial_totient
 
 SQUARE = IntPolynomial((0, 0, 1))
 LINEAR = IntPolynomial((0, 1))
@@ -68,6 +70,68 @@ class TestWeylSum:
         assert abs(val) <= 1.0 + 1e-12
         assert abs(weyl_sum(SQUARE, n, xi + 1.0) - val) < 1e-9
         assert abs(weyl_sum(SQUARE, n, -xi) - val.conjugate()) < 1e-9
+
+
+class TestExactPhaseReduction:
+    """Huge, negative and ~10^30 coefficients at real points, and rational
+    points at N << q, N = q and N > q, against the Fraction oracle."""
+
+    BIG = [
+        IntPolynomial((0, 10**20 + 7)),
+        IntPolynomial((0, -(10**20 + 7))),
+        IntPolynomial((3, -(10**30) - 1)),
+        IntPolynomial((10**30 + 7, 10**29 + 3)),
+        IntPolynomial((1, -(10**30) + 9, 10**30 + 11)),
+    ]
+
+    @pytest.mark.parametrize("xi", [0.1234567, -0.1234567, 0.9, 0.77 * 2**-30])
+    def test_big_coefficients_real_point(self, xi):
+        for poly in self.BIG:
+            assert abs(weyl_sum(poly, 200, xi) - exact_weyl(poly, 200, xi)) < 1e-12
+
+    def test_big_coefficients_array_path(self):
+        xs = substream(4).uniform(size=12)
+        for poly in self.BIG:
+            ref = np.array([abs(exact_weyl(poly, 200, x)) for x in xs])
+            assert np.abs(_weyl_abs_many(poly, 200, xs) - ref).max() < 1e-12
+
+    def test_big_coefficient_decay_scan(self):
+        poly = self.BIG[0]
+        rep = weyl_decay_scan(poly, [64, 200], 0.125, 1.0, 20, 11, threads=1)
+        for idx, (n, sup) in enumerate(rep.points):
+            pts = minor_sample(scan_arcs(n, 1, 0.125, 1.0), 20, substream(11, idx))
+            ref = max(abs(exact_weyl(poly, n, p.value)) for p in pts)
+            assert abs(sup - ref) < 1e-12
+
+    @given(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=5),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unit_coefficients_bit_identical(self, coeffs, xs, n):
+        poly = IntPolynomial(coeffs)
+        ref = [float_weyl(poly, n, x) for x in xs]
+        assert [weyl_sum(poly, n, x) for x in xs] == ref
+        assert _weyl_abs_many(poly, n, np.array(xs)).tolist() == np.abs(ref).tolist()
+
+    @pytest.mark.parametrize("n, a, q", [(10, 3, 10**7), (97, 5, 97), (250, 37, 101)])
+    def test_rational_point_ranges(self, n, a, q):
+        got = weyl_sum(SQUARE, n, ReducedFraction(a, q))
+        assert abs(got - naive_weyl(SQUARE, n, Fraction(a, q))) < 1e-12
+
+    @pytest.mark.parametrize("n, a, q", [(1000, 7, 24), (333, 11, 100), (5, 1, 10**30)])
+    def test_rational_big_coefficients(self, n, a, q):
+        poly = IntPolynomial((0, 10**20 + 7, -(10**30)))
+        got = weyl_sum(poly, n, Fraction(a, q))
+        assert abs(got - exact_weyl(poly, n, Fraction(a, q))) < 1e-12
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_xi_rejected(self, xi):
+        with pytest.raises(ValueError, match="finite"):
+            weyl_sum(SQUARE, 10, xi)
+        with pytest.raises(ValueError, match="finite"):
+            continuous_multiplier(SQUARE, 10, xi)
 
 
 class TestCompleteSum:

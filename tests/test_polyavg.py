@@ -73,6 +73,14 @@ class TestIntPolynomial:
         expect = [poly(n) % modulus for n in range(1, 7)]
         assert got.tolist() == expect
 
+    @pytest.mark.parametrize("n_max, modulus", [(2000, 2**52), (50, 10**30 + 57), (300, 97)])
+    def test_residues_match_exact(self, n_max, modulus):
+        from circle_lab.polyavg import _residues
+
+        poly = IntPolynomial((10**25 + 3, -7, 0, -(10**20)))
+        got = _residues(poly, n_max, modulus)
+        assert got.tolist() == [poly(n) % modulus for n in range(1, n_max + 1)]
+
 
 class TestKernel:
     def test_linear_uniform(self):
