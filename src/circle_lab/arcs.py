@@ -117,8 +117,8 @@ def canonical_fractions(n1: float) -> list[ReducedFraction]:
 
     Contains 0/1 (the torus representative of both 0 and 1).
     """
-    if n1 < 1:
-        raise ValueError("denominator bound must be >= 1")
+    if not 1 <= n1 < math.inf:  # also rejects NaN
+        raise ValueError(f"denominator bound must be finite and >= 1, got {n1}")
     return list(_canonical_cached(math.floor(n1)))
 
 

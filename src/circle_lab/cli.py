@@ -77,6 +77,18 @@ def _write(text: str, path: str) -> None:
         Path(path).write_text(text)
 
 
+def _strict(obj):
+    """obj with every infinite float replaced by "inf" or "-inf" (the
+    SeminormReport.to_dict convention), so that reports are strict JSON."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _emit(config: RunConfig, result: dict, csv_text: str | None = None) -> None:
     if config.out_format == "csv" and csv_text is not None:
         _write(csv_text, config.out_path)
@@ -89,7 +101,9 @@ def _emit(config: RunConfig, result: dict, csv_text: str | None = None) -> None:
     }
     if config.timestamp:
         envelope["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    _write(json.dumps(envelope, indent=2, sort_keys=True), config.out_path)
+    # a NaN left in a report is a quiet wrong answer: refuse it (exit 2)
+    text = json.dumps(_strict(envelope), indent=2, sort_keys=True, allow_nan=False)
+    _write(text, config.out_path)
 
 
 def _poly(text: str) -> IntPolynomial:

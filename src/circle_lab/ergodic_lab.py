@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .polyavg import IntPolynomial, Signal, _residues, average_linear, riesz_split
-from .seminorms import LacunarySet, variation_values
+from .seminorms import LacunarySet, _block_oscillation, _Exponent, variation_values
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,11 @@ def convergence_diagnostic(
         anchors.append(len(ns) - 1)
     if len(anchors) < 2:
         anchors = [0, len(ns) - 1]
-    osc_pow = np.zeros(mat.shape[1])
-    for a, b in zip(anchors, anchors[1:]):
-        block = np.abs(mat[a:b] - mat[a]).max(axis=0)
-        osc_pow += block**r
-    osc = osc_pow ** (1.0 / r)
+    osc, _ = _block_oscillation(mat, anchors, _Exponent(r, "diagnostic"))
     anchor_ns = [int(ns[i]) for i in anchors]
     doubling = all(b > 2 * a for a, b in zip(anchor_ns, anchor_ns[1:]))
 
-    tail = mat[tail_mask]
-    width = np.zeros(mat.shape[1])
-    for i in range(tail.shape[0] - 1):
-        width = np.maximum(width, np.abs(tail[i + 1 :] - tail[i]).max(axis=0))
+    width = variation_values(mat[tail_mask], math.inf)
 
     def aggregate(stat: np.ndarray) -> dict:
         out = {"max": float(stat.max())}

@@ -246,6 +246,8 @@ def weyl_decay_scan(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ns = sorted(set(int(n) for n in n_values))
+    if not ns or ns[0] < 1:
+        raise ValueError("decay scan needs N values >= 1")
     degree = poly.degree
 
     # sample and evaluate per N; substream key is the position in the scan
@@ -319,6 +321,8 @@ def lemma1_residual(
     where 2^(l-1) < q <= 2^l, and their ratio.  Requires the torus distance
     |xi - theta| <= 1/M.
     """
+    if not 0 < big_m < math.inf:  # also rejects NaN
+        raise ValueError(f"M must be finite and > 0, got {big_m}")
     n = int(IndexRange.of(n_range))
     x = TorusPoint.of(xi).value
     offset = float(wrap_signed(x - theta.value))

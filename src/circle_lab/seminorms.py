@@ -79,28 +79,16 @@ def variation(seq, r: float) -> SeminormReport:
     (sum |a_(t_(j+1)) - a_(t_j)|^r)^(1/r); r = inf gives the largest
     single increment |a_t - a_s| over s < t."""
     s = RealSequence.of(seq)
-    if r != math.inf and r < 1:
-        raise ValueError("variation exponent must satisfy r >= 1")
+    rule = _Exponent(r, "variation")
     a = s.values
     n = a.size
-    if n == 1:
-        return SeminormReport("variation", 0.0, (int(s.labels[0]),), {"r": r})
-    if r == math.inf:
-        best, pair = 0.0, (0, 0)
-        for i in range(n - 1):
-            d = np.abs(a[i + 1 :] - a[i])
-            j = int(np.argmax(d))
-            if d[j] > best:
-                best, pair = float(d[j]), (i, i + 1 + j)
-        if best == 0.0:
-            return SeminormReport("variation", 0.0, (int(s.labels[0]),), {"r": r})
-        witness = (int(s.labels[pair[0]]), int(s.labels[pair[1]]))
-        return SeminormReport("variation", best, witness, {"r": r})
     val = np.zeros(n)
     back = np.full(n, -1, dtype=np.int64)
+    folds, weigh = True, rule.weigh
     for i in range(1, n):
-        cand = val[:i] + np.abs(a[i] - a[:i]) ** r
-        j = int(np.argmax(cand))
+        cand = np.abs(a[i] - a[:i])
+        folds = weigh(cand, val[:i])
+        j = int(cand.argmax())
         if cand[j] > 0.0:
             val[i] = cand[j]
             back[i] = j
@@ -108,10 +96,10 @@ def variation(seq, r: float) -> SeminormReport:
     path = [top]
     while back[path[0]] >= 0:
         path.insert(0, int(back[path[0]]))
-    if val[top] == 0.0:
-        path = [0]
+        if not folds:  # an unfolded chain is worth its last increment alone
+            break
     witness = tuple(int(s.labels[i]) for i in path)
-    return SeminormReport("variation", float(val[top] ** (1.0 / r)), witness, {"r": r})
+    return SeminormReport("variation", float(rule.root(val)[top]), witness, {"r": r})
 
 
 def jump_count(seq, lam: float) -> SeminormReport:
@@ -143,10 +131,10 @@ def jump_count(seq, lam: float) -> SeminormReport:
 def oscillation(seq, anchors: Sequence[int], r: float) -> SeminormReport:
     """Blockwise oscillation: anchors I_0 < ... < I_J cut the label range
     into blocks [I_j, I_(j+1)); each block contributes its sup deviation
-    from a_(I_j), combined in the r-th power mean sum."""
+    from a_(I_j), combined in the r-th power mean sum (the largest one at
+    r = inf)."""
     s = RealSequence.of(seq)
-    if r < 1:
-        raise ValueError("oscillation exponent must satisfy r >= 1")
+    rule = _Exponent(r, "oscillation")
     anchor_list = [int(t) for t in anchors]
     if len(anchor_list) < 2:
         raise ValueError("need at least two anchors (J >= 1)")
@@ -156,38 +144,96 @@ def oscillation(seq, anchors: Sequence[int], r: float) -> SeminormReport:
     for t in anchor_list:
         if t not in label_pos:
             raise ValueError(f"anchor {t} is not a sequence label")
-    a = s.values
-    total = 0.0
-    block_witnesses = []
-    for t0, t1 in zip(anchor_list, anchor_list[1:]):
-        p0, p1 = label_pos[t0], label_pos[t1]
-        devs = np.abs(a[p0:p1] - a[p0])
-        k = int(np.argmax(devs))
-        total += float(devs[k]) ** r
-        block_witnesses.append(int(s.labels[p0 + k]))
+    value, peaks = _block_oscillation(
+        s.values[:, None], [label_pos[t] for t in anchor_list], rule
+    )
     doubling = all(t1 > 2 * t0 for t0, t1 in zip(anchor_list, anchor_list[1:]))
     return SeminormReport(
         "oscillation",
-        float(total ** (1.0 / r)),
-        tuple(block_witnesses),
+        float(value[0]),
+        tuple(int(s.labels[k[0]]) for k in peaks),
         {"r": r, "anchors": anchor_list, "blocks": len(anchor_list) - 1, "doubling": doubling},
     )
 
 
-def _abs_pow_inplace(mags: np.ndarray, r: float) -> None:
-    # integer exponents by multiplication; float powers are far slower
-    if r == 1.0:
-        return
-    if r == 2.0:
-        np.multiply(mags, mags, out=mags)
-    elif r == 3.0:
-        sq = mags * mags
-        np.multiply(sq, mags, out=mags)
-    elif r == 4.0:
-        np.multiply(mags, mags, out=mags)
-        np.multiply(mags, mags, out=mags)
-    else:
-        np.power(mags, r, out=mags)
+class _Exponent:
+    """The one place an exponent r >= 1 (r = inf allowed) acts: a chain of
+    increments d_j is worth sum |d_j|^r, with r-th root the seminorm.  At
+    r = inf callers' max over chain ends already gives the sup increment,
+    so each increment stands alone and no chain value is folded in."""
+
+    def __init__(self, r: float, what: str):
+        if not r >= 1:  # also rejects NaN
+            raise ValueError(f"{what} exponent must satisfy r >= 1")
+        self.r = r
+
+    def weigh(self, mags: np.ndarray, prior) -> bool:
+        """In place, increments |d| become chain values |d|^r + prior.
+        Returns whether prior was folded in (False at r = inf)."""
+        r = self.r
+        if r == math.inf:
+            return False
+        # integer exponents by multiplication; float powers are far slower
+        if r == 2.0:
+            np.multiply(mags, mags, out=mags)
+        elif r == 3.0:
+            sq = mags * mags
+            np.multiply(sq, mags, out=mags)
+        elif r == 4.0:
+            np.multiply(mags, mags, out=mags)
+            np.multiply(mags, mags, out=mags)
+        elif r != 1.0:
+            np.power(mags, r, out=mags)
+        mags += prior
+        return True
+
+    def root(self, total: np.ndarray) -> np.ndarray:
+        """Seminorm from a chain value array: total^(1/r), or total at r = inf."""
+        return total if self.r == math.inf else total ** (1.0 / self.r)
+
+
+def _block_oscillation(a: np.ndarray, cuts: Sequence[int], rule: _Exponent):
+    """Blockwise oscillation of each trailing slice of a (T, ...): positions
+    c_0 < ... < c_J cut [c_0, c_J) into blocks [c_j, c_(j+1)), and each
+    block adds its sup deviation from a[c_j].  Returns the values and, per
+    block, the positions where those sups are reached."""
+    total = np.zeros(a.shape[1:])
+    peaks = []
+    for c0, c1 in zip(cuts, cuts[1:]):
+        devs = np.abs(a[c0:c1] - a[c0])
+        peaks.append(c0 + devs.argmax(axis=0))
+        dev = devs.max(axis=0)
+        rule.weigh(dev, total)
+        total = np.maximum(total, dev)
+    return rule.root(total), peaks
+
+
+def _level_variation(levels: list[np.ndarray], rule: _Exponent) -> np.ndarray:
+    """Pointwise r-variation along levels whose last axes refine (each length
+    divides the next: a plain stack keeps it, dyadic martingale levels
+    double it), shaped like the last level.  DP states stay at their own
+    level's resolution; level i, viewed as level_j.shape + (-1,),
+    broadcasts against level j and its state, updated in place."""
+    heads, vals = [], []  # earlier levels and DP states, each with a unit last axis
+    for a_i in levels:
+        v_i = np.zeros(a_i.shape)
+        diff, mag = np.empty_like(a_i), np.empty(a_i.shape)
+        lead = None
+        for a_j, v_j in zip(heads, vals):
+            if a_j.shape[:-1] != lead:  # a plain stack keeps one view per level
+                lead = a_j.shape[:-1]
+                a, d, m, v = (x.reshape(lead + (-1,)) for x in (a_i, diff, mag, v_i))
+            np.subtract(a, a_j, out=d)
+            np.abs(d, out=m)
+            rule.weigh(m, v_j)
+            np.maximum(v, m, out=v)
+        heads.append(a_i[..., None])
+        vals.append(v_i[..., None])
+    out = vals[-1][..., 0]
+    for v_j in vals[:-1]:
+        view = out.reshape(v_j.shape[:-1] + (-1,))
+        np.maximum(view, v_j, out=view)
+    return rule.root(out)
 
 
 def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
@@ -197,29 +243,11 @@ def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
     Pairwise in-place updates keep the working set at one trailing slice,
     which matters when the batch is large.
     """
+    rule = _Exponent(r, "variation")
     a = np.asarray(samples)
-    t = a.shape[0]
-    tail = a.shape[1:]
-    if r == math.inf:
-        best = np.zeros(tail)
-        for i in range(t - 1):
-            for j in range(i + 1, t):
-                np.maximum(best, np.abs(a[j] - a[i]), out=best)
-        return best
-    if r < 1:
-        raise ValueError("variation exponent must satisfy r >= 1")
-    val = np.zeros((t,) + tail)
-    diff = np.empty(tail, dtype=a.dtype)
-    mag = np.empty(tail)
-    for i in range(1, t):
-        vi = val[i]
-        for j in range(i):
-            np.subtract(a[i], a[j], out=diff)
-            np.abs(diff, out=mag)
-            _abs_pow_inplace(mag, r)
-            mag += val[j]
-            np.maximum(vi, mag, out=vi)
-    return val.max(axis=0) ** (1.0 / r)
+    if a.ndim == 0 or a.shape[0] < 1:
+        raise ValueError("variation needs at least one sample")
+    return _level_variation(list(a), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +311,9 @@ def martingale(g: Signal) -> DyadicMartingale:
     depth = q.bit_length() - 1
     if 2**depth != q:
         raise ValueError(f"martingale needs a power-of-two modulus, got {q}")
-    blocks = [g.values.copy()]
-    while blocks[-1].size > 1:
-        prev = blocks[-1]
-        blocks.append((prev[0::2] + prev[1::2]) / 2.0)
-    blocks.reverse()  # blocks[n] now has 2^n entries
     levels = tuple(
-        Signal(q, np.repeat(vals, q // vals.size)) for vals in blocks
+        Signal(q, np.repeat(vals[0], q // vals.shape[1]))
+        for vals in _block_levels(g.values[None])
     )
     return DyadicMartingale(depth, levels)
 
@@ -305,31 +329,6 @@ def _block_levels(g_values: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def _martingale_variation(block_levels: list[np.ndarray], r: float) -> np.ndarray:
-    """Pointwise V^r along martingale levels, run at block resolution.
-
-    The DP value after level i only depends on the level-i block of x, so
-    each DP state lives on 2^i blocks instead of the full 2^K points.
-    Output has shape (B, 2^K).
-    """
-    depth = len(block_levels) - 1
-    vals = [np.zeros_like(block_levels[0])]
-    for i in range(1, depth + 1):
-        a_i = block_levels[i]
-        vi = np.zeros_like(a_i)
-        for j in range(i):
-            rep = 2 ** (i - j)
-            mag = np.abs(a_i - np.repeat(block_levels[j], rep, axis=1))
-            _abs_pow_inplace(mag, r)
-            mag += np.repeat(vals[j], rep, axis=1)
-            np.maximum(vi, mag, out=vi)
-        vals.append(vi)
-    out = vals[depth].copy()
-    for j in range(depth):
-        np.maximum(out, np.repeat(vals[j], 2 ** (depth - j), axis=1), out=out)
-    return out ** (1.0 / r)
-
-
 def lepingle_stat(
     p: float, r: float, depth: int, trials: int, seed: int, batch: int = 32
 ) -> dict:
@@ -338,10 +337,13 @@ def lepingle_stat(
 
     Norms use the uniform probability measure; the ratio is scale free.  For
     r <= 2 the same statistic is computed but flagged, since no uniform bound
-    is claimed there.
+    is claimed there.  r = inf gives the largest increment between levels.
     """
-    if depth > 20:
-        raise ValueError("depth capped at 20 to keep the run desk-sized")
+    rule = _Exponent(r, "variation")
+    if not 0 < p < math.inf:  # also rejects NaN
+        raise ValueError(f"norm exponent p must be finite and > 0, got {p}")
+    if not 0 <= depth <= 20:
+        raise ValueError(f"depth must lie in 0..20 to keep the run desk-sized, got {depth}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     q = 2**depth
@@ -355,7 +357,7 @@ def lepingle_stat(
             [substream(seed, t).standard_normal(q) for t in range(done, done + b)]
         )
         levels = _block_levels(gs)
-        vr = _martingale_variation(levels, r)  # (B, Q)
+        vr = _level_variation(levels, rule)  # (B, Q)
         num = (np.abs(vr) ** p).mean(axis=1) ** (1.0 / p)
         den = np.stack(
             [(np.abs(lev) ** p).mean(axis=1) ** (1.0 / p) for lev in levels]

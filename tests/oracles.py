@@ -47,6 +47,27 @@ def brute_jump(values, lam: float) -> int:
     return best
 
 
+def martingale_levels(g) -> list[np.ndarray]:
+    """Dyadic martingale of g on Z/2^K at full resolution: level n at x is
+    the literal mean of g over the length-2^(K-n) block holding x."""
+    vals = [float(v) for v in g]
+    q = len(vals)
+    levels = []
+    for n in range(q.bit_length()):
+        width = q >> n
+        levels.append(
+            np.array([sum(vals[x - x % width : x - x % width + width]) / width for x in range(q)])
+        )
+    return levels
+
+
+def martingale_variation(g, r: float) -> np.ndarray:
+    """Pointwise r-variation of the dyadic martingale of g: each point's
+    level sequence goes through brute_variation."""
+    levels = martingale_levels(g)
+    return np.array([brute_variation([lev[x] for lev in levels], r) for x in range(len(g))])
+
+
 @lru_cache(maxsize=16)
 def subsequence_tables(n: int):
     """Flattened consecutive-pair structure of every subsequence of

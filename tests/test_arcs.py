@@ -84,6 +84,11 @@ class TestCanonicalFractions:
         with pytest.raises(ValueError):
             canonical_fractions(0.5)
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_rejects_nonfinite_bound(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            canonical_fractions(bound)
+
 
 class TestClassify:
     def test_on_center(self):

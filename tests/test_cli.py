@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from circle_lab.cli import RunConfig, main, run
+from circle_lab.cli import RunConfig, _emit, main, run
 from circle_lab.polyavg import Signal
 
 
@@ -225,6 +225,38 @@ class TestSequenceCommands:
         assert doc["result"]["value"] == pytest.approx(5.0)
 
 
+def _no_constants(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        ("variation", "--r", "inf"),
+        ("oscillation", "--r", "inf", "--anchors", "0,2"),
+    ])
+    def test_infinite_exponent_is_a_string(self, capsys, tmp_path, argv):
+        path = tmp_path / "seq.csv"
+        path.write_text("label,re,im\n0,0,0\n1,5,0\n2,1,0\n")
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert code == 0, err
+        doc = json.loads(out, parse_constant=_no_constants)
+        assert doc["config"]["r"] == "inf"
+        assert doc["result"]["value"] == 5.0
+
+    def test_lepingle_infinity(self, capsys):
+        code, out, err = run_cli(capsys, "lepingle", "--r", "inf", "--depth", "5", "--trials", "10", "--seed", "1")
+        assert code == 0, err
+        doc = json.loads(out, parse_constant=_no_constants)
+        assert doc["config"]["r"] == "inf" and doc["result"]["r"] == "inf"
+        # V^inf <= 2 sup_n |level n|, and Doob bounds that sup by 2 sup_n ||level n||_2
+        assert 0 < doc["result"]["max"] <= 4.0
+
+    def test_finite_reports_keep_their_format(self, capsys):
+        code, out, _ = run_cli(capsys, "lepingle", "--depth", "5", "--trials", "10", "--seed", "1")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 class TestErrors:
     def test_unknown_flag_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -256,6 +288,29 @@ class TestErrors:
     def test_nonfinite_input_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("argv, word", [
+        (("lemma1", "--poly", "0,0,1", "--n", "64", "--frac", "1/3", "--xi", "0.3333", "--bigm", "nan"), "M must"),
+        (("lemma1", "--poly", "0,0,1", "--n", "64", "--frac", "1/3", "--xi", "0.3333", "--bigm", "0"), "M must"),
+        (("lemma1", "--poly", "0,0,1", "--n", "64", "--frac", "1/3", "--xi", "0.3333", "--bigm", "inf"), "M must"),
+        (("fractions", "--n1", "inf"), "denominator bound"),
+        (("fractions", "--n1", "nan"), "denominator bound"),
+        (("arcs", "--n1", "inf", "--n2", "0.001"), "denominator bound"),
+        (("weyl-scan", "--poly", "0,0,1", "--ns", "0,64", "--samples", "5", "--seed", "0"), ">= 1"),
+        (("lepingle", "--r", "0.5", "--depth", "4", "--trials", "2"), "r >= 1"),
+        (("lepingle", "--r", "nan", "--depth", "4", "--trials", "2"), "r >= 1"),
+        (("lepingle", "--p", "0", "--depth", "4", "--trials", "2"), "norm exponent p"),
+        (("lepingle", "--p", "inf", "--depth", "4", "--trials", "2"), "norm exponent p"),
+        (("lepingle", "--depth", "-1", "--trials", "2"), "desk"),
+    ])
+    def test_bad_parameter_exits_2(self, capsys, argv, word):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and word in err
+
+    def test_nan_report_is_refused(self, capsys):
+        with pytest.raises(ValueError):
+            _emit(RunConfig("mfrak", {}), {"re": math.nan})
+        assert capsys.readouterr().out == ""
 
     def test_run_config_direct(self, capsys):
         code = run(RunConfig("fractions", {"n1": 2.0}))

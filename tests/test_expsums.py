@@ -245,6 +245,11 @@ class TestDecayScan:
         for j in (0, 5, 17):
             assert abs(grid[j] - weyl_sum(SQUARE, 12, j / 32)) < 1e-12
 
+    @pytest.mark.parametrize("ns", [[0, 64], [-64, 64]])
+    def test_rejects_scales_below_one(self, ns):
+        with pytest.raises(ValueError, match=">= 1"):
+            weyl_decay_scan(SQUARE, ns, 0.125, 1.0, 5, 0)
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             DecayScanReport(points=((64, 0.5), (32, 0.4)), exponent=1.0, fit_residual=0.0, params={})
@@ -263,6 +268,11 @@ class TestLemma1:
     def test_offset_too_large(self):
         with pytest.raises(ValueError, match="exceeds"):
             lemma1_residual(SQUARE, 64, ReducedFraction(0, 1), 0.25, 100.0)
+
+    @pytest.mark.parametrize("big_m", [math.nan, 0.0, -4.0, math.inf])
+    def test_rejects_bad_big_m(self, big_m):
+        with pytest.raises(ValueError, match="M must be finite"):
+            lemma1_residual(SQUARE, 64, ReducedFraction(1, 3), 0.3333, big_m)
 
     def test_shell_index(self):
         assert [shell_index(q) for q in (1, 2, 3, 4, 5, 8, 9, 16)] == [0, 1, 2, 2, 3, 3, 4, 4]

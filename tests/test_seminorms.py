@@ -9,6 +9,9 @@ from circle_lab._util import substream
 from circle_lab.polyavg import Signal
 from circle_lab.seminorms import (
     RealSequence,
+    _block_levels,
+    _Exponent,
+    _level_variation,
     jump_count,
     lacunary,
     lepingle_stat,
@@ -18,7 +21,7 @@ from circle_lab.seminorms import (
     variation_values,
 )
 
-from oracles import brute_jump, brute_variation
+from oracles import brute_jump, brute_variation, martingale_levels, martingale_variation
 
 finite_values = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=10
@@ -63,6 +66,23 @@ class TestVariation:
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):
             variation([1.0, 2.0], 0.5)
+
+    @pytest.mark.parametrize("r", [0.5, math.nan, -math.inf])
+    def test_every_entry_rejects_bad_exponent(self, r):
+        with pytest.raises(ValueError, match="r >= 1"):
+            variation([1.0, 2.0], r)
+        with pytest.raises(ValueError, match="r >= 1"):
+            variation_values(np.ones((3, 2)), r)
+        with pytest.raises(ValueError, match="r >= 1"):
+            oscillation([1.0, 2.0, 3.0], [0, 2], r)
+        with pytest.raises(ValueError, match="r >= 1"):
+            lepingle_stat(2, r, 4, 2, 0)
+
+    @given(finite_values, st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, math.inf]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_batched_kernel_bit_for_bit(self, vals, r):
+        seq = np.array(vals)
+        assert variation(seq, r).value == variation_values(seq[:, None], r)[0]
 
     def test_singleton(self):
         rep = variation([4.2], 2)
@@ -158,6 +178,26 @@ class TestOscillation:
             v = variation(vals[: anchors[-1] + 1], r).value
             assert o <= v + 1e-12
 
+    def test_infinity_is_largest_block_deviation(self):
+        rep = oscillation([0.0, 5.0, 1.0], [0, 2], math.inf)
+        assert rep.value == 5.0 and rep.witness == (1,)
+
+    @given(
+        st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=2, max_size=12),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_infinity_matches_block_maximum(self, vals, data):
+        inner = data.draw(st.sets(st.integers(1, len(vals) - 2), max_size=4)) if len(vals) > 2 else set()
+        anchors = sorted({0, len(vals) - 1} | inner)
+        rep = oscillation(np.array(vals), anchors, math.inf)
+        want = max(
+            max(abs(vals[t] - vals[a]) for t in range(a, b))
+            for a, b in zip(anchors, anchors[1:])
+        )
+        assert rep.value == want
+        assert max(abs(vals[t] - vals[a]) for t, a in zip(rep.witness, anchors)) == want
+
     def test_doubling_flag(self):
         vals = np.arange(8.0)
         assert oscillation(vals, [1, 3, 7], 2).parameters["doubling"]
@@ -252,7 +292,55 @@ class TestMartingale:
             martingale(Signal.constant(12))
 
 
+class TestLevelKernel:
+    @given(
+        st.integers(0, 4),
+        st.integers(1, 3),
+        st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_martingale_levels_match_oracle(self, depth, batch, r, data):
+        q = 2**depth
+        flat = data.draw(
+            st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=batch * q, max_size=batch * q)
+        )
+        g = np.array(flat).reshape(batch, q)
+        got = _level_variation(_block_levels(g), _Exponent(r, "variation"))
+        want = np.stack([martingale_variation(row, r) for row in g])
+        assert got.shape == (batch, q)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_martingale_levels_share_block_levels(self):
+        g = substream(9).standard_normal(16)
+        mart = martingale(Signal(16, g))
+        for lev, want in zip(mart.levels, martingale_levels(g)):
+            assert np.allclose(lev.values.real, want, rtol=0, atol=1e-15)
+
+
 class TestLepingle:
+    @pytest.mark.parametrize("r", [1.0, 3.0, math.inf])
+    def test_matches_oracle(self, r):
+        seed, depth, trials, p = 11, 4, 12, 2.0
+        stat = lepingle_stat(p, r, depth, trials, seed)
+        ratios = []
+        for t in range(trials):
+            g = substream(seed, t).standard_normal(2**depth)
+            num = np.mean(martingale_variation(g, r) ** p) ** (1 / p)
+            den = max(np.mean(np.abs(lev) ** p) ** (1 / p) for lev in martingale_levels(g))
+            ratios.append(num / den)
+        assert stat["max"] == pytest.approx(max(ratios), rel=1e-12)
+        assert stat["mean"] == pytest.approx(np.mean(ratios), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_norm_exponent(self, p):
+        with pytest.raises(ValueError, match="norm exponent p"):
+            lepingle_stat(p, 3, 4, 2, 0)
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="desk"):
+            lepingle_stat(2, 3, -1, 1, 0)
+
     def test_deterministic(self):
         a = lepingle_stat(2, 3, 6, 25, 11)
         b = lepingle_stat(2, 3, 6, 25, 11)
