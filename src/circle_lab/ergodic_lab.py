@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyavg import IntPolynomial, Signal, _residues, average_linear, riesz_split
+from .polyavg import IntPolynomial, Signal, _averages, _residues, riesz_split
 from .seminorms import LacunarySet, _block_oscillation, _Exponent, variation_values
 
 
@@ -81,19 +81,11 @@ def average_series(
     if f.modulus != sys.modulus:
         raise ValueError("signal modulus must match the system")
     ns = tuple(int(n) for n in n_values)
-    scaled = orbit_polynomial(sys, poly)
-    m = int(uniform_from)
-    signals = []
-    for n in ns:
-        if m > 0:
-            if n <= m:
-                raise ValueError("uniform averages need N > M")
-            full = average_linear(scaled, n, f)
-            head = average_linear(scaled, m, f)
-            signals.append((n * full - m * head) * (1.0 / (n - m)))
-        else:
-            signals.append(average_linear(scaled, n, f))
-    return AverageSeries(ns, tuple(signals), sys, poly)
+    m = max(int(uniform_from), 0)
+    if m and any(n <= m for n in ns):
+        raise ValueError("uniform averages need N > M")
+    signals = tuple(_averages(orbit_polynomial(sys, poly), f, ns, start=m))
+    return AverageSeries(ns, signals, sys, poly)
 
 
 def uniform_average(
@@ -227,12 +219,11 @@ def mean_ergodic_check(
     if f.modulus != sys.modulus:
         raise ValueError("signal modulus must match the system")
     invariant = riesz_split(f, sys.shift).invariant
-    linear = IntPolynomial((0, 1))
-    entries = []
-    for n in sorted(set(int(v) for v in n_values)):
-        avg = average_series(sys, linear, f, [n]).signals[0]
-        dev = float(np.sqrt(np.mean(np.abs((avg - invariant).values) ** 2)))
-        entries.append((n, dev))
+    series = average_series(sys, IntPolynomial((0, 1)), f, sorted(set(int(v) for v in n_values)))
+    entries = [
+        (n, float(np.sqrt(np.mean(np.abs((avg - invariant).values) ** 2))))
+        for n, avg in zip(series.indices, series.signals)
+    ]
     return {
         "ergodic": sys.is_ergodic,
         "entries": entries,

@@ -1,9 +1,10 @@
 """Integer polynomials and polynomial averaging operators on Z/QZ.
 
 Averages of the form  A_N f(x) = mean over n = 1..N of f(x - P(n) mod Q)
-are cyclic convolutions with an integer-orbit kernel.  Everything here is
-exact integer arithmetic up to the final complex accumulation, and every
-operator is a pure function of its inputs.
+are cyclic convolutions with an integer-orbit kernel.  Residues are exact
+integer arithmetic, linear averages are FFT convolutions whose invariant
+part is added back exactly, and every operator is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-
-# average_linear switches to the FFT path once N * Q exceeds this.
-FFT_THRESHOLD = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -255,32 +253,39 @@ def kernel(poly: IntPolynomial, n_range: IndexRange | int, modulus: int) -> Sign
     return Signal(modulus, counts.astype(np.complex128) / n)
 
 
+def _averages(
+    poly: IntPolynomial, f: Signal, ns: Iterable[IndexRange | int], start: int = 0
+) -> Iterator[Signal]:
+    """Mean of f(x - P(n)) over n in (start, N] for each N in ns: the one
+    averaging path, with one residue table and one FFT convolution per N.
+
+    Every shift of a window is a multiple of d = gcd(Q, shifts), so the
+    average fixes the period-d signals.  The anchor tile(f[:d]) is added
+    back exactly and only f minus it goes through the FFT, so a signal that
+    every shift fixes comes back bit for bit.
+    """
+    q = f.modulus
+    ns = [int(IndexRange.of(n)) for n in ns]
+    residues = _residues(poly, max(ns, default=start), q)
+    anchor_d = 0
+    for n in ns:
+        window = residues[start:n]
+        d = int(np.gcd.reduce(window, initial=q))
+        if d != anchor_d:  # reuse the spectrum of f - anchor while d holds
+            anchor = np.tile(f.values[:d], q // d)
+            rest = np.fft.ifft(f.values - anchor)
+            anchor_d = d
+        kern = np.fft.ifft(np.bincount(window, minlength=q) / (n - start))
+        yield Signal(q, np.fft.fft(kern * rest) * q + anchor)
+
+
 def average_linear(
     poly: IntPolynomial,
     n_range: IndexRange | int,
     f: Signal,
-    method: str = "auto",
 ) -> Signal:
-    """A_N f(x) = mean of f(x - P(n)) over n = 1..N, a cyclic convolution.
-
-    `method` is "direct" (exact grouped sum), "fft", or "auto" (FFT once
-    N*Q passes FFT_THRESHOLD).
-    """
-    n = int(IndexRange.of(n_range))
-    q = f.modulus
-    if method == "auto":
-        method = "fft" if n * q > FFT_THRESHOLD else "direct"
-    if method == "direct":
-        residues = _residues(poly, n, q)
-        shifts, counts = np.unique(residues, return_counts=True)
-        out = np.zeros(q, dtype=np.complex128)
-        for shift, count in zip(shifts, counts):
-            out += count * np.roll(f.values, int(shift))
-        return Signal(q, out / n)
-    if method == "fft":
-        spec = spectrum(kernel(poly, n, q)) * spectrum(f)
-        return signal_from_spectrum(q, spec)
-    raise ValueError(f"unknown method {method!r}")
+    """A_N f(x) = mean of f(x - P(n)) over n = 1..N, a cyclic convolution."""
+    return next(_averages(poly, f, [n_range]))
 
 
 def average_bilinear(
@@ -304,14 +309,13 @@ def maximal_function(
     poly: IntPolynomial,
     f: Signal,
     n_ranges: Sequence[IndexRange | int],
-    method: str = "auto",
 ) -> Signal:
     """Pointwise sup of |A_N f| over the given N values."""
     if not n_ranges:
         raise ValueError("maximal function needs at least one N")
     best = np.zeros(f.modulus)
-    for n_range in n_ranges:
-        best = np.maximum(best, np.abs(average_linear(poly, n_range, f, method).values))
+    for avg in _averages(poly, f, n_ranges):
+        best = np.maximum(best, np.abs(avg.values))
     return Signal(f.modulus, best.astype(np.complex128))
 
 

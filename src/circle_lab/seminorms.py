@@ -105,7 +105,7 @@ def variation(seq, r: float) -> SeminormReport:
 def jump_count(seq, lam: float) -> SeminormReport:
     """Longest chain t_0 < ... < t_J with every consecutive difference of
     modulus >= lambda; the value is J."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("jump threshold must be positive")
     s = RealSequence.of(seq)
     a = s.values
@@ -275,8 +275,8 @@ class LacunarySet:
 
 
 def lacunary(tau: float, bound: int) -> LacunarySet:
-    if tau <= 1:
-        raise ValueError("lacunary ratio must satisfy tau > 1")
+    if not 1 < tau < math.inf:
+        raise ValueError(f"lacunary ratio must satisfy 1 < tau < inf, got tau = {tau}")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     out = set()

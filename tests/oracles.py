@@ -125,6 +125,17 @@ def naive_average(poly, n: int, f) -> np.ndarray:
     return out
 
 
+def grouped_average(poly, n: int, f) -> np.ndarray:
+    """Grouped direct sum of the polynomial average on Z/QZ: each distinct
+    shift P(k) mod Q, k = 1..N, rolls f once, weighted by its count."""
+    q = f.modulus
+    shifts, counts = np.unique([poly(k) % q for k in range(1, n + 1)], return_counts=True)
+    out = np.zeros(q, dtype=np.complex128)
+    for shift, count in zip(shifts, counts):
+        out += count * np.roll(f.values, int(shift))
+    return out / n
+
+
 def naive_weyl(poly, n: int, xi: float) -> complex:
     return sum(
         complex(math.cos(2 * math.pi * xi * poly(k)), math.sin(2 * math.pi * xi * poly(k)))

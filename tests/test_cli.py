@@ -302,10 +302,18 @@ class TestErrors:
         (("lepingle", "--p", "0", "--depth", "4", "--trials", "2"), "norm exponent p"),
         (("lepingle", "--p", "inf", "--depth", "4", "--trials", "2"), "norm exponent p"),
         (("lepingle", "--depth", "-1", "--trials", "2"), "desk"),
+        (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "inf", "--nmax", "64", "--seed", "1"), "tau"),
+        (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "nan", "--nmax", "64", "--seed", "1"), "tau"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and word in err
+
+    def test_nan_jump_threshold_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("label,re,im\n0,0.5,0\n1,0,0\n2,1,0\n")
+        code, out, err = run_cli(capsys, "jumps", "--lam", "nan", "--in", str(path))
+        assert code == 2 and out == "" and "jump threshold" in err
 
     def test_nan_report_is_refused(self, capsys):
         with pytest.raises(ValueError):

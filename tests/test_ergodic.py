@@ -82,6 +82,20 @@ class TestAverageSeries:
             ) / (n - m)
         assert np.allclose(got.values, expect, atol=1e-12)
 
+    def test_uniform_windows_match_literal_sum(self):
+        # one call, windows (M, N] with M and N on both sides of Q
+        q, m = 13, 20
+        sys = FiniteSystem(q, 5)
+        f = random_signal(q, 4)
+        ns = [21, 22, 30, 57, 200]
+        series = average_series(sys, SQUARE, f, ns, uniform_from=m)
+        for n, sig in zip(ns, series.signals):
+            expect = np.array([
+                sum(f.values[(x - 5 * SQUARE(k)) % q] for k in range(m + 1, n + 1)) / (n - m)
+                for x in range(q)
+            ])
+            assert np.allclose(sig.values, expect, atol=1e-12)
+
     def test_uniform_needs_room(self):
         sys = FiniteSystem(7, 1)
         with pytest.raises(ValueError, match="uniform"):

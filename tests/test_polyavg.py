@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circle_lab.polyavg import (
-    FFT_THRESHOLD,
     IndexRange,
     IntPolynomial,
     Signal,
@@ -21,8 +22,9 @@ from circle_lab.polyavg import (
     spectrum,
 )
 from circle_lab._util import substream
+from circle_lab.ergodic_lab import FiniteSystem, average_series
 
-from oracles import naive_average
+from oracles import grouped_average, naive_average
 
 SQUARE = IntPolynomial((0, 0, 1))
 LINEAR = IntPolynomial((0, 1))
@@ -124,22 +126,29 @@ class TestAverageLinear:
     def test_matches_naive_definition(self):
         f = random_signal(17, 2)
         poly = IntPolynomial((1, 2, 3))
-        out = average_linear(poly, 23, f, method="direct")
+        out = average_linear(poly, 23, f)
         assert np.allclose(out.values, naive_average(poly, 23, f), atol=1e-12)
 
     def test_fft_agrees_with_direct(self):
         for q, seed in ((64, 3), (257, 4), (1024, 5)):
             f = random_signal(q, seed)
-            a = average_linear(SQUARE, 200, f, method="direct")
-            b = average_linear(SQUARE, 200, f, method="fft")
-            assert (a - b).norm(2) <= 1e-9 * f.norm(2)
+            a = grouped_average(SQUARE, 200, f)
+            b = average_linear(SQUARE, 200, f)
+            assert np.linalg.norm(a - b.values) <= 1e-9 * f.norm(2)
 
-    def test_auto_threshold_dispatch(self):
-        f = random_signal(64, 6)
-        n_big = FFT_THRESHOLD // 64 + 1
-        out = average_linear(LINEAR, n_big, f)
-        ref = average_linear(LINEAR, n_big, f, method="fft")
-        assert np.allclose(out.values, ref.values)
+    @pytest.mark.parametrize(
+        "poly, q, n",
+        [(IntPolynomial((1, 2, 3)), 257, 301), (LINEAR, 64, (1 << 16) + 1), (SQUARE, 1024, 4097)],
+        ids=["below", "above-linear", "above-square"],
+    )
+    def test_matches_oracles_on_both_sides_of_nq_2_22(self, poly, q, n):
+        # the literal sum costs O(N*Q) Python steps, seconds at N*Q = 2^22,
+        # so only the grouped oracle runs above that size
+        f = random_signal(q, n)
+        out = average_linear(poly, n, f).values
+        assert np.linalg.norm(out - grouped_average(poly, n, f)) <= 1e-9 * f.norm(2)
+        if n * q < 1 << 22:
+            assert np.allclose(out, naive_average(poly, n, f), atol=1e-12)
 
     def test_mass_conservation(self):
         f = random_signal(50, 7)
@@ -154,6 +163,42 @@ class TestAverageLinear:
         g = random_signal(40, 9)
         avg = average_linear(SQUARE, 21, g)
         assert np.abs(avg.values).max() <= np.abs(g.values).max() + 1e-12
+
+
+def _divisors(q):
+    return [g for g in range(1, q + 1) if q % g == 0]
+
+
+@st.composite
+def invariant_cases(draw):
+    """Q, g | Q, a polynomial whose coefficients are multiples of g, a shift,
+    N, a window start M < N, and a period-g signal."""
+    q = draw(st.integers(1, 96))
+    g = draw(st.sampled_from(_divisors(q)))
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4))
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(0, n - 1))
+    shift = draw(st.integers(-q, q))
+    parts = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    period = draw(st.lists(st.tuples(parts, parts), min_size=g, max_size=g))
+    f = Signal(q, np.tile([complex(re, im) for re, im in period], q // g))
+    return q, IntPolynomial(g * c for c in coeffs), shift, n, m, f
+
+
+class TestInvariantSignalsExact:
+    @given(invariant_cases())
+    @example((12, SQUARE, 5, 7, 3, Signal.constant(12, 0.1)))
+    @settings(max_examples=120, deadline=None)
+    def test_period_signals_come_back_bit_identical(self, case):
+        q, poly, shift, n, m, f = case
+        assert np.array_equal(average_linear(poly, n, f).values, f.values)
+        system = FiniteSystem(q, shift)
+        for start in {0, m}:
+            series = average_series(system, poly, f, [n, n + 7], uniform_from=start)
+            for sig in series.signals:
+                assert np.array_equal(sig.values, f.values)
+        mx = maximal_function(poly, f, [n, max(1, m), n + 3])
+        assert np.array_equal(mx.values, np.abs(f.values).astype(np.complex128))
 
 
 class TestAverageBilinear:
@@ -295,7 +340,7 @@ class TestSpectrum:
         from circle_lab.expsums import weyl_sum
 
         f = random_signal(16, 19)
-        out = spectrum(average_linear(SQUARE, 6, f, method="direct"))
+        out = spectrum(average_linear(SQUARE, 6, f))
         base = spectrum(f)
         for j in range(16):
             m = weyl_sum(SQUARE, 6, j / 16)

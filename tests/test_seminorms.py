@@ -132,6 +132,10 @@ class TestJumpCount:
         with pytest.raises(ValueError):
             jump_count([1.0], 0.0)
 
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="jump threshold"):
+            jump_count([0.0, 1.0, 0.0], math.nan)
+
     @given(finite_values, st.sampled_from([0.1, 0.5, 1.0]))
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force(self, vals, lam):
@@ -253,6 +257,11 @@ class TestLacunary:
     def test_rejects_tau(self):
         with pytest.raises(ValueError):
             lacunary(1.0, 5)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_rejects_nonfinite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            lacunary(tau, 64)
 
 
 class TestMartingale:
