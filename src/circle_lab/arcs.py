@@ -94,22 +94,34 @@ class ReducedFraction:
         return f"{self.numerator}/{self.denominator}"
 
 
-@lru_cache(maxsize=2048)
-def _fractions_for_q(q: int) -> tuple[tuple[float, ReducedFraction], ...]:
-    if q == 1:
-        return ((0.0, ReducedFraction(0, 1)),)
-    return tuple(
-        (a / q, ReducedFraction(a, q)) for a in range(1, q) if math.gcd(a, q) == 1
-    )
+@lru_cache(maxsize=32)
+def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted read-only int64 (num, den) of every reduced a/q in [0, 1) with
+    q <= q_max.  Distinct ones differ by >= 1/q_max^2, so the float sort is
+    exact."""
+    den = np.repeat(np.arange(1, q_max + 1, dtype=np.int64), np.arange(1, q_max + 1))
+    num = np.arange(den.size, dtype=np.int64) - den * (den - 1) // 2
+    keep = np.gcd(num, den) == 1  # drops a = 0 for every q > 1
+    num, den = num[keep], den[keep]
+    order = np.argsort(num / den)
+    num, den = num[order], den[order]
+    num.flags.writeable = den.flags.writeable = False
+    return num, den
 
 
-@lru_cache(maxsize=256)
-def _canonical_cached(q_max: int) -> tuple[ReducedFraction, ...]:
-    pairs = []
-    for q in range(1, q_max + 1):
-        pairs.extend(_fractions_for_q(q))
-    pairs.sort(key=lambda t: t[0])
-    return tuple(fr for _, fr in pairs)
+@lru_cache(maxsize=None)
+def _fraction_row(q: int) -> np.ndarray:
+    """ReducedFraction(a, q) at index a for each a coprime to q, made once; the
+    cache is unbounded because a table needs every row up to its bound."""
+    row = np.empty(q, dtype=object)
+    row[:] = [ReducedFraction(a, q) if math.gcd(a, q) == 1 else None for a in range(q)]
+    row.flags.writeable = False
+    return row
+
+
+def _fraction_list(num: np.ndarray, den: np.ndarray) -> list[ReducedFraction]:
+    rows = np.concatenate([_fraction_row(q) for q in range(1, int(den.max()) + 1)])
+    return rows[den * (den - 1) // 2 + num].tolist()
 
 
 def canonical_fractions(n1: float) -> list[ReducedFraction]:
@@ -119,20 +131,16 @@ def canonical_fractions(n1: float) -> list[ReducedFraction]:
     """
     if not 1 <= n1 < math.inf:  # also rejects NaN
         raise ValueError(f"denominator bound must be finite and >= 1, got {n1}")
-    return list(_canonical_cached(math.floor(n1)))
+    return _fraction_list(*_farey(math.floor(n1)))
 
 
 def dyadic_shell(level: int) -> list[ReducedFraction]:
     """Fractions with denominator in (2^(level-1), 2^level]; level 0 is {0/1}."""
     if level < 0:
         raise ValueError("shell level must be >= 0")
-    if level == 0:
-        return [ReducedFraction(0, 1)]
-    pairs = []
-    for q in range(2 ** (level - 1) + 1, 2**level + 1):
-        pairs.extend(_fractions_for_q(q))
-    pairs.sort(key=lambda t: t[0])
-    return [fr for _, fr in pairs]
+    num, den = _farey(2**level)
+    keep = den > 2**level // 2
+    return _fraction_list(num[keep], den[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -144,88 +152,80 @@ class TorusIntervalSet:
     """Disjoint union of closed intervals inside [0, 1), wrap-aware."""
 
     def __init__(self, intervals: Sequence[tuple[float, float]] = ()):
-        pieces: list[tuple[float, float]] = []
-        for lo, hi in intervals:
-            if hi < lo:
-                continue
-            if hi - lo >= 1.0:
-                pieces = [(0.0, 1.0)]
-                break
-            start = lo % 1.0
-            end = start + (hi - lo)
-            if end <= 1.0:
-                pieces.append((start, end))
-            else:
-                pieces.append((start, 1.0))
-                pieces.append((0.0, end - 1.0))
-        self.intervals = self._normalize(pieces)
+        lo, hi = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+        with np.errstate(invalid="ignore"):  # inf - inf
+            width = hi - lo
+        if np.any(width >= 1.0):
+            lo, hi = np.array([0.0]), np.array([1.0])
+        else:
+            keep = width >= 0.0  # drops hi < lo and every non-finite end
+            start = lo[keep] % 1.0
+            end = start + width[keep]
+            over = end > 1.0  # split at the seam
+            lo = np.concatenate((start, np.zeros(int(over.sum()))))
+            hi = np.concatenate((np.where(over, 1.0, end), end[over] - 1.0))
+        self._lo, self._hi = self._normalize(lo, hi)
 
     @staticmethod
-    def _normalize(pieces: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-        pieces = sorted((lo, hi) for lo, hi in pieces if hi >= lo)
-        merged: list[list[float]] = []
-        for lo, hi in pieces:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        # merge across the 0/1 seam
-        if len(merged) > 1 and merged[0][0] <= 0.0 and merged[-1][1] >= 1.0:
-            merged[0][0] = merged[-1][0] - 1.0
-            merged.pop()
-            merged.sort()
-        return tuple((lo, hi) for lo, hi in merged)
+    def _normalize(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Merge sorted pieces that overlap or touch, then join the pieces at
+        0 and 1 into one seam interval with lo < 0."""
+        order = np.argsort(lo, kind="stable")
+        lo, end = lo[order], np.maximum.accumulate(hi[order])
+        first = np.ones(lo.size, dtype=bool)
+        first[1:] = lo[1:] > end[:-1]
+        lo, hi = lo[first], end[np.roll(first, -1)]
+        if lo.size > 1 and lo[0] <= 0.0 and hi[-1] >= 1.0:
+            lo[0] = lo[-1] - 1.0
+            lo, hi = lo[:-1], hi[:-1]
+        return lo, hi
+
+    @cached_property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self._lo.tolist(), self._hi.tolist()))
 
     @classmethod
     def from_arcs(cls, centers: Sequence[float], halfwidth: float) -> "TorusIntervalSet":
-        return cls([(c - halfwidth, c + halfwidth) for c in centers])
+        c = np.asarray(centers, dtype=float)
+        return cls(np.column_stack((c - halfwidth, c + halfwidth)))
 
     @property
     def measure(self) -> float:
-        return min(1.0, sum(hi - lo for lo, hi in self.intervals))
+        return min(1.0, sum((self._hi - self._lo).tolist()))
 
     def contains(self, x) -> np.ndarray:
         """Membership of torus points (vectorized, closed intervals)."""
         xs = np.asarray(x, dtype=float) % 1.0
-        hit = np.zeros(xs.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            hit |= (xs >= lo) & (xs <= hi)
-            if lo < 0.0:  # seam interval also covers its wrapped image
-                hit |= xs >= lo + 1.0
+        if not self._lo.size:
+            return np.zeros(np.shape(xs), dtype=bool)
+        i = np.maximum(np.searchsorted(self._lo, xs, side="right") - 1, 0)
+        hit = (xs >= self._lo[i]) & (xs <= self._hi[i])
+        if self._lo[0] < 0.0:  # seam interval also covers its wrapped image
+            hit |= xs >= self._lo[0] + 1.0
         return hit
 
     def complement(self) -> "TorusIntervalSet":
-        if not self.intervals:
+        if not self._lo.size:
             return TorusIntervalSet([(0.0, 1.0)])
-        ordered = list(self.intervals)
-        gaps = [
-            (hi1, lo2)
-            for (lo1, hi1), (lo2, hi2) in zip(ordered, ordered[1:])
-            if lo2 > hi1
-        ]
-        first_lo = ordered[0][0] % 1.0
-        last_hi = ordered[-1][1]
-        gap_end = first_lo if first_lo > last_hi else first_lo + 1.0
-        if gap_end > last_hi:
-            gaps.append((last_hi, gap_end))
-        return TorusIntervalSet(gaps)
+        lo, hi = self._lo, self._hi
+        first_lo = lo[0] % 1.0
+        gap_end = np.append(lo[1:], first_lo if first_lo > hi[-1] else first_lo + 1.0)
+        keep = gap_end > hi
+        return TorusIntervalSet(np.column_stack((hi[keep], gap_end[keep])))
 
     def intersect(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
-        out = []
-        for lo1, hi1 in self._unwrapped():
-            for lo2, hi2 in other._unwrapped():
-                for shift in (-1.0, 0.0, 1.0):
-                    lo = max(lo1, lo2 + shift)
-                    hi = min(hi1, hi2 + shift)
-                    if hi > lo:
-                        out.append((lo, hi))
-        return TorusIntervalSet(out)
+        # Pieces of `other` shifted by -1, 0 and +1 stay sorted and disjoint,
+        # so each piece of self meets one contiguous run of them.
+        lo2, hi2 = (np.concatenate((v - 1.0, v, v + 1.0)) for v in (other._lo, other._hi))
+        start = np.searchsorted(hi2, self._lo, side="right")
+        count = np.maximum(np.searchsorted(lo2, self._hi, side="left") - start, 0)
+        i = np.repeat(np.arange(count.size), count)
+        j = np.arange(i.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        pieces = np.column_stack((np.maximum(self._lo[i], lo2[j]), np.minimum(self._hi[i], hi2[j])))
+        return TorusIntervalSet(pieces[pieces[:, 1] > pieces[:, 0]])
 
     def difference(self, other: "TorusIntervalSet") -> "TorusIntervalSet":
         return self.intersect(other.complement())
-
-    def _unwrapped(self) -> list[tuple[float, float]]:
-        return list(self.intervals)
 
     def __repr__(self) -> str:
         return f"TorusIntervalSet({list(self.intervals)!r})"
@@ -258,23 +258,21 @@ class ArcSystem:
         if self.centers and tuple(self.centers) != expected:
             raise ValueError("centers must equal canonical_fractions(denominator_bound)")
         object.__setattr__(self, "centers", expected)
+        object.__setattr__(self, "_pairs", _farey(math.floor(self.denominator_bound)))
 
     @cached_property
     def center_values(self) -> np.ndarray:
-        vals = np.array([fr.value for fr in self.centers])
+        vals = np.divide(*self._pairs)
         vals.flags.writeable = False
         return vals
 
     @cached_property
     def min_center_gap(self) -> Fraction:
         """Exact minimal torus distance between distinct centers (1 if only
-        one center)."""
-        fracs = sorted(fr.as_fraction for fr in self.centers)
-        if len(fracs) < 2:
-            return Fraction(1)
-        gaps = [b - a for a, b in zip(fracs, fracs[1:])]
-        gaps.append(fracs[0] + 1 - fracs[-1])
-        return min(gaps)
+        one center).  Farey neighbours a/b < c/d satisfy cb - ad = 1, so
+        their gap is 1/(bd); the last center and 1/1 are neighbours too."""
+        _, den = self._pairs
+        return Fraction(1, int((den * np.roll(den, -1)).max()))
 
     @cached_property
     def is_disjoint(self) -> bool:
@@ -289,21 +287,28 @@ class ArcSystem:
     def coverage(self) -> float:
         return self.intervals.measure
 
+    def _nearest(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance to, and index of, each point's nearest center: one of its
+        two circular neighbours in the sorted centers.  Distinct neighbours
+        never share a denominator, so a tie goes to the smaller one."""
+        c = self.center_values
+        right = np.searchsorted(c, xs % 1.0, side="right") % c.size
+        pair = np.stack((right - 1, right))  # index -1 is the last center
+        d = np.abs(wrap_signed(xs - c[pair]))
+        den = self._pairs[1][pair]
+        second = (d[1] < d[0]) | ((d[1] == d[0]) & (den[1] < den[0]))
+        return np.where(second, d[1], d[0]), np.where(second, pair[1], pair[0])
+
     def distances(self, x) -> np.ndarray:
         """Torus distance from each point to its nearest center."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        d = np.abs(wrap_signed(xs[:, None] - self.center_values[None, :]))
-        return d.min(axis=1)
+        return self._nearest(np.atleast_1d(np.asarray(x, dtype=float)))[0]
 
     def classify(self, point: TorusPoint | float) -> ClassifyResult:
         """Membership test; nearest-center ties go to the smaller
         denominator, then the smaller numerator."""
-        x = TorusPoint.of(point).value
-        dists = np.abs(wrap_signed(x - self.center_values))
-        best = float(dists.min())
-        tied = [self.centers[i] for i in np.flatnonzero(dists == best)]
-        nearest = min(tied, key=lambda fr: (fr.denominator, fr.numerator))
-        return ClassifyResult(best <= self.halfwidth, nearest, best)
+        dist, index = self._nearest(np.array([TorusPoint.of(point).value]))
+        best = float(dist[0])
+        return ClassifyResult(best <= self.halfwidth, self.centers[index[0]], best)
 
 
 def classify(point: TorusPoint | float, arcs: ArcSystem) -> ClassifyResult:
@@ -337,13 +342,8 @@ def dyadic_arcs(scale: DyadicScale) -> DyadicArcs:
     if scale.l == 0:
         shell = full
     else:
-        lower = TorusIntervalSet.from_arcs(
-            [fr.value for fr in canonical_fractions(2.0 ** (scale.l - 1))], half
-        )
-        shell = full.difference(lower)
-    narrower = TorusIntervalSet.from_arcs(
-        [fr.value for fr in dyadic_shell(scale.l)], half / 2.0
-    )
+        shell = full.difference(ArcSystem(2.0 ** (scale.l - 1), half).intervals)
+    narrower = TorusIntervalSet.from_arcs([fr.value for fr in dyadic_shell(scale.l)], half / 2.0)
     shell_refined = shell.difference(narrower)
     return DyadicArcs(system, shell, shell_refined)
 

@@ -369,8 +369,9 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
     sys_ = FiniteSystem(p["mod"], p["shift"])
     poly = _poly(p["poly"])
     f = _read_signal(p.get("infile"), p["mod"], p.get("seed"))
-    ns = lacunary(p["tau"], p["nmax"])
-    series = average_series(sys_, poly, f, ns, uniform_from=p.get("uniform_from", 0))
+    m = p.get("uniform_from", 0)
+    ns = [n for n in lacunary(p["tau"], p["nmax"]) if n > m]  # windows (M, N] need N > M
+    series = average_series(sys_, poly, f, ns, uniform_from=m)
     diag = convergence_diagnostic(
         series, p["r"], p["tail_start"] if p.get("tail_start") else max(1, p["nmax"] // 4)
     )

@@ -81,8 +81,10 @@ def average_series(
     if f.modulus != sys.modulus:
         raise ValueError("signal modulus must match the system")
     ns = tuple(int(n) for n in n_values)
-    m = max(int(uniform_from), 0)
-    if m and any(n <= m for n in ns):
+    m = int(uniform_from)
+    if m < 0:
+        raise ValueError(f"uniform_from must be >= 0, got {uniform_from}")
+    if any(n <= m for n in ns):
         raise ValueError("uniform averages need N > M")
     signals = tuple(_averages(orbit_polynomial(sys, poly), f, ns, start=m))
     return AverageSeries(ns, signals, sys, poly)

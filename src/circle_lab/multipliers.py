@@ -17,6 +17,7 @@ import numpy as np
 
 from ._util import substream
 from .arcs import (
+    ArcSystem,
     DyadicScale,
     ReducedFraction,
     TorusIntervalSet,
@@ -102,8 +103,7 @@ def projection_property_report(q: int, l: int, m: int, seed: int) -> dict:
     contraction = pf.norm(2) / f.norm(2)
 
     xs = grid_frequencies(q)
-    centers = np.array([fr.value for fr in canonical_fractions(2.0**l)])
-    dist = np.abs(wrap_signed(xs[:, None] - centers[None, :])).min(axis=1)
+    dist = ArcSystem(2.0**l, 0.0).distances(xs)
     outside = dist > 2.0**m
     support_leak = float(np.abs(spectrum(pf)[outside]).max()) if outside.any() else 0.0
 
@@ -141,10 +141,7 @@ def shell_vanishing_overlap(
     shell_set = TorusIntervalSet.from_arcs(
         [fr.value for fr in dyadic_shell(level)], 2.0**cut_log2
     )
-    lower_set = TorusIntervalSet.from_arcs(
-        [fr.value for fr in canonical_fractions(2.0**lower_level)],
-        2.0**lower_cut_log2,
-    )
+    lower_set = ArcSystem(2.0**lower_level, 2.0**lower_cut_log2).intervals
     return shell_set.intersect(lower_set).measure
 
 

@@ -185,3 +185,96 @@ def planted_symbol(op, modulus: int) -> np.ndarray:
             vals[live] = weight * np.asarray(op.base_symbol(offsets[live]), dtype=np.complex128)
             sym += vals
     return sym
+
+
+def farey_fractions(n: int) -> list[Fraction]:
+    """Every reduced a/q in [0, 1) with q <= n, by brute Fraction enumeration."""
+    return sorted({Fraction(a, q) for q in range(1, n + 1) for a in range(q)})
+
+
+def farey_min_gap(fracs) -> Fraction:
+    """Smallest torus gap of a set of fractions, by sorting them and scanning
+    consecutive pairs and the wrap pair (1 for a single fraction)."""
+    fracs = sorted(Fraction(fr) for fr in fracs)
+    if len(fracs) < 2:
+        return Fraction(1)
+    return min([b - a for a, b in zip(fracs, fracs[1:])] + [fracs[0] + 1 - fracs[-1]])
+
+
+def dense_distances(xs, centers) -> np.ndarray:
+    """Torus distance from each point to its nearest center through the
+    full points x centers matrix."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    c = np.asarray(centers, dtype=float)
+    d = xs[:, None] - c[None, :]
+    return np.abs(d - np.ceil(d - 0.5)).min(axis=1)
+
+
+def wrapped_intervals(pieces) -> tuple[tuple[float, float], ...]:
+    """Torus interval-union normal form by the definitional loop: wrap each
+    closed piece into [0, 1] (a piece of length >= 1 is the whole circle),
+    sort, merge pieces that overlap or touch, then join the pieces at 0 and
+    1 into one seam interval with lo < 0."""
+    out: list[tuple[float, float]] = []
+    for lo, hi in pieces:
+        if hi < lo:
+            continue
+        if hi - lo >= 1.0:
+            out = [(0.0, 1.0)]
+            break
+        start = lo % 1.0
+        end = start + (hi - lo)
+        if end <= 1.0:
+            out.append((start, end))
+        else:
+            out.extend([(start, 1.0), (0.0, end - 1.0)])
+    merged: list[list[float]] = []
+    for lo, hi in sorted((lo, hi) for lo, hi in out if hi >= lo):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    if len(merged) > 1 and merged[0][0] <= 0.0 and merged[-1][1] >= 1.0:
+        merged[0][0] = merged[-1][0] - 1.0
+        merged.pop()
+        merged.sort()
+    return tuple((float(lo), float(hi)) for lo, hi in merged)
+
+
+def pairwise_intersect(a, b) -> tuple[tuple[float, float], ...]:
+    """Intersection of two normal-form interval tuples: every pair of
+    pieces, with b shifted by -1, 0 and +1, in O(len(a) * len(b))."""
+    out = []
+    for lo1, hi1 in a:
+        for lo2, hi2 in b:
+            for shift in (-1.0, 0.0, 1.0):
+                lo = max(lo1, lo2 + shift)
+                hi = min(hi1, hi2 + shift)
+                if hi > lo:
+                    out.append((lo, hi))
+    return wrapped_intervals(out)
+
+
+def gap_complement(a) -> tuple[tuple[float, float], ...]:
+    """Complement of a normal-form interval tuple: the gaps between
+    consecutive pieces and the gap across the seam."""
+    if not a:
+        return wrapped_intervals([(0.0, 1.0)])
+    gaps = [(hi1, lo2) for (_, hi1), (lo2, _) in zip(a, a[1:]) if lo2 > hi1]
+    first_lo = a[0][0] % 1.0
+    last_hi = a[-1][1]
+    gap_end = first_lo if first_lo > last_hi else first_lo + 1.0
+    if gap_end > last_hi:
+        gaps.append((last_hi, gap_end))
+    return wrapped_intervals(gaps)
+
+
+def dense_nearest(x: float, fractions) -> tuple[float, object]:
+    """Nearest of `fractions` to the torus point x over the full distance
+    row; ties go to the smaller denominator, then the smaller numerator."""
+    values = np.array([fr.numerator / fr.denominator for fr in fractions])
+    d = x - values
+    d = np.abs(d - np.ceil(d - 0.5))
+    best = d.min()
+    tied = [fr for fr, di in zip(fractions, d) if di == best]
+    return float(best), min(tied, key=lambda fr: (fr.denominator, fr.numerator))

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circle_lab.arcs import (
     ArcSystem,
@@ -21,7 +24,21 @@ from circle_lab.arcs import (
 
 from circle_lab.expsums import scan_arcs
 
-from oracles import trial_totient
+from oracles import (
+    dense_distances,
+    dense_nearest,
+    farey_fractions,
+    farey_min_gap,
+    gap_complement,
+    pairwise_intersect,
+    trial_totient,
+    wrapped_intervals,
+)
+
+
+def bits(intervals):
+    """Interval endpoints as hex strings, so equality is bit for bit."""
+    return [(float(lo).hex(), float(hi).hex()) for lo, hi in intervals]
 
 
 class TestReducedFraction:
@@ -301,3 +318,141 @@ class TestTorusPoint:
 
     def test_distance(self):
         assert TorusPoint(0.9).distance(TorusPoint(0.1)) == pytest.approx(0.2)
+
+
+class TestFareyTables:
+    """The array-built tables against brute Fraction enumeration."""
+
+    def test_canonical_fractions_match_enumeration(self):
+        brute = [(f.numerator, f.denominator) for f in farey_fractions(200)]
+        for n in range(1, 201):
+            want = [(a, q) for a, q in brute if q <= n]
+            got = [(fr.numerator, fr.denominator) for fr in canonical_fractions(n)]
+            assert got == want
+
+    def test_dyadic_shells_match_enumeration(self):
+        brute = farey_fractions(256)
+        for level in range(0, 9):
+            want = [
+                (f.numerator, f.denominator)
+                for f in brute
+                if 2**level / 2 < f.denominator <= 2**level
+            ]
+            assert [(fr.numerator, fr.denominator) for fr in dyadic_shell(level)] == want
+
+    def test_neighbour_gap_matches_sorted_scan(self):
+        brute = farey_fractions(64)
+        for n in range(1, 65):
+            want = farey_min_gap(f for f in brute if f.denominator <= n)
+            arcs = ArcSystem(n, 0.0)
+            assert arcs.min_center_gap == want
+            assert type(arcs.min_center_gap) is Fraction
+        assert ArcSystem(256, 0.0).min_center_gap == Fraction(1, 256 * 255)
+
+    def test_center_values_match_fractions(self):
+        arcs = ArcSystem(50, 0.0)
+        assert arcs.center_values.tolist() == [fr.value for fr in arcs.centers]
+        assert not arcs.center_values.flags.writeable
+
+
+class TestNearestCenter:
+    """Neighbour search in the sorted centers against the dense
+    points x centers computation."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle(self, data):
+        n1 = data.draw(st.integers(1, 40), label="n1")
+        arcs = ArcSystem(n1, 1e-3)
+        c = arcs.center_values.tolist()
+        mids = [(a + b) / 2 for a, b in zip(c, c[1:] + [1.0])]
+        point = st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from(c + mids),  # on centers and on exact or near ties
+            st.integers(0, 63).map(lambda k: k / 64),
+            st.sampled_from([2.0**-60, 0.5 - 2.0**-54, 1.0 - 2.0**-53]),  # seam
+        )
+        xs = data.draw(st.lists(point, min_size=1, max_size=30), label="xs")
+        assert np.array_equal(arcs.distances(xs), dense_distances(xs, c))
+        for x in xs:
+            best, nearest = dense_nearest(x, arcs.centers)
+            res = arcs.classify(x)
+            assert (res.distance, res.nearest) == (best, nearest)
+            assert res.is_major == (best <= 1e-3)
+
+    def test_ties_and_seam(self):
+        arcs = ArcSystem(4, 0.0)
+        # 1/8 is equidistant from 0/1 and 1/4, 7/8 from 3/4 and 1/1 = 0/1
+        assert str(arcs.classify(0.125).nearest) == "0/1"
+        assert str(arcs.classify(0.875).nearest) == "0/1"
+        # 3/4 is equidistant from 1/2 and 1/1 = 0/1 across the seam
+        assert str(ArcSystem(2, 0.0).classify(0.75).nearest) == "0/1"
+        assert arcs.classify(1.0 - 2.0**-53).nearest == ReducedFraction(0, 1)
+        assert arcs.distances([0.0, 0.25, 1.0 / 3.0]).tolist() == [0.0, 0.0, 0.0]
+
+    def test_minor_sample_memory_is_linear_in_points(self):
+        arcs = ArcSystem(256, 1e-9)  # 19,949 centers
+        tracemalloc.start()
+        try:
+            pts = minor_sample(arcs, 2000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 2000
+        assert peak < 64 * 2**20
+
+
+piece = st.tuples(
+    st.one_of(
+        st.floats(-1.5, 1.5),
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, -0.25, -0.5, -1e-20, 1e-20]),
+    ),
+    st.one_of(st.floats(0.0, 0.6), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+).map(lambda t: (t[0], t[0] + t[1]))
+piece_lists = st.lists(piece, max_size=6)
+
+
+class TestIntervalSweep:
+    """The sorted-array interval algebra against the pairwise loop, bit for
+    bit: seam pieces with lo < 0, empty sets, the full circle, touching
+    endpoints and zero-width pieces."""
+
+    @given(piece_lists, piece_lists)
+    @settings(max_examples=300, deadline=None)
+    @example([], [])
+    @example([], [(0.0, 1.0)])
+    @example([(0.0, 1.0)], [(0.25, 0.5)])
+    @example([(0.25, 0.5), (0.5, 0.75)], [(0.75, 1.25)])
+    @example([(-0.25, 0.25), (0.5, 0.5)], [(0.5, 0.5), (0.25, 0.25)])
+    @example([(0.9, 1.1), (0.3, 0.3)], [(-0.05, 0.0), (1.0, 1.02)])
+    def test_matches_pairwise_oracle(self, p, q):
+        a, b = TorusIntervalSet(p), TorusIntervalSet(q)
+        assert bits(a.intervals) == bits(wrapped_intervals(p))
+        assert bits(a.intersect(b).intervals) == bits(pairwise_intersect(a.intervals, b.intervals))
+        assert bits(a.complement().intervals) == bits(gap_complement(a.intervals))
+        assert bits(a.difference(b).intervals) == bits(
+            pairwise_intersect(a.intervals, gap_complement(b.intervals))
+        )
+
+    @pytest.mark.parametrize("l", range(0, 6))
+    def test_dyadic_arcs_match_pairwise_oracle(self, l):
+        for m in (-2 * l - 4, -2 * l - 2, -l - 1):
+            half = 2.0**m
+            bundle = dyadic_arcs(DyadicScale(l, m))
+            full = wrapped_intervals(
+                [(fr.value - half, fr.value + half) for fr in canonical_fractions(2**l)]
+            )
+            assert bits(bundle.system.intervals.intervals) == bits(full)
+            shell = full
+            if l > 0:
+                lower = wrapped_intervals(
+                    [(fr.value - half, fr.value + half) for fr in canonical_fractions(2 ** (l - 1))]
+                )
+                shell = pairwise_intersect(full, gap_complement(lower))
+            assert bits(bundle.shell.intervals) == bits(shell)
+            narrower = wrapped_intervals(
+                [(fr.value - half / 2, fr.value + half / 2) for fr in dyadic_shell(l)]
+            )
+            assert bits(bundle.shell_refined.intervals) == bits(
+                pairwise_intersect(shell, gap_complement(narrower))
+            )

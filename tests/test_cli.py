@@ -164,6 +164,28 @@ class TestSubcommands:
         assert doc["result"]["ergodic"] is True
         assert doc["result"]["diagnostic"]["tail_width"]["max"] >= 0
 
+    def test_ergodic_uniform_from_keeps_indices_above_m(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1",
+            "--tau", "2", "--nmax", "64", "--seed", "1", "--uniform-from", "4",
+            "--point", "0", "--format", "csv",
+        )
+        assert code == 0, err
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["8", "16", "32", "64"]
+        doc = run_json(
+            capsys, "ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1",
+            "--tau", "2", "--nmax", "64", "--seed", "1", "--uniform-from", "4",
+        )
+        assert doc["result"]["diagnostic"]["indices"] == [8, 16, 32, 64]
+        assert doc["config"]["uniform_from"] == 4
+
+    def test_ergodic_negative_uniform_from_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1",
+            "--tau", "2", "--nmax", "64", "--seed", "1", "--uniform-from", "-3",
+        )
+        assert code == 2 and out == "" and "uniform_from" in err
+
     def test_ergodic_point_series_pipes_into_variation(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "ergodic", "--mod", "32", "--shift", "3", "--poly", "0,0,1",

@@ -101,6 +101,28 @@ class TestAverageSeries:
         with pytest.raises(ValueError, match="uniform"):
             average_series(sys, LINEAR, Signal.delta(7), [3], uniform_from=3)
 
+    def test_uniform_windows_on_lacunary_indices_above_m(self):
+        # a lacunary set always holds 1, so windows (M, N] take its N > M
+        sys, m = FiniteSystem(16, 3), 4
+        f = random_signal(16, 5)
+        ns = [n for n in lacunary(2, 64) if n > m]
+        series = average_series(sys, LINEAR, f, ns, uniform_from=m)
+        assert series.indices == (8, 16, 32, 64)
+        for n, sig in zip(ns, series.signals):
+            expect = np.array([
+                sum(f.values[(x - 3 * k) % 16] for k in range(m + 1, n + 1)) / (n - m)
+                for x in range(16)
+            ])
+            assert np.allclose(sig.values, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [-1, -3])
+    def test_negative_uniform_from_rejected(self, m):
+        sys = FiniteSystem(7, 1)
+        with pytest.raises(ValueError, match="uniform_from"):
+            average_series(sys, LINEAR, Signal.delta(7), [3, 5], uniform_from=m)
+        with pytest.raises(ValueError, match="uniform_from"):
+            uniform_average(sys, LINEAR, Signal.delta(7), m, 3)
+
     def test_ergodic_flag(self):
         assert FiniteSystem(10, 3).is_ergodic
         assert not FiniteSystem(10, 4).is_ergodic
