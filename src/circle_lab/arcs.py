@@ -94,11 +94,18 @@ class ReducedFraction:
         return f"{self.numerator}/{self.denominator}"
 
 
+FAREY_MAX_DENOMINATOR = 2048  # 1.3e6 fractions; the table grows as q_max^2
+
+
 @lru_cache(maxsize=32)
 def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted read-only int64 (num, den) of every reduced a/q in [0, 1) with
     q <= q_max.  Distinct ones differ by >= 1/q_max^2, so the float sort is
     exact."""
+    if q_max > FAREY_MAX_DENOMINATOR:
+        raise ValueError(
+            f"denominator bound {q_max} exceeds the Farey table limit {FAREY_MAX_DENOMINATOR}"
+        )
     den = np.repeat(np.arange(1, q_max + 1, dtype=np.int64), np.arange(1, q_max + 1))
     num = np.arange(den.size, dtype=np.int64) - den * (den - 1) // 2
     keep = np.gcd(num, den) == 1  # drops a = 0 for every q > 1

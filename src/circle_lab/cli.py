@@ -371,6 +371,11 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
     f = _read_signal(p.get("infile"), p["mod"], p.get("seed"))
     m = p.get("uniform_from", 0)
     ns = [n for n in lacunary(p["tau"], p["nmax"]) if n > m]  # windows (M, N] need N > M
+    if m > 0 and len(ns) < 2:
+        raise ValueError(
+            f"--uniform-from {m} leaves fewer than two lacunary indices N in "
+            f"({m}, {p['nmax']}]: {ns}"
+        )
     series = average_series(sys_, poly, f, ns, uniform_from=m)
     diag = convergence_diagnostic(
         series, p["r"], p["tail_start"] if p.get("tail_start") else max(1, p["nmax"] // 4)

@@ -9,7 +9,8 @@ Rational points reduce a*P(n) mod q exactly in integers (`polyavg._residues`)
 over n = 1..min(N, q).  Real points reduce every coefficient exactly against
 the binary value of xi and then run Horner recursion with a mod-1 reduction
 at every step, so the phase error does not grow with the size of P(n) or of
-its coefficients.
+its coefficients.  mm_N is in closed form for binomials c0 + c n^d and a
+composite Gauss-Legendre quadrature otherwise (`_mm_many`).
 """
 
 from __future__ import annotations
@@ -72,8 +73,7 @@ def weyl_sum(
         weights[: n % q] += 1
         return complex(np.dot(weights, np.exp(2j * math.pi * phases)) / n)
     x = TorusPoint.of(xi).value if isinstance(xi, TorusPoint) else float(xi)
-    ns = np.arange(1, n + 1, dtype=float)
-    return complex(np.exp(2j * math.pi * _phase_fracs(poly, [x], ns)[0]).mean())
+    return complex(_weyl_many(poly, n, np.array([x]))[0])
 
 
 @lru_cache(maxsize=4096)
@@ -105,6 +105,8 @@ def minor_sup_grid(
 # ---------------------------------------------------------------------------
 
 _GL_NODES = 16
+_LAGUERRE_NODES = 32
+_SERIES_TERMS = 40  # (2 pi)^40 / 40! < 2e-16: the tail is below rounding
 
 
 @lru_cache(maxsize=8)
@@ -113,10 +115,33 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0  # mapped to [0, 1]
 
 
+@lru_cache(maxsize=1)
+def _gauss_laguerre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+
+
+@lru_cache(maxsize=16)
+def _centered_series(degree: int) -> np.ndarray:
+    """Coefficients m_k / k!, highest first for np.polyval, of
+    e(-lam c) * integral of e(lam t^d) over [0, 1] as a power series in
+    2 pi i lam, where c = 1/(d+1) is the mean of t^d and m_k the integral of
+    (t^d - c)^k, exact in rationals.  Centering keeps the terms small, so
+    the sum loses about 2e-16 instead of the 1e-15 of sum_k (2 pi i lam)^k /
+    (k! (d k + 1)) near |lam| = 1."""
+    c = Fraction(1, degree + 1)
+    moments = [
+        sum(math.comb(k, j) * (-c) ** (k - j) / (degree * j + 1) for j in range(k + 1))
+        for k in range(_SERIES_TERMS)
+    ]
+    return np.array([float(m / math.factorial(k)) for k, m in enumerate(moments)][::-1])
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the oscillatory quadrature: panels scale with the total
-    phase variation so each oscillation gets nodes_per_oscillation points."""
+    """Controls for the composite Gauss-Legendre quadrature, which serves
+    only polynomials that are not binomials c0 + c n^d: panels scale with
+    the total phase variation so each oscillation gets
+    nodes_per_oscillation points."""
 
     base_panels: int = 4
     nodes_per_oscillation: int = 8
@@ -140,21 +165,11 @@ def _integrate_panels(scaled_coeffs: np.ndarray, panels: int) -> complex:
     return complex(np.sum(vals * (widths[:, None] * weights[None, :])))
 
 
-def continuous_multiplier(
-    poly: IntPolynomial,
-    n_range: IndexRange | int,
-    xi: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> complex:
-    """mm_N(xi) = integral of e(xi * P(N t)) over t in [0, 1].
-
-    Composite Gauss-Legendre with the panel count driven by the phase
+def _mm_legendre(poly: IntPolynomial, n: int, x: float, quad: QuadratureSpec) -> complex:
+    """Composite Gauss-Legendre with the panel count driven by the phase
     variation bound |xi| * sum_k |c_k| N^k, then doubled until two successive
     answers agree within the tolerance.  Raises if the panel budget runs out
-    first.
-    """
-    n = int(IndexRange.of(n_range))
-    x = float(xi)
+    first."""
     if not math.isfinite(x):
         raise ValueError(f"xi must be finite, got {x}")
     variation = abs(x) * poly.abs_bound(n)
@@ -183,6 +198,61 @@ def continuous_multiplier(
         if abs(curr - prev) <= quad.tolerance:
             return curr
         prev = curr
+
+
+def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+    """mm_N at every offset in xs: the library's one mm_N evaluator.
+
+    A binomial P = c0 + c n^d (d >= 1) gives mm_N(x) = e(x c0) I(lam) with
+    I(lam) = integral of e(lam t^d) over [0, 1] and lam = x c N^d, in closed
+    form and at a cost that does not grow with lam:
+
+    - |lam| <= 1: the power series of I about the mean phase, see
+      `_centered_series`.
+    - |lam| > 1: steepest descent.  From t = 0 the path t^d = i p / (2 pi
+      |lam|) gives Gamma(1/d) e^(i pi / 2d) / (d (2 pi |lam|)^(1/d)); from
+      t = 1 the path h(p) = (1 + i p / (2 pi |lam|))^(1/d) gives e(|lam|)
+      times the Gauss-Laguerre sum of h'(p).  Both end in the same valley,
+      so I is their difference; lam < 0 conjugates it.
+
+    The phases e(x c0) and e(x c0 + lam) come exactly reduced from
+    `_phase_fracs` on c0 + c N^d t at t = 0, 1.  Every other P takes the
+    composite Gauss-Legendre quadrature that `quad` controls.
+    """
+    xs = np.asarray(xs, dtype=float)
+    d = poly.degree
+    if d < 1 or any(poly.coefficients[1:d]):
+        return np.array([_mm_legendre(poly, n, x, quad) for x in xs.tolist()], complex)
+    c0, lead = poly.coefficients[0], poly.coefficients[-1] * n**d
+    ends = np.exp(2j * math.pi * _phase_fracs(IntPolynomial((c0, lead)), xs, np.array([0.0, 1.0])))
+    lam = xs * float(lead)
+    mu = np.abs(lam)
+    out = np.empty(xs.shape, dtype=complex)
+    small = mu <= 1.0
+    turns = 2j * math.pi * lam[small]
+    out[small] = ends[small, 0] * np.exp(turns / (d + 1)) * np.polyval(_centered_series(d), turns)
+    big = ~small
+    nodes, weights = _gauss_laguerre()
+    scale = 2.0 * math.pi * mu[big]
+    start = math.gamma(1.0 / d) * np.exp(0.5j * math.pi / d) / (d * scale ** (1.0 / d))
+    slope = (1.0 + 1j * nodes / scale[:, None]) ** (1.0 / d - 1.0) @ weights
+    end = 1j * slope / (d * scale)
+    neg = lam[big] < 0
+    start[neg], end[neg] = start[neg].conj(), end[neg].conj()
+    out[big] = ends[big, 0] * start - ends[big, 1] * end
+    return out
+
+
+def continuous_multiplier(
+    poly: IntPolynomial,
+    n_range: IndexRange | int,
+    xi: float,
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> complex:
+    """mm_N(xi) = integral of e(xi * P(N t)) over t in [0, 1]: the one-point
+    case of `_mm_many`."""
+    n = int(IndexRange.of(n_range))
+    return complex(_mm_many(poly, n, np.array([float(xi)]), quad)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +326,7 @@ def weyl_decay_scan(
         arcs = scan_arcs(n, degree, eps, big_c, halfwidth)
         pts = minor_sample(arcs, samples, substream(seed, idx))
         xs = np.array([p.value for p in pts])
-        return float(_weyl_abs_many(poly, n, xs).max())
+        return float(np.abs(_weyl_many(poly, n, xs)).max())
 
     sups = parallel_map(evaluate, list(enumerate(ns)), threads)
     if len(ns) >= 2:
@@ -281,12 +351,12 @@ def weyl_decay_scan(
     )
 
 
-def _weyl_abs_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
-    """|m_N| at an array of real points, chunked to bound memory."""
+def _weyl_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
+    """m_N at an array of real points, chunked to bound memory."""
     ns = np.arange(1, n + 1, dtype=float)
     chunk = max(1, (1 << 21) // n)
     return np.concatenate([
-        np.abs(np.exp(2j * math.pi * _phase_fracs(poly, xs[s : s + chunk], ns)).mean(axis=1))
+        np.exp(2j * math.pi * _phase_fracs(poly, xs[s : s + chunk], ns)).mean(axis=1)
         for s in range(0, xs.size, chunk)
     ])
 
@@ -307,6 +377,30 @@ def shell_index(q: int) -> int:
     return (q - 1).bit_length()
 
 
+def _lemma1_cell(
+    poly: IntPolynomial,
+    n: int,
+    thetas: Sequence[ReducedFraction],
+    xs: np.ndarray,
+    big_m: float,
+    quad: QuadratureSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals |m_N(xi) - G(theta) mm_N(xi - theta)| and reference bounds
+    2^l (M^-1 N^(d-1) + N^-1) for samples (theta, xi) on [0, 1): one
+    `_phase_fracs` pass for m_N and one `_mm_many` call for every sample."""
+    offsets = wrap_signed(xs - np.array([t.value for t in thetas]))
+    far = np.abs(offsets) > 1.0 / big_m + 1e-15
+    if far.any():
+        raise ValueError(
+            f"|xi - theta| = {abs(offsets[far][0]):.3e} exceeds 1/M = {1.0 / big_m:.3e}"
+        )
+    gauss = np.array([complete_sum(poly, t) for t in thetas], dtype=complex)
+    residual = np.abs(_weyl_many(poly, n, xs) - gauss * _mm_many(poly, n, offsets, quad))
+    levels = np.array([shell_index(t.denominator) for t in thetas])
+    bound = 2.0**levels * (float(n) ** (poly.degree - 1) / big_m + 1.0 / n)
+    return residual, bound
+
+
 def lemma1_residual(
     poly: IntPolynomial,
     n_range: IndexRange | int,
@@ -325,17 +419,8 @@ def lemma1_residual(
         raise ValueError(f"M must be finite and > 0, got {big_m}")
     n = int(IndexRange.of(n_range))
     x = TorusPoint.of(xi).value
-    offset = float(wrap_signed(x - theta.value))
-    if abs(offset) > 1.0 / big_m + 1e-15:
-        raise ValueError(
-            f"|xi - theta| = {abs(offset):.3e} exceeds 1/M = {1.0 / big_m:.3e}"
-        )
-    level = shell_index(theta.denominator)
-    approx = complete_sum(poly, theta) * continuous_multiplier(poly, n, offset, quad)
-    residual = abs(weyl_sum(poly, n, x) - approx)
-    degree = poly.degree
-    bound = 2.0**level * (float(n) ** (degree - 1) / big_m + 1.0 / n)
-    return Lemma1Result(float(residual), float(bound), float(residual / bound))
+    residual, bound = _lemma1_cell(poly, n, [theta], np.array([x]), big_m, quad)
+    return Lemma1Result(float(residual[0]), float(bound[0]), float(residual[0] / bound[0]))
 
 
 def lemma1_grid_sweep(
@@ -350,6 +435,8 @@ def lemma1_grid_sweep(
     M = N^d * 2^(-l) and seeded admissible (theta, xi) pairs per cell."""
     from .arcs import dyadic_shell
 
+    if samples_per_cell < 1:
+        raise ValueError("samples per cell must be >= 1")
     degree = poly.degree
     cells = {}
     per_n: dict[int, float] = {}
@@ -358,14 +445,12 @@ def lemma1_grid_sweep(
             shell = dyadic_shell(level)
             big_m = float(n) ** degree * 2.0**-level
             rng = substream(seed, i, level)
-            worst = 0.0
+            thetas, xs = [], []
             for _ in range(samples_per_cell):
-                theta = shell[rng.integers(len(shell))]
-                offset = rng.uniform(-1.0, 1.0) / big_m
-                xi = (theta.value + offset) % 1.0
-                res = lemma1_residual(poly, n, theta, xi, big_m, quad)
-                worst = max(worst, res.ratio)
-            cells[(n, level)] = worst
+                thetas.append(shell[rng.integers(len(shell))])
+                xs.append((thetas[-1].value + rng.uniform(-1.0, 1.0) / big_m) % 1.0)
+            residual, bound = _lemma1_cell(poly, n, thetas, np.array(xs), big_m, quad)
+            worst = cells[(n, level)] = float((residual / bound).max())
             per_n[n] = max(per_n.get(n, 0.0), worst)
     return {
         "degree": degree,

@@ -401,7 +401,7 @@ def approx_average_op(
     """The rational-center model of A_N on major arcs: weights are the
     complete sums, the base symbol is mm_N times the cutoff at scale
     2^(-degree * high_scale)."""
-    from .expsums import QuadratureSpec, continuous_multiplier
+    from .expsums import QuadratureSpec, _mm_many
 
     n = int(IndexRange.of(n_range))
     quad = quad or QuadratureSpec()
@@ -413,8 +413,7 @@ def approx_average_op(
         offs = np.atleast_1d(np.asarray(offsets, dtype=float))
         # centers that sit on a common grid share offsets: one mm_N per value
         uniq, inverse = np.unique(offs, return_inverse=True)
-        mm = np.array([continuous_multiplier(poly, n, float(x), quad) for x in uniq], complex)
-        return mm[inverse.reshape(offs.shape)] * cut(offs)
+        return _mm_many(poly, n, uniq, quad)[inverse.reshape(offs.shape)] * cut(offs)
 
     return MultiplierOp(
         freqs,

@@ -165,6 +165,57 @@ def float_weyl(poly, n: int, xi: float) -> complex:
     return complex(np.exp(2j * math.pi * acc).mean())
 
 
+def _turn(phase: Fraction) -> complex:
+    """e(phase) with the phase reduced mod 1 exactly first."""
+    return complex(np.exp(2j * math.pi * float(phase % 1)))
+
+
+def fine_mm(poly, n: int, xi: float) -> complex:
+    """mm_N(xi) by a fixed composite 16-node Gauss-Legendre rule with 64
+    nodes per oscillation of the phase, |xi| * sum_k |c_k| N^k of them; meant
+    for phase variation up to a few times 1e5 (then ~1e7 nodes).  The
+    constant term is reduced exactly and the rest of the phase is the float
+    polynomial sum_k (xi c_k N^k) t^k."""
+    x = Fraction(xi)
+    coeffs = [float(x * c * n**k) for k, c in enumerate(poly.coefficients)]
+    coeffs[0] = 0.0
+    variation = sum(abs(c) for c in coeffs)
+    panels = max(4, math.ceil(variation * 64 / 16))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    total = 0j
+    for lo in range(0, panels, 1 << 16):
+        left = np.arange(lo, min(panels, lo + (1 << 16)))[:, None] / panels
+        ts = left + (nodes[None, :] + 1.0) / (2 * panels)
+        phase = np.polynomial.polynomial.polyval(ts, coeffs)
+        total += np.sum(np.exp(2j * math.pi * (phase % 1.0)) * weights) / (2 * panels)
+    return _turn(x * poly.coefficients[0]) * total
+
+
+def linear_mm(c0: int, c1: int, n: int, xi: float) -> complex:
+    """mm_N(xi) for P = c0 + c1 n in closed form: with lam = xi c1 N,
+    (e(lam) - 1) / (2 pi i lam) = e(lam / 2) sin(pi lam) / (pi lam), which
+    has no cancellation at small lam."""
+    x = Fraction(xi)
+    lam = x * c1 * n
+    if lam == 0:
+        return _turn(x * c0)
+    half_turns = lam % 2 - 2 if lam % 2 > 1 else lam % 2  # in (-1, 1]
+    sinc = math.sin(math.pi * float(half_turns)) / (math.pi * float(lam))
+    return _turn(x * c0 + lam / 2) * sinc
+
+
+def fresnel_mm_square(n: int, xi: float) -> complex:
+    """mm_N(xi) for P = n^2 with a = xi N^2 large, from the expansion
+    e(1/8)/(2 sqrt(2a)) + e(a)/(2 i beta) + e(a)/(2 i beta)^2 with
+    beta = 2 pi a; the omitted terms are below 3 / (8 beta^3)."""
+    a_exact = Fraction(xi) * n * n
+    a = float(a_exact)
+    beta = 2.0 * math.pi * a
+    e_a = _turn(a_exact)
+    lead = complex(np.exp(2j * math.pi / 8.0)) / (2.0 * math.sqrt(2.0 * a))
+    return lead + e_a / (2j * beta) + e_a / (2j * beta) ** 2
+
+
 def planted_symbol(op, modulus: int) -> np.ndarray:
     """Full-grid planted sum of a multiplier symbol: for every center, in
     order, evaluate the base symbol at all Q wrapped offsets j/Q - theta

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circle_lab.arcs import (
+    FAREY_MAX_DENOMINATOR,
     ArcSystem,
     DyadicScale,
     ReducedFraction,
@@ -105,6 +106,19 @@ class TestCanonicalFractions:
     def test_rejects_nonfinite_bound(self, bound):
         with pytest.raises(ValueError, match="finite"):
             canonical_fractions(bound)
+
+    def test_table_size_limit(self):
+        # the table grows as q^2: past the limit it is a ValueError, not a
+        # multi-gigabyte allocation
+        for make in (
+            lambda: canonical_fractions(FAREY_MAX_DENOMINATOR + 1),
+            lambda: canonical_fractions(1e5),
+            lambda: dyadic_shell(FAREY_MAX_DENOMINATOR.bit_length()),
+            lambda: ArcSystem(1e5, 1e-6),
+        ):
+            with pytest.raises(ValueError, match="Farey table limit"):
+                make()
+        assert FAREY_MAX_DENOMINATOR >= 1024  # the largest bound any caller uses
 
 
 class TestClassify:

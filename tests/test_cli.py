@@ -4,7 +4,9 @@ import math
 import pytest
 
 from circle_lab.cli import RunConfig, _emit, main, run
-from circle_lab.polyavg import Signal
+from circle_lab.polyavg import IntPolynomial, Signal
+
+from oracles import fine_mm, fresnel_mm_square
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +90,18 @@ class TestSubcommands:
     def test_mfrak(self, capsys):
         doc = run_json(capsys, "mfrak", "--poly", "0,1", "--n", "50", "--xi", "0.0")
         assert doc["result"]["re"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("poly, n, xi", [
+        ("0,0,1", 4096, 0.4), ("0,0,1", 1024, 0.4), ("0,0,0,1", 256, 0.01),
+    ])
+    def test_mfrak_large_phase(self, capsys, poly, n, xi):
+        # phase variation 6.7e6, 4.2e5 and 1.7e5, past any panel budget
+        doc = run_json(capsys, "mfrak", "--poly", poly, "--n", str(n), "--xi", str(xi))
+        got = complex(doc["result"]["re"], doc["result"]["im"])
+        if poly == "0,0,1":
+            assert abs(got - fresnel_mm_square(n, xi)) < 1e-14
+        else:
+            assert abs(got - fine_mm(IntPolynomial.parse(poly), n, xi)) < 1e-12
 
     def test_lemma1_single(self, capsys):
         doc = run_json(
@@ -326,6 +340,9 @@ class TestErrors:
         (("lepingle", "--depth", "-1", "--trials", "2"), "desk"),
         (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "inf", "--nmax", "64", "--seed", "1"), "tau"),
         (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "nan", "--nmax", "64", "--seed", "1"), "tau"),
+        (("fractions", "--n1", "100000"), "Farey table limit"),
+        (("arcs", "--n1", "100000", "--n2", "0.001"), "Farey table limit"),
+        (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "2", "--nmax", "64", "--seed", "1", "--uniform-from", "32"), "--uniform-from 32"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from circle_lab._util import substream
 from circle_lab.arcs import ReducedFraction, minor_sample
 from circle_lab.expsums import (
-    _weyl_abs_many,
+    _mm_many,
+    _weyl_many,
     DecayScanReport,
     QuadratureSpec,
     complete_sum,
@@ -25,7 +26,15 @@ from circle_lab.expsums import (
 )
 from circle_lab.polyavg import IntPolynomial
 
-from oracles import exact_weyl, float_weyl, naive_weyl, trial_totient
+from oracles import (
+    exact_weyl,
+    fine_mm,
+    float_weyl,
+    fresnel_mm_square,
+    linear_mm,
+    naive_weyl,
+    trial_totient,
+)
 
 SQUARE = IntPolynomial((0, 0, 1))
 LINEAR = IntPolynomial((0, 1))
@@ -92,8 +101,8 @@ class TestExactPhaseReduction:
     def test_big_coefficients_array_path(self):
         xs = substream(4).uniform(size=12)
         for poly in self.BIG:
-            ref = np.array([abs(exact_weyl(poly, 200, x)) for x in xs])
-            assert np.abs(_weyl_abs_many(poly, 200, xs) - ref).max() < 1e-12
+            ref = np.array([exact_weyl(poly, 200, x) for x in xs])
+            assert np.abs(_weyl_many(poly, 200, xs) - ref).max() < 1e-12
 
     def test_big_coefficient_decay_scan(self):
         poly = self.BIG[0]
@@ -113,7 +122,7 @@ class TestExactPhaseReduction:
         poly = IntPolynomial(coeffs)
         ref = [float_weyl(poly, n, x) for x in xs]
         assert [weyl_sum(poly, n, x) for x in xs] == ref
-        assert _weyl_abs_many(poly, n, np.array(xs)).tolist() == np.abs(ref).tolist()
+        assert _weyl_many(poly, n, np.array(xs)).tolist() == ref
 
     @pytest.mark.parametrize("n, a, q", [(10, 3, 10**7), (97, 5, 97), (250, 37, 101)])
     def test_rational_point_ranges(self, n, a, q):
@@ -192,9 +201,10 @@ class TestContinuousMultiplier:
         assert abs(a - b) <= 1e-9
 
     def test_budget_error(self):
+        # binomials are in closed form; only other polynomials have a budget
         tight = QuadratureSpec(base_panels=1, tolerance=1e-16, panel_budget=4)
         with pytest.raises(RuntimeError, match="panel"):
-            continuous_multiplier(SQUARE, 4096, 0.49, tight)
+            continuous_multiplier(IntPolynomial((0, 1, 1)), 4096, 0.49, tight)
 
     def test_modulus_bound(self):
         for xi in (1e-4, 7e-3):
@@ -205,6 +215,79 @@ class TestContinuousMultiplier:
             QuadratureSpec(base_panels=0)
         with pytest.raises(ValueError):
             QuadratureSpec(tolerance=0.0)
+
+
+def binomial(d: int, c0: int, lead: int) -> IntPolynomial:
+    return IntPolynomial((c0,) + (0,) * (d - 1) + (lead,))
+
+
+LEADS = [1, -1, 3, -7, 10**20, -(10**20)]
+
+
+class TestMmClosedForm:
+    """Binomials c0 + c n^d in closed form against independent oracles."""
+
+    @given(
+        d=st.integers(1, 6),
+        c0=st.sampled_from([0, 5, -(10**20 + 3)]),
+        lead=st.sampled_from(LEADS),
+        n=st.sampled_from([1, 7, 64, 1000]),
+        log_lam=st.floats(-6.0, 5.0),
+        sign=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fine_quadrature(self, d, c0, lead, n, log_lam, sign):
+        xi = sign * 10.0**log_lam / (lead * n**d)
+        poly = binomial(d, c0, lead)
+        got = continuous_multiplier(poly, n, xi)
+        assert abs(got - fine_mm(poly, n, xi)) < 1e-12
+        if d == 1:
+            assert abs(got - linear_mm(c0, lead, n, xi)) < 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("lam", [0.5, 1 - 2**-40, 1.0, 1 + 2**-40, 2.0])
+    def test_both_sides_of_unit_phase(self, d, lam):
+        # |lam| = 1 is where the power series hands over to steepest descent
+        poly = binomial(d, 0, 1)
+        for xi in (lam, -lam):
+            assert abs(continuous_multiplier(poly, 1, xi) - fine_mm(poly, 1, xi)) < 1e-13
+
+    @given(
+        d=st.integers(1, 6),
+        lead=st.sampled_from(LEADS),
+        n=st.sampled_from([1, 64, 4096]),
+        log_lam=st.floats(-6.0, 12.0),
+        sign=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_van_der_corput_bound(self, d, lead, n, log_lam, sign):
+        xi = sign * 10.0**log_lam / (lead * n**d)
+        lam = abs(xi * lead * float(n) ** d)
+        # |f^(d)| = 2 pi d! lam for f = 2 pi lam t^d; constant 5 * 2^(d-1) - 2
+        bound = (5 * 2 ** (d - 1) - 2) * (2 * math.pi * math.factorial(d) * lam) ** (-1 / d)
+        assert abs(continuous_multiplier(binomial(d, 3, lead), n, xi)) <= min(1.0, bound) + 1e-15
+
+    @pytest.mark.parametrize("n, xi", [(4096, 0.4), (1024, 0.4), (4096, 0.1234567), (300, 0.25)])
+    def test_square_matches_fresnel(self, n, xi):
+        assert abs(continuous_multiplier(SQUARE, n, xi) - fresnel_mm_square(n, xi)) < 1e-14
+
+    def test_cube_large_phase(self):
+        # lam = 0.01 * 256^3 ~ 1.7e5, past any panel budget
+        assert abs(continuous_multiplier(CUBE, 256, 0.01) - fine_mm(CUBE, 256, 0.01)) < 1e-12
+
+    def test_array_matches_points(self):
+        xs = np.concatenate([substream(8).uniform(-1e-3, 1e-3, 40), [0.0, 2.0**-16, -(2.0**-16)]])
+        many = _mm_many(SQUARE, 256, xs, QuadratureSpec())
+        single = np.array([continuous_multiplier(SQUARE, 256, x) for x in xs])
+        assert many.shape == xs.shape and np.abs(many - single).max() <= 1e-15
+
+    @pytest.mark.parametrize("xi", [1e-5, -3e-4, 2e-3])
+    def test_non_binomial_takes_gauss_legendre(self, xi):
+        poly = IntPolynomial((0, 1, 1))
+        got = continuous_multiplier(poly, 64, xi)
+        assert abs(got - fine_mm(poly, 64, xi)) < 1e-9
+        finer = QuadratureSpec(base_panels=16, tolerance=1e-11)
+        assert abs(continuous_multiplier(poly, 64, xi, finer) - got) < 1e-9
 
 
 class TestDecayScan:

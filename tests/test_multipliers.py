@@ -425,15 +425,17 @@ class TestSymbolEngine:
 
     def test_approx_mm_once_per_distinct_offset(self, monkeypatch):
         calls = []
-        original = expsums.continuous_multiplier
+        original = expsums._mm_many
 
-        def counting(poly, n, xi, quad=None):
-            calls.append(xi)
-            return original(poly, n, xi, quad)
+        def counting(poly, n, xs, quad):
+            calls.append(np.array(xs))
+            return original(poly, n, xs, quad)
 
-        monkeypatch.setattr(expsums, "continuous_multiplier", counting)
+        monkeypatch.setattr(expsums, "_mm_many", counting)
         op = approx_average_op(SQUARE, 256, 2, 2)
         op.symbol_on_grid(4096)
         assert len(op.frequencies) == 6
-        # 0, 1/4, 1/2, 3/4 share their 257 grid offsets; 1/3 and 2/3 add 256 each
-        assert len(calls) == len(set(calls)) == 769
+        # one call; 0, 1/4, 1/2, 3/4 share their 257 grid offsets and 1/3 and
+        # 2/3 add 256 each
+        assert len(calls) == 1
+        assert calls[0].size == np.unique(calls[0]).size == 769
