@@ -7,7 +7,7 @@ the fraction 1/1 is stored once as 0/1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
@@ -131,14 +131,18 @@ def _fraction_list(num: np.ndarray, den: np.ndarray) -> list[ReducedFraction]:
     return rows[den * (den - 1) // 2 + num].tolist()
 
 
+def _farey_bound(n1: float) -> tuple[np.ndarray, np.ndarray]:
+    if not 1 <= n1 < math.inf:  # also rejects NaN
+        raise ValueError(f"denominator bound must be finite and >= 1, got {n1}")
+    return _farey(math.floor(n1))
+
+
 def canonical_fractions(n1: float) -> list[ReducedFraction]:
     """All reduced fractions a/q on [0, 1) with q <= floor(n1), sorted.
 
     Contains 0/1 (the torus representative of both 0 and 1).
     """
-    if not 1 <= n1 < math.inf:  # also rejects NaN
-        raise ValueError(f"denominator bound must be finite and >= 1, got {n1}")
-    return _fraction_list(*_farey(math.floor(n1)))
+    return _fraction_list(*_farey_bound(n1))
 
 
 def dyadic_shell(level: int) -> list[ReducedFraction]:
@@ -256,16 +260,16 @@ class ArcSystem:
 
     denominator_bound: float
     halfwidth: float
-    centers: tuple[ReducedFraction, ...] = field(default=())
 
     def __post_init__(self):
         if not 0 <= self.halfwidth < math.inf:
             raise ValueError(f"halfwidth must be finite and >= 0, got {self.halfwidth}")
-        expected = tuple(canonical_fractions(self.denominator_bound))
-        if self.centers and tuple(self.centers) != expected:
-            raise ValueError("centers must equal canonical_fractions(denominator_bound)")
-        object.__setattr__(self, "centers", expected)
-        object.__setattr__(self, "_pairs", _farey(math.floor(self.denominator_bound)))
+        object.__setattr__(self, "_pairs", _farey_bound(self.denominator_bound))
+
+    @cached_property
+    def centers(self) -> tuple[ReducedFraction, ...]:
+        """canonical_fractions(denominator_bound), made on first use."""
+        return tuple(_fraction_list(*self._pairs))
 
     @cached_property
     def center_values(self) -> np.ndarray:
@@ -316,10 +320,6 @@ class ArcSystem:
         dist, index = self._nearest(np.array([TorusPoint.of(point).value]))
         best = float(dist[0])
         return ClassifyResult(best <= self.halfwidth, self.centers[index[0]], best)
-
-
-def classify(point: TorusPoint | float, arcs: ArcSystem) -> ClassifyResult:
-    return arcs.classify(point)
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,8 @@ def _write(text: str, path: str) -> None:
 
 
 def _strict(obj):
-    """obj with every infinite float replaced by "inf" or "-inf" (the
-    SeminormReport.to_dict convention), so that reports are strict JSON."""
+    """obj with every infinite float replaced by "inf" or "-inf", so that
+    reports are strict JSON."""
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):

@@ -90,13 +90,6 @@ def average_series(
     return AverageSeries(ns, signals, sys, poly)
 
 
-def uniform_average(
-    sys: FiniteSystem, poly: IntPolynomial, f: Signal, m: int, n: int
-) -> Signal:
-    """Average of f(T^P(k) x) over k in (m, n]."""
-    return average_series(sys, poly, f, [n], uniform_from=m).signals[0]
-
-
 def convergence_diagnostic(
     series: AverageSeries,
     r: float,

@@ -105,6 +105,10 @@ def minor_sup_grid(
 # ---------------------------------------------------------------------------
 
 _GL_NODES = 16
+_GL_BASE_PANELS = 4
+_GL_NODES_PER_OSCILLATION = 8
+_GL_TOLERANCE = 1e-9
+_GL_PANEL_BUDGET = 1 << 18
 _LAGUERRE_NODES = 32
 _SERIES_TERMS = 40  # (2 pi)^40 / 40! < 2e-16: the tail is below rounding
 
@@ -136,23 +140,13 @@ def _centered_series(degree: int) -> np.ndarray:
     return np.array([float(m / math.factorial(k)) for k, m in enumerate(moments)][::-1])
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the composite Gauss-Legendre quadrature, which serves
-    only polynomials that are not binomials c0 + c n^d: panels scale with
-    the total phase variation so each oscillation gets
-    nodes_per_oscillation points."""
-
-    base_panels: int = 4
-    nodes_per_oscillation: int = 8
-    tolerance: float = 1e-9
-    panel_budget: int = 1 << 18
-
-    def __post_init__(self):
-        if self.base_panels < 1:
-            raise ValueError("base panel count must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+def _times(x: float, c: int) -> float:
+    """x * c from the exact product, rounded once; +-inf past the float range."""
+    num, den = x.as_integer_ratio()
+    try:
+        return num * c / den
+    except OverflowError:
+        return math.inf if (num > 0) == (c > 0) else -math.inf
 
 
 def _integrate_panels(scaled_coeffs: np.ndarray, panels: int) -> complex:
@@ -165,47 +159,35 @@ def _integrate_panels(scaled_coeffs: np.ndarray, panels: int) -> complex:
     return complex(np.sum(vals * (widths[:, None] * weights[None, :])))
 
 
-def _mm_legendre(poly: IntPolynomial, n: int, x: float, quad: QuadratureSpec) -> complex:
-    """Composite Gauss-Legendre with the panel count driven by the phase
-    variation bound |xi| * sum_k |c_k| N^k, then doubled until two successive
-    answers agree within the tolerance.  Raises if the panel budget runs out
-    first."""
-    if not math.isfinite(x):
-        raise ValueError(f"xi must be finite, got {x}")
-    variation = abs(x) * poly.abs_bound(n)
-    panels = max(
-        quad.base_panels,
-        math.ceil(variation * quad.nodes_per_oscillation / _GL_NODES),
+def _mm_legendre(poly: IntPolynomial, n: int, x: float) -> complex:
+    """Composite Gauss-Legendre for P with P(0) = 0, the panel count driven by
+    the phase variation bound |xi| * sum_k |c_k| N^k, then doubled until two
+    successive answers agree within the tolerance.  Raises if the panel
+    budget runs out first."""
+    variation = _times(abs(x), poly.abs_bound(n))
+    need = variation * _GL_NODES_PER_OSCILLATION / _GL_NODES
+    if need <= _GL_PANEL_BUDGET:
+        scaled = np.array([_times(_times(x, c), n**k) for k, c in enumerate(poly.coefficients)])
+        panels, prev = max(_GL_BASE_PANELS, math.ceil(need)), None
+        while panels <= _GL_PANEL_BUDGET:
+            curr = _integrate_panels(scaled, panels)
+            if prev is not None and abs(curr - prev) <= _GL_TOLERANCE:
+                return curr
+            prev, panels = curr, 2 * panels
+    raise RuntimeError(
+        f"quadrature did not reach tolerance {_GL_TOLERANCE} within "
+        f"{_GL_PANEL_BUDGET} panels (phase variation ~{variation:.3g})"
     )
 
-    def budget_error() -> RuntimeError:
-        return RuntimeError(
-            f"quadrature did not reach tolerance {quad.tolerance} within "
-            f"{quad.panel_budget} panels (phase variation ~{variation:.3g})"
-        )
 
-    if panels > quad.panel_budget:
-        raise budget_error()
-    scaled = np.array(
-        [x * c * float(n) ** k for k, c in enumerate(poly.coefficients)], dtype=float
-    )
-    prev = _integrate_panels(scaled, panels)
-    while True:
-        panels *= 2
-        if panels > quad.panel_budget:
-            raise budget_error()
-        curr = _integrate_panels(scaled, panels)
-        if abs(curr - prev) <= quad.tolerance:
-            return curr
-        prev = curr
-
-
-def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     """mm_N at every offset in xs: the library's one mm_N evaluator.
 
-    A binomial P = c0 + c n^d (d >= 1) gives mm_N(x) = e(x c0) I(lam) with
-    I(lam) = integral of e(lam t^d) over [0, 1] and lam = x c N^d, in closed
-    form and at a cost that does not grow with lam:
+    The constant term only turns the integral: mm_N(x) = e(x c0) times the
+    integral for P - c0, with e(x c0) reduced exactly by `_phase_fracs`, so
+    a constant P gives e(x c0).  A binomial P = c0 + c n^d (d >= 1) leaves
+    I(lam) = integral of e(lam t^d) over [0, 1], lam = x c N^d from the
+    exact product, in closed form and at a cost that does not grow with lam:
 
     - |lam| <= 1: the power series of I about the mean phase, see
       `_centered_series`.
@@ -213,24 +195,27 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray, quad: QuadratureSpec) 
       |lam|) gives Gamma(1/d) e^(i pi / 2d) / (d (2 pi |lam|)^(1/d)); from
       t = 1 the path h(p) = (1 + i p / (2 pi |lam|))^(1/d) gives e(|lam|)
       times the Gauss-Laguerre sum of h'(p).  Both end in the same valley,
-      so I is their difference; lam < 0 conjugates it.
+      so I is their difference, with e(lam) reduced exactly like e(x c0);
+      lam < 0 conjugates it.  Past the float range lam is +-inf and I is
+      its limit 0.
 
-    The phases e(x c0) and e(x c0 + lam) come exactly reduced from
-    `_phase_fracs` on c0 + c N^d t at t = 0, 1.  Every other P takes the
-    composite Gauss-Legendre quadrature that `quad` controls.
+    Every other P takes composite Gauss-Legendre on P - c0 (`_mm_legendre`).
     """
     xs = np.asarray(xs, dtype=float)
-    d = poly.degree
-    if d < 1 or any(poly.coefficients[1:d]):
-        return np.array([_mm_legendre(poly, n, x, quad) for x in xs.tolist()], complex)
-    c0, lead = poly.coefficients[0], poly.coefficients[-1] * n**d
-    ends = np.exp(2j * math.pi * _phase_fracs(IntPolynomial((c0, lead)), xs, np.array([0.0, 1.0])))
-    lam = xs * float(lead)
+    c0, d = poly.coefficients[0], poly.degree
+    turn = np.exp(2j * math.pi * _phase_fracs(IntPolynomial((c0,)), xs, np.zeros(1)))[:, 0]
+    if d == 0:
+        return turn
+    if any(poly.coefficients[1:d]):
+        rest = IntPolynomial((0,) + poly.coefficients[1:])
+        return turn * np.array([_mm_legendre(rest, n, x) for x in xs.tolist()], complex)
+    lead = poly.coefficients[-1] * n**d
+    lam = np.array([_times(x, lead) for x in xs.tolist()])
     mu = np.abs(lam)
     out = np.empty(xs.shape, dtype=complex)
     small = mu <= 1.0
     turns = 2j * math.pi * lam[small]
-    out[small] = ends[small, 0] * np.exp(turns / (d + 1)) * np.polyval(_centered_series(d), turns)
+    out[small] = np.exp(turns / (d + 1)) * np.polyval(_centered_series(d), turns)
     big = ~small
     nodes, weights = _gauss_laguerre()
     scale = 2.0 * math.pi * mu[big]
@@ -239,20 +224,16 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray, quad: QuadratureSpec) 
     end = 1j * slope / (d * scale)
     neg = lam[big] < 0
     start[neg], end[neg] = start[neg].conj(), end[neg].conj()
-    out[big] = ends[big, 0] * start - ends[big, 1] * end
-    return out
+    spin = np.exp(2j * math.pi * _phase_fracs(IntPolynomial((0, lead)), xs, np.ones(1)))[big, 0]
+    out[big] = start - spin * end
+    return turn * out
 
 
-def continuous_multiplier(
-    poly: IntPolynomial,
-    n_range: IndexRange | int,
-    xi: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> complex:
+def continuous_multiplier(poly: IntPolynomial, n_range: IndexRange | int, xi: float) -> complex:
     """mm_N(xi) = integral of e(xi * P(N t)) over t in [0, 1]: the one-point
     case of `_mm_many`."""
     n = int(IndexRange.of(n_range))
-    return complex(_mm_many(poly, n, np.array([float(xi)]), quad)[0])
+    return complex(_mm_many(poly, n, np.array([float(xi)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +364,6 @@ def _lemma1_cell(
     thetas: Sequence[ReducedFraction],
     xs: np.ndarray,
     big_m: float,
-    quad: QuadratureSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals |m_N(xi) - G(theta) mm_N(xi - theta)| and reference bounds
     2^l (M^-1 N^(d-1) + N^-1) for samples (theta, xi) on [0, 1): one
@@ -395,7 +375,7 @@ def _lemma1_cell(
             f"|xi - theta| = {abs(offsets[far][0]):.3e} exceeds 1/M = {1.0 / big_m:.3e}"
         )
     gauss = np.array([complete_sum(poly, t) for t in thetas], dtype=complex)
-    residual = np.abs(_weyl_many(poly, n, xs) - gauss * _mm_many(poly, n, offsets, quad))
+    residual = np.abs(_weyl_many(poly, n, xs) - gauss * _mm_many(poly, n, offsets))
     levels = np.array([shell_index(t.denominator) for t in thetas])
     bound = 2.0**levels * (float(n) ** (poly.degree - 1) / big_m + 1.0 / n)
     return residual, bound
@@ -407,7 +387,6 @@ def lemma1_residual(
     theta: ReducedFraction,
     xi: TorusPoint | float,
     big_m: float,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> Lemma1Result:
     """Compare m_N(xi) with G(theta) * mm_N(xi - theta) for xi near theta.
 
@@ -419,7 +398,7 @@ def lemma1_residual(
         raise ValueError(f"M must be finite and > 0, got {big_m}")
     n = int(IndexRange.of(n_range))
     x = TorusPoint.of(xi).value
-    residual, bound = _lemma1_cell(poly, n, [theta], np.array([x]), big_m, quad)
+    residual, bound = _lemma1_cell(poly, n, [theta], np.array([x]), big_m)
     return Lemma1Result(float(residual[0]), float(bound[0]), float(residual[0] / bound[0]))
 
 
@@ -429,7 +408,6 @@ def lemma1_grid_sweep(
     l_max: int,
     samples_per_cell: int,
     seed: int,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> dict:
     """Max residual/bound ratio over a (N, shell level) grid with
     M = N^d * 2^(-l) and seeded admissible (theta, xi) pairs per cell."""
@@ -449,7 +427,7 @@ def lemma1_grid_sweep(
             for _ in range(samples_per_cell):
                 thetas.append(shell[rng.integers(len(shell))])
                 xs.append((thetas[-1].value + rng.uniform(-1.0, 1.0) / big_m) % 1.0)
-            residual, bound = _lemma1_cell(poly, n, thetas, np.array(xs), big_m, quad)
+            residual, bound = _lemma1_cell(poly, n, thetas, np.array(xs), big_m)
             worst = cells[(n, level)] = float((residual / bound).max())
             per_n[n] = max(per_n.get(n, 0.0), worst)
     return {

@@ -229,13 +229,15 @@ def kernel_l1_bound(op: MultiplierOp, modulus: int) -> float:
     return float(np.abs(kern.values).sum())
 
 
+_ASCENT_STEPS = 12  # ascent iterations per random start
+
+
 def lp_norm_probe(
     op: MultiplierOp,
     p: float,
     modulus: int,
     trials: int,
     seed: int,
-    ascent_steps: int = 12,
 ) -> float:
     """Certified lower bound for the l^p -> l^p operator norm.
 
@@ -267,7 +269,7 @@ def lp_norm_probe(
     for t in range(trials):
         rng = substream(seed, t)
         f = rng.standard_normal(modulus) + 1j * rng.standard_normal(modulus)
-        for _ in range(ascent_steps):
+        for _ in range(_ASCENT_STEPS):
             nf = lp(f)
             if nf == 0.0:
                 break
@@ -395,16 +397,14 @@ def approx_average_op(
     n_range: IndexRange | int,
     level: int,
     high_scale: int,
-    quad=None,
     shell_only: bool = False,
 ) -> MultiplierOp:
     """The rational-center model of A_N on major arcs: weights are the
     complete sums, the base symbol is mm_N times the cutoff at scale
     2^(-degree * high_scale)."""
-    from .expsums import QuadratureSpec, _mm_many
+    from .expsums import _mm_many
 
     n = int(IndexRange.of(n_range))
-    quad = quad or QuadratureSpec()
     degree = poly.degree
     cut = eta_at_scale(-degree * high_scale)
     freqs = tuple(dyadic_shell(level) if shell_only else canonical_fractions(2.0**level))
@@ -413,7 +413,7 @@ def approx_average_op(
         offs = np.atleast_1d(np.asarray(offsets, dtype=float))
         # centers that sit on a common grid share offsets: one mm_N per value
         uniq, inverse = np.unique(offs, return_inverse=True)
-        return _mm_many(poly, n, uniq, quad)[inverse.reshape(offs.shape)] * cut(offs)
+        return _mm_many(poly, n, uniq)[inverse.reshape(offs.shape)] * cut(offs)
 
     return MultiplierOp(
         freqs,
@@ -430,7 +430,6 @@ def factorization_gap(
     level: int,
     high_scale: int,
     narrow_scale: int,
-    quad=None,
 ) -> float:
     """Deviation between the one-step operator T[G; mm_N eta_high] and its
     two-step factorization T[1; mm_N eta_high] after T[G; eta_narrow], all
@@ -441,11 +440,8 @@ def factorization_gap(
     and distinct shell centers stay out of each other's cutoffs; callers
     pick scales satisfying that support geometry.
     """
-    from .expsums import QuadratureSpec
-
-    quad = quad or QuadratureSpec()
     n = int(IndexRange.of(n_range))
-    one_step = approx_average_op(poly, n, level, high_scale, quad, shell_only=True)
+    one_step = approx_average_op(poly, n, level, high_scale, shell_only=True)
     freqs = one_step.frequencies
     narrow = MultiplierOp(
         freqs,

@@ -53,10 +53,6 @@ class IntPolynomial:
             acc = acc * n + c
         return acc
 
-    def eval_mod(self, n: int, q: int) -> int:
-        """P(n) mod q in 0..q-1."""
-        return self(n) % q
-
     def abs_bound(self, n_max: int) -> int:
         """Sum of |c_k| * n_max^k, an upper bound for |P(n)| on [1, n_max]."""
         return sum(abs(c) * n_max**k for k, c in enumerate(self.coefficients))
@@ -220,11 +216,6 @@ def grid_frequencies(modulus: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Kernels and averages
 # ---------------------------------------------------------------------------
-
-
-def eval_poly(poly: IntPolynomial, n: int) -> int:
-    """Exact P(n)."""
-    return poly(n)
 
 
 def _residues(poly: IntPolynomial, n_max: int, modulus: int) -> np.ndarray:

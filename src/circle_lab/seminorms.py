@@ -67,10 +67,7 @@ class SeminormReport:
             "kind": self.kind,
             "value": self.value,
             "witness": list(self.witness),
-            "parameters": {
-                k: (None if v is None else (v if not isinstance(v, float) or math.isfinite(v) else "inf"))
-                for k, v in self.parameters.items()
-            },
+            "parameters": dict(self.parameters),
         }
 
 

@@ -103,6 +103,21 @@ class TestSubcommands:
         else:
             assert abs(got - fine_mm(IntPolynomial.parse(poly), n, xi)) < 1e-12
 
+    def test_mfrak_constant_outside_variation(self, capsys):
+        # e(0.4 * 10^6): c0 is a pure turn and never counts toward the panel budget
+        doc = run_json(capsys, "mfrak", "--poly", "1000000", "--n", "4", "--xi", "0.4")
+        got = complex(doc["result"]["re"], doc["result"]["im"])
+        assert abs(got - fine_mm(IntPolynomial((10**6,)), 4, 0.4)) < 1e-14
+
+    def test_mfrak_lead_past_float_range(self, capsys):
+        # lam = 0.1 * 10^400 * 4 and |mm_N| <= 1 / (pi lam): the limit 0
+        doc = run_json(capsys, "mfrak", "--poly", f"0,{10**400}", "--n", "4", "--xi", "0.1")
+        assert doc["result"]["abs"] == 0.0
+
+    def test_mfrak_huge_non_binomial_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "mfrak", "--poly", f"0,1,{10**400}", "--n", "4", "--xi", "0.1")
+        assert code == 2 and out == "" and "panel" in err
+
     def test_lemma1_single(self, capsys):
         doc = run_json(
             capsys, "lemma1", "--poly", "0,0,1", "--n", "64", "--frac", "0/1",

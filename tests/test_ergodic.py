@@ -11,7 +11,6 @@ from circle_lab.ergodic_lab import (
     discrepancy,
     mean_ergodic_check,
     star_discrepancy,
-    uniform_average,
     vdc_correlation,
 )
 from circle_lab.polyavg import IntPolynomial, Signal
@@ -74,7 +73,7 @@ class TestAverageSeries:
         sys = FiniteSystem(11, 3)
         f = random_signal(11, 3)
         m, n = 4, 9
-        got = uniform_average(sys, SQUARE, f, m, n)
+        got = average_series(sys, SQUARE, f, [n], uniform_from=m).signals[0]
         expect = np.zeros(11, dtype=np.complex128)
         for x in range(11):
             expect[x] = sum(
@@ -121,7 +120,7 @@ class TestAverageSeries:
         with pytest.raises(ValueError, match="uniform_from"):
             average_series(sys, LINEAR, Signal.delta(7), [3, 5], uniform_from=m)
         with pytest.raises(ValueError, match="uniform_from"):
-            uniform_average(sys, LINEAR, Signal.delta(7), m, 3)
+            average_series(sys, LINEAR, Signal.delta(7), [3], uniform_from=m)
 
     def test_ergodic_flag(self):
         assert FiniteSystem(10, 3).is_ergodic

@@ -12,7 +12,6 @@ from circle_lab.expsums import (
     _mm_many,
     _weyl_many,
     DecayScanReport,
-    QuadratureSpec,
     complete_sum,
     continuous_multiplier,
     lemma1_grid_sweep,
@@ -178,6 +177,7 @@ class TestCompleteSum:
 class TestContinuousMultiplier:
     def test_zero(self):
         assert continuous_multiplier(SQUARE, 31, 0.0) == pytest.approx(1.0)
+        assert continuous_multiplier(IntPolynomial((0, 1, 1)), 10**160, 0.0) == pytest.approx(1.0)
 
     def test_linear_closed_form(self):
         n = 100
@@ -194,27 +194,14 @@ class TestContinuousMultiplier:
             m = continuous_multiplier(SQUARE, n, xi)
             assert abs(w - m) <= 0.05
 
-    def test_halving_stability(self):
-        spec = QuadratureSpec(base_panels=8, tolerance=1e-10)
-        a = continuous_multiplier(SQUARE, 64, 3e-3, spec)
-        b = continuous_multiplier(SQUARE, 64, 3e-3, QuadratureSpec(base_panels=16, tolerance=1e-10))
-        assert abs(a - b) <= 1e-9
-
     def test_budget_error(self):
         # binomials are in closed form; only other polynomials have a budget
-        tight = QuadratureSpec(base_panels=1, tolerance=1e-16, panel_budget=4)
         with pytest.raises(RuntimeError, match="panel"):
-            continuous_multiplier(IntPolynomial((0, 1, 1)), 4096, 0.49, tight)
+            continuous_multiplier(IntPolynomial((0, 1, 1)), 4096, 0.49)
 
     def test_modulus_bound(self):
         for xi in (1e-4, 7e-3):
             assert abs(continuous_multiplier(CUBE, 32, xi)) <= 1 + 1e-9
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(base_panels=0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(tolerance=0.0)
 
 
 def binomial(d: int, c0: int, lead: int) -> IntPolynomial:
@@ -277,7 +264,7 @@ class TestMmClosedForm:
 
     def test_array_matches_points(self):
         xs = np.concatenate([substream(8).uniform(-1e-3, 1e-3, 40), [0.0, 2.0**-16, -(2.0**-16)]])
-        many = _mm_many(SQUARE, 256, xs, QuadratureSpec())
+        many = _mm_many(SQUARE, 256, xs)
         single = np.array([continuous_multiplier(SQUARE, 256, x) for x in xs])
         assert many.shape == xs.shape and np.abs(many - single).max() <= 1e-15
 
@@ -286,8 +273,47 @@ class TestMmClosedForm:
         poly = IntPolynomial((0, 1, 1))
         got = continuous_multiplier(poly, 64, xi)
         assert abs(got - fine_mm(poly, 64, xi)) < 1e-9
-        finer = QuadratureSpec(base_panels=16, tolerance=1e-11)
-        assert abs(continuous_multiplier(poly, 64, xi, finer) - got) < 1e-9
+
+
+class TestMmConstantTerm:
+    """c0 only turns mm_N by e(xi c0), so it never counts as phase variation;
+    checked against `fine_mm`, which also factors c0 out exactly."""
+
+    @given(
+        c0=st.integers(-(10**30), 10**30),
+        middle=st.lists(st.integers(-3, 3), min_size=1, max_size=2).filter(any),
+        lead=st.sampled_from([1, -1, 2, -3]),
+        n=st.sampled_from([1, 8, 64]),
+        xi=st.floats(-1e-3, 1e-3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_binomial_matches_fine_quadrature(self, c0, middle, lead, n, xi):
+        poly = IntPolynomial((c0, *middle, lead))
+        got = continuous_multiplier(poly, n, xi)
+        assert abs(got - fine_mm(poly, n, xi)) < 1e-9
+        shifted = continuous_multiplier(IntPolynomial((0, *middle, lead)), n, xi)
+        assert abs(got - complex(np.exp(2j * math.pi * float(Fraction(xi) * c0 % 1))) * shifted) < 1e-15
+
+    @given(c0=st.integers(-(10**30), 10**30), n=st.sampled_from([1, 64, 10**9]), xi=st.floats(-1.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_constant_is_a_pure_turn(self, c0, n, xi):
+        poly = IntPolynomial((c0,))
+        assert abs(continuous_multiplier(poly, n, xi) - fine_mm(poly, n, xi)) < 1e-14
+
+    def test_huge_constant_within_budget(self):
+        # the variation of P - c0 is about 4; with c0 counted it would be 1e9
+        poly = IntPolynomial((10**12 + 7, 1, 1))
+        assert abs(continuous_multiplier(poly, 64, 1e-3) - fine_mm(poly, 64, 1e-3)) < 1e-9
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_lam_past_float_range_is_zero(self, d):
+        # |mm_N| <= (5 * 2^(d-1) - 2) (2 pi d! |lam|)^(-1/d) < 1e-49 once |lam| > 1.8e308
+        xs = np.array([0.1, -0.25, 1e-80])
+        assert np.array_equal(_mm_many(binomial(d, 5, 10**400), 3, xs), np.zeros(3))
+
+    def test_huge_non_binomial_hits_budget(self):
+        with pytest.raises(RuntimeError, match="panel"):
+            continuous_multiplier(IntPolynomial((0, 1, 10**400)), 4, 0.1)
 
 
 class TestDecayScan:

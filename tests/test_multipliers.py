@@ -223,7 +223,7 @@ class TestOperatorNorms:
         for level in range(0, 6):
             m = -6 * (level + 1) * 4
             op = projection_op(2.0**level, 2.0**m)
-            probe = lp_norm_probe(op, p, 512, 2, 17, ascent_steps=6)
+            probe = lp_norm_probe(op, p, 512, 2, 17)
             assert probe <= 2.0 ** (2 * level) * 4.0
 
     def test_probe_validation(self):
@@ -427,9 +427,9 @@ class TestSymbolEngine:
         calls = []
         original = expsums._mm_many
 
-        def counting(poly, n, xs, quad):
+        def counting(poly, n, xs):
             calls.append(np.array(xs))
-            return original(poly, n, xs, quad)
+            return original(poly, n, xs)
 
         monkeypatch.setattr(expsums, "_mm_many", counting)
         op = approx_average_op(SQUARE, 256, 2, 2)

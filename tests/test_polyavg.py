@@ -14,7 +14,6 @@ from circle_lab.polyavg import (
     aliasing_safe_modulus,
     average_bilinear,
     average_linear,
-    eval_poly,
     kernel,
     maximal_function,
     riesz_split,
@@ -40,9 +39,9 @@ def random_signal(q, seed, real=False):
 
 class TestIntPolynomial:
     def test_eval_examples(self):
-        assert eval_poly(SQUARE, 0) == 0
-        assert eval_poly(SQUARE, 7) == 49
-        assert eval_poly(IntPolynomial((0, 2, 0, 1)), 5) == 135
+        assert SQUARE(0) == 0
+        assert SQUARE(7) == 49
+        assert IntPolynomial((0, 2, 0, 1))(5) == 135
 
     def test_exact_wide_arithmetic(self):
         poly = IntPolynomial((3, -7, 0, 11))
@@ -59,11 +58,6 @@ class TestIntPolynomial:
         assert IntPolynomial.parse("0,0,1") == SQUARE
         assert str(SQUARE) == "n^2"
         assert str(IntPolynomial((1, -2))) == "1 + -2*n"
-
-    def test_eval_mod_matches_exact(self):
-        poly = IntPolynomial((5, -3, 2, 7))
-        for n in (0, 1, 13, 999):
-            assert poly.eval_mod(n, 17) == poly(n) % 17
 
     def test_residue_wide_integer_fallback(self):
         # modulus large enough to force the exact-Python path

@@ -398,4 +398,4 @@ class TestRealSequence:
     def test_report_dict(self):
         rep = variation([0.0, 1.0], math.inf)
         d = rep.to_dict()
-        assert d["kind"] == "variation" and d["parameters"]["r"] == "inf"
+        assert d["kind"] == "variation" and d["parameters"]["r"] == math.inf
