@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -25,13 +26,19 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: CIRCLE_LAB_THREADS env var wins, then `requested`,
-    then available parallelism."""
+    then available parallelism.  A count that is not an integer >= 1
+    raises ValueError naming where it came from."""
     env = os.environ.get("CIRCLE_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    if requested is not None:
-        return max(1, int(requested))
-    return os.cpu_count() or 1
+    if not env and requested is None:
+        return os.cpu_count() or 1
+    name, value = ("CIRCLE_LAB_THREADS", env) if env else ("threads", requested)
+    try:
+        count = int(value) if env else operator.index(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int | None = None) -> list[R]:

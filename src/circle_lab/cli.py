@@ -361,7 +361,10 @@ def _cmd_oscillation(cfg: RunConfig) -> None:
 
 def _cmd_lepingle(cfg: RunConfig) -> None:
     p = cfg.params
-    _emit(cfg, lepingle_stat(p["p"], p["r"], p["depth"], p["trials"], p["seed"]))
+    stat = lepingle_stat(
+        p["p"], p["r"], p["depth"], p["trials"], p["seed"], threads=p.get("threads")
+    )
+    _emit(cfg, stat)
 
 
 def _cmd_ergodic(cfg: RunConfig) -> None:
@@ -652,6 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth", type=int, default=10)
     s.add_argument("--trials", type=int, default=500)
     s.add_argument("--seed", type=int, default=11)
+    s.add_argument("--threads", type=int)
     _add_common(s)
 
     s = sp.add_parser("ergodic", help="average series diagnostics on a cyclic shift")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from ._util import substream
+from ._util import parallel_map, substream
 from .polyavg import Signal
 
 
@@ -326,8 +327,32 @@ def _block_levels(g_values: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
+# Leaf cells per work item of lepingle_stat: level arrays of 2^17 float64
+# cells stay near the size of one core's L2 cache.
+_TILE_CELLS = 1 << 17
+# Largest trial count lepingle_stat accepts (the ratios alone are 8 MB).
+_MAX_TRIALS = 10**6
+
+
+def _tiled_variation(levels: list[np.ndarray], rule: _Exponent, root: int) -> np.ndarray:
+    """_level_variation of martingale levels (B, 2^n), n = 0..depth, one
+    subtree at a time.  The tile under node k of level `root` runs the DP on
+    its root path (one cell per level up to `root`) and its own slices
+    below, since a node's DP state depends only on its ancestors; tiles are
+    written in natural order, so the result is the whole-level DP bit for bit."""
+    out = np.empty(levels[-1].shape)
+    width = out.shape[1] >> root
+    for k in range(1 << root):
+        tile = []
+        for n, lev in enumerate(levels):
+            lo = (k << n) >> root
+            tile.append(lev[:, lo : lo + (1 << max(0, n - root))])
+        out[:, k * width : (k + 1) * width] = _level_variation(tile, rule)
+    return out
+
+
 def lepingle_stat(
-    p: float, r: float, depth: int, trials: int, seed: int, batch: int = 32
+    p: float, r: float, depth: int, trials: int, seed: int, threads: int | None = None
 ) -> dict:
     """Ratio statistics ||pointwise V^r of the levels||_p / sup_n ||level n||_p
     for seeded Gaussian generators on Z/2^depth.
@@ -335,32 +360,38 @@ def lepingle_stat(
     Norms use the uniform probability measure; the ratio is scale free.  For
     r <= 2 the same statistic is computed but flagged, since no uniform bound
     is claimed there.  r = inf gives the largest increment between levels.
+
+    Trial t draws from ``substream(seed, t)``.  Work items of at most
+    _TILE_CELLS leaf cells (runs of trials, or one deep trial in subtree
+    tiles) go through ``parallel_map`` on `threads` workers
+    (CIRCLE_LAB_THREADS wins); the result never depends on either.
     """
     rule = _Exponent(r, "variation")
     if not 0 < p < math.inf:  # also rejects NaN
         raise ValueError(f"norm exponent p must be finite and > 0, got {p}")
-    if not 0 <= depth <= 20:
-        raise ValueError(f"depth must lie in 0..20 to keep the run desk-sized, got {depth}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    q = 2**depth
-    # cache-sized slices: B * Q around 2^20 elements
-    batch = max(1, min(batch, (1 << 20) // q))
-    ratios = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        gs = np.stack(
-            [substream(seed, t).standard_normal(q) for t in range(done, done + b)]
+    if not isinstance(depth, Integral) or not 0 <= depth <= 20:
+        raise ValueError(
+            f"depth must be an integer in 0..20 to keep the run desk-sized, got {depth!r}"
         )
+    if not isinstance(trials, Integral) or not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be an integer in 1..{_MAX_TRIALS}, got {trials!r}")
+    q = 1 << depth
+    leaves = min(depth, _TILE_CELLS.bit_length() - 1)  # log2 of a tile's leaf count
+    step = max(1, _TILE_CELLS >> depth)  # trials per work item
+
+    def chunk(start: int) -> np.ndarray:
+        gs = np.empty((min(step, trials - start), q))
+        for t, row in enumerate(gs, start):
+            substream(seed, t).standard_normal(out=row)
         levels = _block_levels(gs)
-        vr = _level_variation(levels, rule)  # (B, Q)
+        vr = _tiled_variation(levels, rule, depth - leaves)  # (B, Q)
         num = (np.abs(vr) ** p).mean(axis=1) ** (1.0 / p)
         den = np.stack(
             [(np.abs(lev) ** p).mean(axis=1) ** (1.0 / p) for lev in levels]
         ).max(axis=0)
-        ratios[done : done + b] = num / den
-        done += b
+        return num / den
+
+    ratios = np.concatenate(parallel_map(chunk, range(0, trials, step), threads))
     qs = np.quantile(ratios, [0.5, 0.9, 1.0])
     return {
         "p": p,

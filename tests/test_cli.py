@@ -358,6 +358,9 @@ class TestErrors:
         (("fractions", "--n1", "100000"), "Farey table limit"),
         (("arcs", "--n1", "100000", "--n2", "0.001"), "Farey table limit"),
         (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "2", "--nmax", "64", "--seed", "1", "--uniform-from", "32"), "--uniform-from 32"),
+        (("lepingle", "--depth", "2", "--trials", "10000000000000"), "trials must be an integer in 1..1000000"),
+        (("lepingle", "--depth", "2", "--trials", "0"), "trials must be an integer"),
+        (("lepingle", "--depth", "21", "--trials", "2"), "desk"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)
@@ -384,3 +387,41 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "fractions", "--n1", "3", "--out", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["result"]["count"] == 4
+
+
+WEYL_SCAN = ("weyl-scan", "--poly", "0,0,1", "--ns", "64,128", "--samples", "5", "--seed", "0")
+LEPINGLE = ("lepingle", "--p", "2", "--r", "3", "--depth", "10", "--trials", "500", "--seed", "11")
+
+
+class TestThreads:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
+    def test_bad_thread_variable_exits_2(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("CIRCLE_LAB_THREADS", value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"CIRCLE_LAB_THREADS must be an integer >= 1, got '{value}'" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
+    def test_bad_thread_option_exits_2(self, capsys, monkeypatch, argv, value):
+        monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
+        code, out, err = run_cli(capsys, *argv, "--threads", value)
+        assert code == 2 and out == ""
+        assert f"threads must be an integer >= 1, got {value}" in err
+
+    def test_lepingle_bytes_do_not_depend_on_threads(self, capsys, monkeypatch):
+        outs = []
+        for value in ("1", "2"):
+            monkeypatch.setenv("CIRCLE_LAB_THREADS", value)
+            code, out, err = run_cli(capsys, *LEPINGLE)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_lepingle_thread_option(self, capsys, monkeypatch):
+        monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
+        one = run_json(capsys, *LEPINGLE, "--threads", "1")
+        two = run_json(capsys, *LEPINGLE, "--threads", "2")
+        assert one["config"]["threads"] == 1 and two["config"]["threads"] == 2
+        assert one["result"] == two["result"]

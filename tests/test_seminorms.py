@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circle_lab import seminorms
 from circle_lab._util import substream
 from circle_lab.polyavg import Signal
 from circle_lab.seminorms import (
@@ -12,6 +13,7 @@ from circle_lab.seminorms import (
     _block_levels,
     _Exponent,
     _level_variation,
+    _tiled_variation,
     jump_count,
     lacunary,
     lepingle_stat,
@@ -355,10 +357,56 @@ class TestLepingle:
         b = lepingle_stat(2, 3, 6, 25, 11)
         assert a == b
 
-    def test_batching_invariance(self):
-        a = lepingle_stat(2, 3, 6, 25, 11, batch=1)
-        b = lepingle_stat(2, 3, 6, 25, 11, batch=7)
-        assert a["max"] == pytest.approx(b["max"], rel=1e-12)
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0, math.inf])
+    def test_tile_and_thread_invariance(self, monkeypatch, r):
+        # work items of 1 and 16 leaf cells split trials into subtree tiles
+        # (up to 512 of them at depth 9); none of it may move a bit
+        default = seminorms._TILE_CELLS
+        want = [lepingle_stat(2, r, depth, 3, 11, threads=1) for depth in range(10)]
+        for tile, threads, env in (
+            (1, 2, None),
+            (16, 1, None),
+            (16, 4, None),
+            (default, 2, None),
+            (16, 1, "2"),
+        ):
+            monkeypatch.setattr(seminorms, "_TILE_CELLS", tile)
+            if env is None:
+                monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("CIRCLE_LAB_THREADS", env)
+            got = [lepingle_stat(2, r, depth, 3, 11, threads=threads) for depth in range(10)]
+            assert got == want, (tile, threads, env)
+
+    def test_trial_chunks_invariant_under_threads(self):
+        # depth 9 at the default tile: 600 trials make three work items
+        a = lepingle_stat(2, 3, 9, 600, 11, threads=1)
+        assert lepingle_stat(2, 3, 9, 600, 11, threads=2) == a
+        assert lepingle_stat(2, 3, 9, 600, 11, threads=4) == a
+
+    @pytest.mark.parametrize("root", [1, 3, 6])
+    def test_subtree_tiles_match_whole_levels(self, root):
+        levels = _block_levels(substream(4).standard_normal((2, 64)))
+        for r in (1.0, 2.0, 3.0, math.inf):
+            rule = _Exponent(r, "variation")
+            whole = _level_variation(levels, rule)
+            assert np.array_equal(_tiled_variation(levels, rule, root), whole)
+
+    def test_deep_trials_match_one_tile(self, monkeypatch):
+        # depth 18 runs in subtrees of 2^17 leaves, or whole at 2^20 cells
+        tiled = lepingle_stat(2, 3, 18, 2, 5)
+        monkeypatch.setattr(seminorms, "_TILE_CELLS", 1 << 20)
+        assert lepingle_stat(2, 3, 18, 2, 5) == tiled
+
+    @pytest.mark.parametrize("depth, trials", [
+        (2.5, 3), (4.0, 3), ("4", 3), (4, 2.5), (4, 0), (4, 10**6 + 1), (2, 10**13),
+    ])
+    def test_rejects_bad_counts(self, depth, trials):
+        with pytest.raises(ValueError, match="must be an integer"):
+            lepingle_stat(2, 3, depth, trials, 1)
+
+    def test_numpy_integer_counts(self):
+        assert lepingle_stat(2, 3, np.int64(4), np.int32(3), 1) == lepingle_stat(2, 3, 4, 3, 1)
 
     def test_sqrt_depth_ceiling(self):
         stat = lepingle_stat(2, 3, 10, 50, 11)
