@@ -26,10 +26,13 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 def resolve_threads(requested: int | None = None) -> int:
     """Worker count: CIRCLE_LAB_THREADS env var wins, then `requested`,
-    then available parallelism.  A count that is not an integer >= 1
-    raises ValueError naming where it came from."""
+    then the CPUs this process may run on (its affinity set, where the
+    platform reports one).  A count that is not an integer >= 1 raises
+    ValueError naming where it came from."""
     env = os.environ.get("CIRCLE_LAB_THREADS")
     if not env and requested is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     name, value = ("CIRCLE_LAB_THREADS", env) if env else ("threads", requested)
     try:

@@ -328,27 +328,11 @@ def _block_levels(g_values: np.ndarray) -> list[np.ndarray]:
 
 
 # Leaf cells per work item of lepingle_stat: level arrays of 2^17 float64
-# cells stay near the size of one core's L2 cache.
+# cells stay near the size of one core's L2 cache.  A deeper trial is one
+# work item on its own.
 _TILE_CELLS = 1 << 17
 # Largest trial count lepingle_stat accepts (the ratios alone are 8 MB).
 _MAX_TRIALS = 10**6
-
-
-def _tiled_variation(levels: list[np.ndarray], rule: _Exponent, root: int) -> np.ndarray:
-    """_level_variation of martingale levels (B, 2^n), n = 0..depth, one
-    subtree at a time.  The tile under node k of level `root` runs the DP on
-    its root path (one cell per level up to `root`) and its own slices
-    below, since a node's DP state depends only on its ancestors; tiles are
-    written in natural order, so the result is the whole-level DP bit for bit."""
-    out = np.empty(levels[-1].shape)
-    width = out.shape[1] >> root
-    for k in range(1 << root):
-        tile = []
-        for n, lev in enumerate(levels):
-            lo = (k << n) >> root
-            tile.append(lev[:, lo : lo + (1 << max(0, n - root))])
-        out[:, k * width : (k + 1) * width] = _level_variation(tile, rule)
-    return out
 
 
 def lepingle_stat(
@@ -361,9 +345,9 @@ def lepingle_stat(
     r <= 2 the same statistic is computed but flagged, since no uniform bound
     is claimed there.  r = inf gives the largest increment between levels.
 
-    Trial t draws from ``substream(seed, t)``.  Work items of at most
-    _TILE_CELLS leaf cells (runs of trials, or one deep trial in subtree
-    tiles) go through ``parallel_map`` on `threads` workers
+    Trial t draws from ``substream(seed, t)``.  Work items (runs of
+    consecutive trials with at most _TILE_CELLS leaf cells in all, or one
+    deeper trial) go through ``parallel_map`` on `threads` workers
     (CIRCLE_LAB_THREADS wins); the result never depends on either.
     """
     rule = _Exponent(r, "variation")
@@ -376,7 +360,6 @@ def lepingle_stat(
     if not isinstance(trials, Integral) or not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an integer in 1..{_MAX_TRIALS}, got {trials!r}")
     q = 1 << depth
-    leaves = min(depth, _TILE_CELLS.bit_length() - 1)  # log2 of a tile's leaf count
     step = max(1, _TILE_CELLS >> depth)  # trials per work item
 
     def chunk(start: int) -> np.ndarray:
@@ -384,7 +367,7 @@ def lepingle_stat(
         for t, row in enumerate(gs, start):
             substream(seed, t).standard_normal(out=row)
         levels = _block_levels(gs)
-        vr = _tiled_variation(levels, rule, depth - leaves)  # (B, Q)
+        vr = _level_variation(levels, rule)  # (B, Q)
         num = (np.abs(vr) ** p).mean(axis=1) ** (1.0 / p)
         den = np.stack(
             [(np.abs(lev) ** p).mean(axis=1) ** (1.0 / p) for lev in levels]

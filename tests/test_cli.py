@@ -1,8 +1,10 @@
 import json
 import math
+import os
 
 import pytest
 
+from circle_lab._util import resolve_threads
 from circle_lab.cli import RunConfig, _emit, main, run
 from circle_lab.polyavg import IntPolynomial, Signal
 
@@ -425,3 +427,11 @@ class TestThreads:
         two = run_json(capsys, *LEPINGLE, "--threads", "2")
         assert one["config"]["threads"] == 1 and two["config"]["threads"] == 2
         assert one["result"] == two["result"]
+
+    def test_default_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert resolve_threads() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_threads() == 64

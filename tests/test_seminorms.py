@@ -13,7 +13,6 @@ from circle_lab.seminorms import (
     _block_levels,
     _Exponent,
     _level_variation,
-    _tiled_variation,
     jump_count,
     lacunary,
     lepingle_stat,
@@ -359,8 +358,8 @@ class TestLepingle:
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0, math.inf])
     def test_tile_and_thread_invariance(self, monkeypatch, r):
-        # work items of 1 and 16 leaf cells split trials into subtree tiles
-        # (up to 512 of them at depth 9); none of it may move a bit
+        # work items of 1 and 16 leaf cells split the trials into one item
+        # each, or into uneven runs at depths 0-3; none of it may move a bit
         default = seminorms._TILE_CELLS
         want = [lepingle_stat(2, r, depth, 3, 11, threads=1) for depth in range(10)]
         for tile, threads, env in (
@@ -384,19 +383,11 @@ class TestLepingle:
         assert lepingle_stat(2, 3, 9, 600, 11, threads=2) == a
         assert lepingle_stat(2, 3, 9, 600, 11, threads=4) == a
 
-    @pytest.mark.parametrize("root", [1, 3, 6])
-    def test_subtree_tiles_match_whole_levels(self, root):
-        levels = _block_levels(substream(4).standard_normal((2, 64)))
-        for r in (1.0, 2.0, 3.0, math.inf):
-            rule = _Exponent(r, "variation")
-            whole = _level_variation(levels, rule)
-            assert np.array_equal(_tiled_variation(levels, rule, root), whole)
-
-    def test_deep_trials_match_one_tile(self, monkeypatch):
-        # depth 18 runs in subtrees of 2^17 leaves, or whole at 2^20 cells
-        tiled = lepingle_stat(2, 3, 18, 2, 5)
+    def test_deep_trials_match_one_item(self, monkeypatch):
+        # depth 18 runs one trial per item, or both in one item at 2^20 cells
+        split = lepingle_stat(2, 3, 18, 2, 5)
         monkeypatch.setattr(seminorms, "_TILE_CELLS", 1 << 20)
-        assert lepingle_stat(2, 3, 18, 2, 5) == tiled
+        assert lepingle_stat(2, 3, 18, 2, 5) == split
 
     @pytest.mark.parametrize("depth, trials", [
         (2.5, 3), (4.0, 3), ("4", 3), (4, 2.5), (4, 0), (4, 10**6 + 1), (2, 10**13),
