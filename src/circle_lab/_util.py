@@ -18,8 +18,15 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
     Splitting rule: ``SeedSequence(entropy=seed, spawn_key=key)``.  The
     stream depends only on (seed, key), never on scheduling order, so
-    parallel scans reproduce serial runs bit for bit.
+    parallel scans reproduce serial runs bit for bit.  A seed that is not
+    a non-negative integer raises ValueError.
     """
+    try:
+        valid = operator.index(seed) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.default_rng(ss)
 

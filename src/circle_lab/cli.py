@@ -4,12 +4,18 @@ Every subcommand resolves its parameters into a RunConfig, runs one library
 call, and emits a JSON report (or CSV where that is the natural shape).
 Reports embed the resolved config and a schema tag; reruns with the same
 arguments are byte-identical unless --timestamp is requested.
+
+Each subcommand is declared once, by the `command` decorator on its
+handler: name, help line and flags.  The parser is built from that registry
+on first use and reused for the life of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -25,9 +31,11 @@ from . import (
     FiniteSystem,
     IntPolynomial,
     PipelineConfig,
+    RealSequence,
     ReducedFraction,
     Signal,
     arc_split,
+    average_linear,
     average_series,
     canonical_fractions,
     complete_sum,
@@ -35,6 +43,7 @@ from . import (
     convergence_diagnostic,
     discrepancy,
     dyadic_arcs,
+    eta,
     jump_count,
     kernel_l1_bound,
     lacunary,
@@ -53,6 +62,7 @@ from . import (
     weyl_sum,
 )
 from ._util import substream
+from .expsums import scan_arcs
 
 SCHEMA = "circle-lab/1"
 
@@ -106,10 +116,6 @@ def _emit(config: RunConfig, result: dict, csv_text: str | None = None) -> None:
     _write(text, config.out_path)
 
 
-def _poly(text: str) -> IntPolynomial:
-    return IntPolynomial.parse(text)
-
-
 def _fraction(text: str) -> ReducedFraction:
     a, q = text.split("/")
     return ReducedFraction.reduce(int(a), int(q))
@@ -117,7 +123,7 @@ def _fraction(text: str) -> ReducedFraction:
 
 def _theta(text: str) -> float:
     named = {"sqrt2": math.sqrt(2.0), "golden": (1.0 + math.sqrt(5.0)) / 2.0}
-    return named.get(text, None) if text in named else float(text)
+    return named[text] if text in named else float(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -154,11 +160,62 @@ def _read_sequence(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(labels), np.array(vals)
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
+def _scale_pair(cfg: RunConfig) -> tuple[bool, tuple]:
+    """(True, (l, m)) from --dyadic l,m, else (False, (n1, n2)) from --n1
+    and --n2."""
+    p = cfg.params
+    if p.get("dyadic"):
+        l, m = p["dyadic"]
+        return True, (l, m)
+    if p.get("n1") is None or p.get("n2") is None:
+        raise ValueError(f"{cfg.subcommand} needs either --n1 and --n2 or --dyadic l,m")
+    return False, (p["n1"], p["n2"])
 
 
+def _powers_of_two(p: dict) -> list[int]:
+    """The N = 2^k between --nmin and --nmax."""
+    return [2**k for k in range(int(math.log2(p["nmin"])), int(math.log2(p["nmax"])) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Command registry: each subcommand's name, help line, flags and handler
+# ---------------------------------------------------------------------------
+
+# name -> (help line, flags, handler), in the parser's order
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _arg(*names: str, **kw) -> tuple:
+    return names, kw
+
+
+# every subcommand takes these, after its own flags
+_COMMON = (
+    _arg("--out", default="-", help="output path, - for stdout"),
+    _arg("--format", choices=("json", "csv"), default="json"),
+    _arg("--timestamp", action="store_true", help="embed a wall-clock stamp"),
+)
+# resolved by _scale_pair
+_SCALES = (
+    _arg("--n1", type=float),
+    _arg("--n2", type=float),
+    _arg("--dyadic", type=_int_list, help="l,m"),
+)
+
+
+def _command(name: str, help: str, *flags: tuple):
+    """Register the decorated handler as subcommand `name`, whose own flags
+    are `flags` (each an `_arg(...)`)."""
+
+    def register(handler):
+        _COMMANDS[name] = (help, flags, handler)
+        return handler
+
+    return register
+
+
+@_command("fractions", "canonical fractions up to a denominator bound",
+          _arg("--n1", type=float, required=True))
 def _cmd_fractions(cfg: RunConfig) -> None:
     fracs = canonical_fractions(cfg.params["n1"])
     rows = [
@@ -170,20 +227,18 @@ def _cmd_fractions(cfg: RunConfig) -> None:
     _emit(cfg, {"count": len(rows), "fractions": rows}, csv_text)
 
 
+@_command("arcs", "arc system geometry", *_SCALES)
 def _cmd_arcs(cfg: RunConfig) -> None:
-    p = cfg.params
-    if p.get("dyadic"):
-        l, m = p["dyadic"]
-        bundle = dyadic_arcs(DyadicScale(l, m))
+    dyadic, (a, b) = _scale_pair(cfg)
+    if dyadic:
+        bundle = dyadic_arcs(DyadicScale(a, b))
         system = bundle.system
         extra = {
             "shell_intervals": [list(iv) for iv in bundle.shell.intervals],
             "shell_refined_intervals": [list(iv) for iv in bundle.shell_refined.intervals],
         }
     else:
-        if p.get("n1") is None or p.get("n2") is None:
-            raise ValueError("arcs needs either --n1 and --n2 or --dyadic l,m")
-        system = ArcSystem(p["n1"], p["n2"])
+        system = ArcSystem(a, b)
         extra = {}
     result = {
         "centers": [str(fr) for fr in system.centers],
@@ -195,13 +250,25 @@ def _cmd_arcs(cfg: RunConfig) -> None:
     _emit(cfg, result)
 
 
+@_command("weyl-scan", "minor-arc decay scan of |m_N|",
+          _arg("--poly", required=True),
+          _arg("--nmin", type=int, default=64),
+          _arg("--nmax", type=int, default=4096),
+          _arg("--ns", type=_int_list, help="explicit N list"),
+          _arg("--eps", type=float, default=0.125),
+          _arg("--bigc", type=float, default=1.0),
+          _arg("--samples", type=int, default=2000),
+          _arg("--seed", type=int, default=7),
+          _arg("--fixed-halfwidth", type=float),
+          _arg("--grid-oracle", type=int),
+          _arg("--csv", help="also write the (N, sup_abs) table here"),
+          _arg("--threads", type=int))
 def _cmd_weyl_scan(cfg: RunConfig) -> None:
     p = cfg.params
-    ns = p.get("ns") or [
-        2**k for k in range(int(math.log2(p["nmin"])), int(math.log2(p["nmax"])) + 1)
-    ]
+    poly = IntPolynomial.parse(p["poly"])
+    ns = p.get("ns") or _powers_of_two(p)
     report = weyl_decay_scan(
-        _poly(p["poly"]),
+        poly,
         ns,
         p["eps"],
         p["bigc"],
@@ -212,9 +279,6 @@ def _cmd_weyl_scan(cfg: RunConfig) -> None:
     )
     result = report.to_dict()
     if p.get("grid_oracle"):
-        from .expsums import scan_arcs
-
-        poly = _poly(p["poly"])
         n0 = ns[0]
         arcs = scan_arcs(n0, poly.degree, p["eps"], p["bigc"], p.get("fixed_halfwidth"))
         result["grid_oracle"] = {
@@ -228,9 +292,13 @@ def _cmd_weyl_scan(cfg: RunConfig) -> None:
         _write(csv_text, p["csv"])
 
 
+@_command("gauss", "complete rational sums",
+          _arg("--poly", required=True),
+          _arg("--den", type=int, required=True),
+          _arg("--num", type=int))
 def _cmd_gauss(cfg: RunConfig) -> None:
     p = cfg.params
-    poly = _poly(p["poly"])
+    poly = IntPolynomial.parse(p["poly"])
     q = p["den"]
     nums = [p["num"]] if p.get("num") is not None else [
         a for a in range(q) if math.gcd(a, q) == 1 or (a == 0 and q == 1)
@@ -242,18 +310,33 @@ def _cmd_gauss(cfg: RunConfig) -> None:
     _emit(cfg, {"values": rows})
 
 
+@_command("mfrak", "oscillatory integral multiplier",
+          _arg("--poly", required=True),
+          _arg("--n", type=int, required=True),
+          _arg("--xi", type=float, required=True))
 def _cmd_mfrak(cfg: RunConfig) -> None:
     p = cfg.params
-    val = continuous_multiplier(_poly(p["poly"]), p["n"], p["xi"])
+    val = continuous_multiplier(IntPolynomial.parse(p["poly"]), p["n"], p["xi"])
     _emit(cfg, {"re": val.real, "im": val.imag, "abs": abs(val)})
 
 
+@_command("lemma1", "rational approximation residual",
+          _arg("--poly", required=True),
+          _arg("--n", type=int),
+          _arg("--frac"),
+          _arg("--xi", type=float),
+          _arg("--bigm", type=float),
+          _arg("--sweep", action="store_true"),
+          _arg("--nmin", type=int, default=64),
+          _arg("--nmax", type=int, default=1024),
+          _arg("--lmax", type=int, default=4),
+          _arg("--samples", type=int, default=100),
+          _arg("--seed", type=int, default=3))
 def _cmd_lemma1(cfg: RunConfig) -> None:
     p = cfg.params
-    poly = _poly(p["poly"])
+    poly = IntPolynomial.parse(p["poly"])
     if p.get("sweep"):
-        ns = [2**k for k in range(int(math.log2(p["nmin"])), int(math.log2(p["nmax"])) + 1)]
-        sweep = lemma1_grid_sweep(poly, ns, p["lmax"], p["samples"], p["seed"])
+        sweep = lemma1_grid_sweep(poly, _powers_of_two(p), p["lmax"], p["samples"], p["seed"])
         result = {
             "degree": sweep["degree"],
             "max_ratio": sweep["max_ratio"],
@@ -271,16 +354,17 @@ def _cmd_lemma1(cfg: RunConfig) -> None:
     _emit(cfg, result)
 
 
+@_command("project", "major-arc spectral projection",
+          _arg("--q", type=int, required=True),
+          *_SCALES,
+          _arg("--in", dest="infile"),
+          _arg("--seed", type=int),
+          _arg("--symbol-only", action="store_true"))
 def _cmd_project(cfg: RunConfig) -> None:
     p = cfg.params
     q = p["q"]
-    if p.get("dyadic"):
-        l, m = p["dyadic"]
-        n1, n2 = 2.0**l, 2.0**m
-    elif p.get("n1") is None or p.get("n2") is None:
-        raise ValueError("project needs either --n1 and --n2 or --dyadic l,m")
-    else:
-        n1, n2 = p["n1"], p["n2"]
+    dyadic, (a, b) = _scale_pair(cfg)
+    n1, n2 = (2.0**a, 2.0**b) if dyadic else (a, b)
     if p.get("symbol_only"):
         sym = projection_symbol(q, n1, n2)
         csv_text = "frequency,symbol\n" + "".join(
@@ -293,20 +377,35 @@ def _cmd_project(cfg: RunConfig) -> None:
     _emit(cfg, {"signal": out.to_dict(), "l2_in": f.norm(2), "l2_out": out.norm(2)})
 
 
+@_command("remark2", "projection property suite",
+          _arg("--q", type=int, default=512),
+          _arg("--l", type=int, required=True),
+          _arg("--m", type=int, required=True),
+          _arg("--seed", type=int, default=0))
 def _cmd_remark2(cfg: RunConfig) -> None:
     p = cfg.params
     _emit(cfg, projection_property_report(p["q"], p["l"], p["m"], p["seed"]))
 
 
+@_command("split", "major/minor pipeline split",
+          _arg("--q", type=int, required=True),
+          _arg("--poly", required=True),
+          _arg("--n", type=int, required=True),
+          _arg("--alpha", type=float),
+          _arg("--c0", type=int, default=64),
+          _arg("--p0", type=int, default=4),
+          _arg("--p-values", type=_int_list, default=(2,)),  # immutable: the parser is shared
+          _arg("--in", dest="infile"),
+          _arg("--seed", type=int),
+          _arg("--save-prefix"))
 def _cmd_split(cfg: RunConfig) -> None:
     p = cfg.params
-    poly = _poly(p["poly"])
+    poly = IntPolynomial.parse(p["poly"])
     pipeline = PipelineConfig(
         alpha=p["alpha"] if p.get("alpha") is not None else PipelineConfig.desk(poly.degree).alpha,
         c0=p["c0"],
         p0=p["p0"],
         degree=poly.degree,
-        tau=p["tau"],
     )
     f = _read_signal(p.get("infile"), p["q"], p.get("seed"))
     major, minor, report = arc_split(f, poly, p["n"], pipeline, p_values=p["p_values"])
@@ -316,6 +415,13 @@ def _cmd_split(cfg: RunConfig) -> None:
     _emit(cfg, report)
 
 
+@_command("probe-lp", "lower bound for projection p-norms",
+          _arg("--q", type=int, default=512),
+          _arg("--l", type=int, required=True),
+          _arg("--m", type=int, required=True),
+          _arg("--p", type=float, required=True),
+          _arg("--trials", type=int, default=8),
+          _arg("--seed", type=int, default=0))
 def _cmd_probe_lp(cfg: RunConfig) -> None:
     p = cfg.params
     op = projection_op(2.0 ** p["l"], 2.0 ** p["m"])
@@ -332,33 +438,31 @@ def _cmd_probe_lp(cfg: RunConfig) -> None:
     )
 
 
-def _cmd_variation(cfg: RunConfig) -> None:
-    p = cfg.params
-    labels, vals = _read_sequence(p["infile"])
-    from .seminorms import RealSequence
+def _seminorm(name: str, fn, flags: dict) -> None:
+    """Register `name`: fn(sequence, **params) on a CSV sequence, where each
+    flag --k in `flags` (flag -> type) supplies the keyword k."""
 
-    rep = variation(RealSequence(vals, labels), p["r"])
-    _emit(cfg, rep.to_dict())
-
-
-def _cmd_jumps(cfg: RunConfig) -> None:
-    p = cfg.params
-    labels, vals = _read_sequence(p["infile"])
-    from .seminorms import RealSequence
-
-    rep = jump_count(RealSequence(vals, labels), p["lam"])
-    _emit(cfg, rep.to_dict())
+    @_command(name, f"{name} seminorm of a CSV sequence",
+              *(_arg(flag, type=typ, required=True) for flag, typ in flags.items()),
+              _arg("--in", dest="infile", default="-"))
+    def handler(cfg: RunConfig) -> None:
+        labels, vals = _read_sequence(cfg.params["infile"])
+        kw = {flag[2:]: cfg.params[flag[2:]] for flag in flags}
+        _emit(cfg, fn(RealSequence(vals, labels), **kw).to_dict())
 
 
-def _cmd_oscillation(cfg: RunConfig) -> None:
-    p = cfg.params
-    labels, vals = _read_sequence(p["infile"])
-    from .seminorms import RealSequence
-
-    rep = oscillation(RealSequence(vals, labels), p["anchors"], p["r"])
-    _emit(cfg, rep.to_dict())
+_seminorm("variation", variation, {"--r": float})
+_seminorm("jumps", jump_count, {"--lam": float})
+_seminorm("oscillation", oscillation, {"--r": float, "--anchors": _int_list})
 
 
+@_command("lepingle", "martingale variation ratio statistics",
+          _arg("--p", type=float, default=2.0),
+          _arg("--r", type=float, default=3.0),
+          _arg("--depth", type=int, default=10),
+          _arg("--trials", type=int, default=500),
+          _arg("--seed", type=int, default=11),
+          _arg("--threads", type=int))
 def _cmd_lepingle(cfg: RunConfig) -> None:
     p = cfg.params
     stat = lepingle_stat(
@@ -367,10 +471,23 @@ def _cmd_lepingle(cfg: RunConfig) -> None:
     _emit(cfg, stat)
 
 
+@_command("ergodic", "average series diagnostics on a cyclic shift",
+          _arg("--mod", type=int, required=True),
+          _arg("--shift", type=int, required=True),
+          _arg("--poly", required=True),
+          _arg("--tau", type=float, default=2.0),
+          _arg("--nmax", type=int, required=True),
+          _arg("--r", type=float, default=2.0),
+          _arg("--tail-start", type=int),
+          _arg("--uniform-from", type=int, default=0),
+          _arg("--point", type=int, help="emit the label,re,im series at this x"),
+          _arg("--in", dest="infile"),
+          _arg("--seed", type=int),
+          _arg("--csv"))
 def _cmd_ergodic(cfg: RunConfig) -> None:
     p = cfg.params
     sys_ = FiniteSystem(p["mod"], p["shift"])
-    poly = _poly(p["poly"])
+    poly = IntPolynomial.parse(p["poly"])
     f = _read_signal(p.get("infile"), p["mod"], p.get("seed"))
     m = p.get("uniform_from", 0)
     ns = [n for n in lacunary(p["tau"], p["nmax"]) if n > m]  # windows (M, N] need N > M
@@ -401,130 +518,118 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
         _write(csv_text, p["csv"])
 
 
+@_command("discrepancy", "star discrepancy of polynomial orbits",
+          _arg("--poly", required=True),
+          _arg("--theta", type=_theta, required=True),
+          _arg("--ns", type=_int_list, required=True))
 def _cmd_discrepancy(cfg: RunConfig) -> None:
     p = cfg.params
-    rep = discrepancy(_poly(p["poly"]), p["theta"], p["ns"])
+    rep = discrepancy(IntPolynomial.parse(p["poly"]), p["theta"], p["ns"])
     csv_text = "n,d_star\n" + "".join(f"{n},{d!r}\n" for n, d in rep.entries)
     _emit(cfg, rep.to_dict(), csv_text)
 
 
-def _cmd_selftest(cfg: RunConfig) -> None:
-    failures = []
+# ---------------------------------------------------------------------------
+# Embedded self test: small references of its own, so that an installed
+# package can check itself without tests/
+# ---------------------------------------------------------------------------
 
-    def check(name: str, ok: bool) -> None:
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
+_SQUARE = IntPolynomial((0, 0, 1))
 
-    import itertools
 
-    # Farey counts vs independent totient sums
+def _farey_totient() -> bool:
+    """Farey counts vs independent totient sums."""
     phi = lambda q: sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
-    ok = all(
+    return all(
         len(canonical_fractions(n)) == 1 + sum(phi(q) for q in range(2, n + 1))
         for n in range(1, 31)
     )
-    check("farey-totient-identity", ok)
 
-    # Gauss magnitudes
-    sq = IntPolynomial((0, 0, 1))
-    ok = all(
-        abs(abs(complete_sum(sq, ReducedFraction(a, p_))) - p_**-0.5) < 1e-9
-        for p_ in (3, 5, 7, 11, 13)
-        for a in range(1, p_)
+
+def _gauss_magnitude() -> bool:
+    return all(
+        abs(abs(complete_sum(_SQUARE, ReducedFraction(a, p))) - p**-0.5) < 1e-9
+        for p in (3, 5, 7, 11, 13)
+        for a in range(1, p)
     )
-    check("gauss-magnitude", ok)
 
-    # FFT convolution vs the literal sum of f(x - k^2) over k = 1..37
-    from .polyavg import average_linear
 
+def _convolution_oracle() -> bool:
+    """FFT convolution vs the literal sum of f(x - k^2) over k = 1..37."""
     rng = substream(0)
     ok = True
     for q in (64, 257):
         f = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
         idx = (np.arange(q)[:, None] - np.arange(1, 38) ** 2) % q
         literal = f.values[idx].mean(axis=1)
-        ok &= np.linalg.norm(average_linear(sq, 37, f).values - literal) <= 1e-9 * f.norm(2)
-    check("convolution-oracle", ok)
+        ok &= np.linalg.norm(average_linear(_SQUARE, 37, f).values - literal) <= 1e-9 * f.norm(2)
+    return ok
 
-    # seminorm DP vs brute force on short sequences
-    from .seminorms import RealSequence
 
-    def brute_var(vals, r):
-        best = 0.0
-        n = len(vals)
-        for size in range(2, n + 1):
-            for idx in itertools.combinations(range(n), size):
-                s = sum(
-                    abs(vals[b] - vals[a]) ** r for a, b in zip(idx, idx[1:])
-                )
-                best = max(best, s)
-        return best ** (1.0 / r)
+def _brute_variation(vals, r: float) -> float:
+    """r-variation as the largest r-sum over every subsequence."""
+    best = 0.0
+    for size in range(2, len(vals) + 1):
+        for idx in itertools.combinations(range(len(vals)), size):
+            best = max(best, sum(abs(vals[b] - vals[a]) ** r for a, b in zip(idx, idx[1:])))
+    return best ** (1.0 / r)
 
-    ok = True
-    for t in range(10):
-        vals = substream(1, t).standard_normal(7)
-        for r in (1.0, 2.0, 3.0):
-            ok &= abs(variation(vals, r).value - brute_var(vals, r)) < 1e-12
-    check("variation-brute-force", ok)
 
-    # cutoff bracket
-    from .multipliers import eta
+def _variation_brute_force() -> bool:
+    """Seminorm DP vs brute force on short sequences."""
+    samples = [substream(1, t).standard_normal(7) for t in range(10)]
+    return all(
+        abs(variation(vals, r).value - _brute_variation(vals, r)) < 1e-12
+        for vals in samples
+        for r in (1.0, 2.0, 3.0)
+    )
 
-    ok = eta(0.2) == 1.0 and eta(0.6) == 0.0 and 0.0 < eta(0.35) < 1.0
-    check("cutoff-bracket", ok)
 
-    # projection structure
+def _projection_structure() -> bool:
     r2 = projection_property_report(256, 2, -6, 5)
-    ok = (
+    return (
         r2["self_adjoint_gap"] < 1e-9
         and r2["l2_contraction_ratio"] <= 1.0 + 1e-12
         and r2["support_leak"] < 1e-10
         and r2["reproduction_gap"] < 1e-10
     )
-    check("projection-structure", ok)
 
-    # weyl values
-    ok = (
-        abs(weyl_sum(sq, 17, 0.0) - 1.0) < 1e-15
-        and abs(weyl_sum(sq, 2, ReducedFraction(1, 2))) < 1e-15
-    )
-    check("weyl-values", ok)
 
+_SELFTEST = [
+    ("farey-totient-identity", _farey_totient),
+    ("gauss-magnitude", _gauss_magnitude),
+    ("convolution-oracle", _convolution_oracle),
+    ("variation-brute-force", _variation_brute_force),
+    ("cutoff-bracket", lambda: eta(0.2) == 1.0 and eta(0.6) == 0.0 and 0.0 < eta(0.35) < 1.0),
+    ("projection-structure", _projection_structure),
+    (
+        "weyl-values",
+        lambda: abs(weyl_sum(_SQUARE, 17, 0.0) - 1.0) < 1e-15
+        and abs(weyl_sum(_SQUARE, 2, ReducedFraction(1, 2))) < 1e-15,
+    ),
+]
+
+
+@_command("selftest", "quick verification battery")
+def _cmd_selftest(cfg: RunConfig) -> None:
+    failures = []
+    for name, check in _SELFTEST:
+        ok = check()
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
+        if not ok:
+            failures.append(name)
     _emit(cfg, {"failures": failures, "passed": not failures})
     if failures:
         raise SystemExit(1)
 
 
-_HANDLERS = {
-    "fractions": _cmd_fractions,
-    "arcs": _cmd_arcs,
-    "weyl-scan": _cmd_weyl_scan,
-    "gauss": _cmd_gauss,
-    "mfrak": _cmd_mfrak,
-    "lemma1": _cmd_lemma1,
-    "project": _cmd_project,
-    "remark2": _cmd_remark2,
-    "split": _cmd_split,
-    "probe-lp": _cmd_probe_lp,
-    "variation": _cmd_variation,
-    "jumps": _cmd_jumps,
-    "oscillation": _cmd_oscillation,
-    "lepingle": _cmd_lepingle,
-    "ergodic": _cmd_ergodic,
-    "discrepancy": _cmd_discrepancy,
-    "selftest": _cmd_selftest,
-}
-
-
 def run(config: RunConfig) -> int:
     """Dispatch a resolved config; nonzero exit on violated preconditions."""
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
+    if config.subcommand not in _COMMANDS:
         print(f"error: unknown subcommand {config.subcommand!r}", file=sys.stderr)
         return 2
     try:
-        handler(config)
+        _COMMANDS[config.subcommand][2](config)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -533,172 +638,31 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default="-", help="output path, - for stdout")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--timestamp", action="store_true", help="embed a wall-clock stamp")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every registered subcommand, built once per process;
+    every caller shares it."""
     parser = argparse.ArgumentParser(
         prog="circle-lab",
         description="exponential sums, arc systems, Fourier multipliers, and "
         "variational seminorms on finite models",
     )
     sp = parser.add_subparsers(dest="command", required=True)
-
-    s = sp.add_parser("fractions", help="canonical fractions up to a denominator bound")
-    s.add_argument("--n1", type=float, required=True)
-    _add_common(s)
-
-    s = sp.add_parser("arcs", help="arc system geometry")
-    s.add_argument("--n1", type=float)
-    s.add_argument("--n2", type=float)
-    s.add_argument("--dyadic", type=_int_list, help="l,m")
-    _add_common(s)
-
-    s = sp.add_parser("weyl-scan", help="minor-arc decay scan of |m_N|")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--nmin", type=int, default=64)
-    s.add_argument("--nmax", type=int, default=4096)
-    s.add_argument("--ns", type=_int_list, help="explicit N list")
-    s.add_argument("--eps", type=float, default=0.125)
-    s.add_argument("--bigc", type=float, default=1.0)
-    s.add_argument("--samples", type=int, default=2000)
-    s.add_argument("--seed", type=int, default=7)
-    s.add_argument("--fixed-halfwidth", type=float, dest="fixed_halfwidth")
-    s.add_argument("--grid-oracle", type=int, dest="grid_oracle")
-    s.add_argument("--csv", help="also write the (N, sup_abs) table here")
-    s.add_argument("--threads", type=int)
-    _add_common(s)
-
-    s = sp.add_parser("gauss", help="complete rational sums")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--den", type=int, required=True)
-    s.add_argument("--num", type=int)
-    _add_common(s)
-
-    s = sp.add_parser("mfrak", help="oscillatory integral multiplier")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--xi", type=float, required=True)
-    _add_common(s)
-
-    s = sp.add_parser("lemma1", help="rational approximation residual")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--n", type=int)
-    s.add_argument("--frac")
-    s.add_argument("--xi", type=float)
-    s.add_argument("--bigm", type=float)
-    s.add_argument("--sweep", action="store_true")
-    s.add_argument("--nmin", type=int, default=64)
-    s.add_argument("--nmax", type=int, default=1024)
-    s.add_argument("--lmax", type=int, default=4)
-    s.add_argument("--samples", type=int, default=100)
-    s.add_argument("--seed", type=int, default=3)
-    _add_common(s)
-
-    s = sp.add_parser("project", help="major-arc spectral projection")
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--n1", type=float)
-    s.add_argument("--n2", type=float)
-    s.add_argument("--dyadic", type=_int_list, help="l,m")
-    s.add_argument("--in", dest="infile")
-    s.add_argument("--seed", type=int)
-    s.add_argument("--symbol-only", action="store_true", dest="symbol_only")
-    _add_common(s)
-
-    s = sp.add_parser("remark2", help="projection property suite")
-    s.add_argument("--q", type=int, default=512)
-    s.add_argument("--l", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
-    _add_common(s)
-
-    s = sp.add_parser("split", help="major/minor pipeline split")
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--poly", required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--c0", type=int, default=64)
-    s.add_argument("--p0", type=int, default=4)
-    s.add_argument("--tau", type=float, default=2.0)
-    s.add_argument("--p-values", type=_int_list, default=[2], dest="p_values")
-    s.add_argument("--in", dest="infile")
-    s.add_argument("--seed", type=int)
-    s.add_argument("--save-prefix", dest="save_prefix")
-    _add_common(s)
-
-    s = sp.add_parser("probe-lp", help="lower bound for projection p-norms")
-    s.add_argument("--q", type=int, default=512)
-    s.add_argument("--l", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--trials", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
-    _add_common(s)
-
-    for name, extra in (
-        ("variation", [("--r", float, True)]),
-        ("jumps", [("--lam", float, True)]),
-        ("oscillation", [("--r", float, True), ("--anchors", _int_list, True)]),
-    ):
-        s = sp.add_parser(name, help=f"{name} seminorm of a CSV sequence")
-        for flag, typ, req in extra:
-            s.add_argument(flag, type=typ, required=req)
-        s.add_argument("--in", dest="infile", default="-")
-        _add_common(s)
-
-    s = sp.add_parser("lepingle", help="martingale variation ratio statistics")
-    s.add_argument("--p", type=float, default=2.0)
-    s.add_argument("--r", type=float, default=3.0)
-    s.add_argument("--depth", type=int, default=10)
-    s.add_argument("--trials", type=int, default=500)
-    s.add_argument("--seed", type=int, default=11)
-    s.add_argument("--threads", type=int)
-    _add_common(s)
-
-    s = sp.add_parser("ergodic", help="average series diagnostics on a cyclic shift")
-    s.add_argument("--mod", type=int, required=True)
-    s.add_argument("--shift", type=int, required=True)
-    s.add_argument("--poly", required=True)
-    s.add_argument("--tau", type=float, default=2.0)
-    s.add_argument("--nmax", type=int, required=True)
-    s.add_argument("--r", type=float, default=2.0)
-    s.add_argument("--tail-start", type=int, dest="tail_start")
-    s.add_argument("--uniform-from", type=int, default=0, dest="uniform_from")
-    s.add_argument("--point", type=int, help="emit the label,re,im series at this x")
-    s.add_argument("--in", dest="infile")
-    s.add_argument("--seed", type=int)
-    s.add_argument("--csv")
-    _add_common(s)
-
-    s = sp.add_parser("discrepancy", help="star discrepancy of polynomial orbits")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--theta", type=_theta, required=True)
-    s.add_argument("--ns", type=_int_list, required=True)
-    _add_common(s)
-
-    s = sp.add_parser("selftest", help="quick verification battery")
-    _add_common(s)
-
+    for name, (help_line, flags, _) in _COMMANDS.items():
+        sub = sp.add_parser(name, help=help_line)
+        for names, kw in flags + _COMMON:
+            sub.add_argument(*names, **kw)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "out", "format", "timestamp") and v is not None
-    }
+    args = vars(build_parser().parse_args(argv))
     config = RunConfig(
-        subcommand=args.command,
-        params=params,
-        out_format=args.format,
-        out_path=args.out,
-        timestamp=args.timestamp,
+        subcommand=args.pop("command"),
+        out_format=args.pop("format"),
+        out_path=args.pop("out"),
+        timestamp=args.pop("timestamp"),
+        params={k: v for k, v in args.items() if v is not None},
     )
     return run(config)
 

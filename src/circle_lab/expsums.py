@@ -28,23 +28,29 @@ from .arcs import ArcSystem, ReducedFraction, TorusPoint, minor_sample, wrap_sig
 from .polyavg import IndexRange, IntPolynomial, _residues, kernel, spectrum
 
 
-def _phase_fracs(poly: IntPolynomial, xs: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """Fractional parts of xi * P(n) for every point xi in xs (rows) and
-    every n in ns (columns): the library's one real Horner loop.
-
-    Each coefficient is first reduced exactly against the binary value of
-    xi = num/den (den a power of two): frac(xi * c) = (num * c mod den) / den
-    in integers, rounded once to a float.  The Horner recursion then reduces
-    mod 1 after each step, which is valid because multiplying by an integer
-    n preserves values mod 1.
-    """
+def _coef_fracs(coefficients: Sequence[int], xs: np.ndarray) -> np.ndarray:
+    """frac(xi * c) for every point xi in xs (rows) and every integer c in
+    `coefficients` (columns), reduced exactly against the binary value of
+    xi = num/den (den a power of two): (num * c mod den) / den in integers,
+    rounded once to a float.  A non-finite xi raises ValueError."""
     rows = []
     for x in np.asarray(xs, dtype=float).tolist():
         if not math.isfinite(x):
             raise ValueError(f"xi must be finite, got {x}")
         num, den = x.as_integer_ratio()
-        rows.append([(num * c % den) / den for c in poly.coefficients])
-    fracs = np.array(rows)
+        rows.append([(num * c % den) / den for c in coefficients])
+    return np.array(rows)
+
+
+def _phase_fracs(poly: IntPolynomial, xs: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Fractional parts of xi * P(n) for every point xi in xs (rows) and
+    every n in ns (columns): the library's one real Horner loop.
+
+    The coefficients are first reduced exactly against xi (`_coef_fracs`).
+    The Horner recursion then reduces mod 1 after each step, which is valid
+    because multiplying by an integer n preserves values mod 1.
+    """
+    fracs = _coef_fracs(poly.coefficients, xs)
     acc = fracs[:, -1:].repeat(ns.size, axis=1)
     for k in range(poly.degree - 1, -1, -1):
         acc = (acc * ns + fracs[:, k : k + 1]) % 1.0
@@ -184,7 +190,7 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     """mm_N at every offset in xs: the library's one mm_N evaluator.
 
     The constant term only turns the integral: mm_N(x) = e(x c0) times the
-    integral for P - c0, with e(x c0) reduced exactly by `_phase_fracs`, so
+    integral for P - c0, with e(x c0) reduced exactly by `_coef_fracs`, so
     a constant P gives e(x c0).  A binomial P = c0 + c n^d (d >= 1) leaves
     I(lam) = integral of e(lam t^d) over [0, 1], lam = x c N^d from the
     exact product, in closed form and at a cost that does not grow with lam:
@@ -203,13 +209,14 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float)
     c0, d = poly.coefficients[0], poly.degree
-    turn = np.exp(2j * math.pi * _phase_fracs(IntPolynomial((c0,)), xs, np.zeros(1)))[:, 0]
+    lead = poly.coefficients[-1] * n**d
+    fracs = _coef_fracs((c0, lead), xs)  # frac(x c0), frac(x lead)
+    turn = np.exp(2j * math.pi * fracs[:, 0])
     if d == 0:
         return turn
     if any(poly.coefficients[1:d]):
         rest = IntPolynomial((0,) + poly.coefficients[1:])
         return turn * np.array([_mm_legendre(rest, n, x) for x in xs.tolist()], complex)
-    lead = poly.coefficients[-1] * n**d
     lam = np.array([_times(x, lead) for x in xs.tolist()])
     mu = np.abs(lam)
     out = np.empty(xs.shape, dtype=complex)
@@ -224,7 +231,8 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     end = 1j * slope / (d * scale)
     neg = lam[big] < 0
     start[neg], end[neg] = start[neg].conj(), end[neg].conj()
-    spin = np.exp(2j * math.pi * _phase_fracs(IntPolynomial((0, lead)), xs, np.ones(1)))[big, 0]
+    # % 1.0 as in `_phase_fracs`: a fraction just below 1 may round to 1.0
+    spin = np.exp(2j * math.pi * (fracs[big, 1] % 1.0))
     out[big] = start - spin * end
     return turn * out
 

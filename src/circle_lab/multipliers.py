@@ -302,7 +302,6 @@ class PipelineConfig:
     c0: int
     p0: int
     degree: int
-    tau: float
 
     def __post_init__(self):
         limit = 1.0 / (1_000_000 * self.degree * self.p0)
@@ -312,15 +311,11 @@ class PipelineConfig:
             )
         if self.p0 < 2 or self.p0 % 2:
             raise ValueError("p0 must be an even integer >= 2")
-        if self.tau <= 1.0:
-            raise ValueError("tau must exceed 1")
         if self.c0 < 1:
             raise ValueError("c0 must be a positive integer")
 
     @classmethod
-    def desk(
-        cls, degree: int, p0: int = 4, tau: float = 2.0, c0: int = 64
-    ) -> "PipelineConfig":
+    def desk(cls, degree: int, p0: int = 4, c0: int = 64) -> "PipelineConfig":
         """Desk-scale defaults.
 
         alpha is half of 1e-7/(degree*p0).  The analysis that motivates the
@@ -328,9 +323,7 @@ class PipelineConfig:
         can touch; c0 = 64 keeps the same pipeline shape at reachable sizes,
         and the split identity holds for every N >= c0 regardless.
         """
-        return cls(
-            alpha=0.5e-7 / (degree * p0), c0=c0, p0=p0, degree=degree, tau=tau
-        )
+        return cls(alpha=0.5e-7 / (degree * p0), c0=c0, p0=p0, degree=degree)
 
     def low_scale(self, n: int) -> int:
         return math.floor(self.alpha * math.log2(n))

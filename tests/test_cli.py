@@ -5,7 +5,7 @@ import os
 import pytest
 
 from circle_lab._util import resolve_threads
-from circle_lab.cli import RunConfig, _emit, main, run
+from circle_lab.cli import RunConfig, _emit, build_parser, main, run
 from circle_lab.polyavg import IntPolynomial, Signal
 
 from oracles import fine_mm, fresnel_mm_square
@@ -173,6 +173,7 @@ class TestSubcommands:
             capsys, "split", "--q", "2048", "--poly", "0,0,1", "--n", "128", "--seed", "2",
         )
         assert 0.0 < doc["result"]["l2_ratio"] < 1.0
+        assert "tau" not in doc["config"]
 
     def test_probe_lp(self, capsys):
         doc = run_json(
@@ -316,6 +317,12 @@ class TestErrors:
             main(["fractions", "--bogus", "1"])
         assert exc.value.code != 0
 
+    def test_split_has_no_tau(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--q", "2048", "--poly", "0,0,1", "--n", "128", "--tau", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tau 2" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -363,6 +370,9 @@ class TestErrors:
         (("lepingle", "--depth", "2", "--trials", "10000000000000"), "trials must be an integer in 1..1000000"),
         (("lepingle", "--depth", "2", "--trials", "0"), "trials must be an integer"),
         (("lepingle", "--depth", "21", "--trials", "2"), "desk"),
+        (("lepingle", "--depth", "4", "--trials", "2", "--seed", "-1"), "seed must be a non-negative integer"),
+        (("weyl-scan", "--poly", "0,0,1", "--ns", "64", "--samples", "5", "--seed", "-1"), "seed must be a non-negative integer"),
+        (("project", "--q", "16", "--n1", "2", "--n2", "0.01", "--seed", "-1"), "seed must be a non-negative integer"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)
@@ -378,6 +388,12 @@ class TestErrors:
         with pytest.raises(ValueError):
             _emit(RunConfig("mfrak", {}), {"re": math.nan})
         assert capsys.readouterr().out == ""
+
+    def test_parser_built_once(self, capsys):
+        main(["fractions", "--n1", "2"])
+        main(["gauss", "--poly", "0,0,1", "--den", "3"])
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()
 
     def test_run_config_direct(self, capsys):
         code = run(RunConfig("fractions", {"n1": 2.0}))

@@ -236,20 +236,16 @@ class TestOperatorNorms:
 class TestPipelineConfig:
     def test_desk_defaults_valid(self):
         cfg = PipelineConfig.desk(degree=2)
-        assert cfg.p0 == 4 and cfg.tau == 2.0
+        assert cfg.p0 == 4 and cfg.c0 == 64 and cfg.degree == 2
         assert 0 < cfg.alpha < 1.0 / (1_000_000 * 2 * 4)
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError, match="alpha"):
-            PipelineConfig(alpha=1e-3, c0=64, p0=4, degree=2, tau=2.0)
+            PipelineConfig(alpha=1e-3, c0=64, p0=4, degree=2)
 
     def test_p0_must_be_even(self):
         with pytest.raises(ValueError, match="p0"):
-            PipelineConfig(alpha=1e-9, c0=64, p0=3, degree=2, tau=2.0)
-
-    def test_tau_above_one(self):
-        with pytest.raises(ValueError, match="tau"):
-            PipelineConfig(alpha=1e-9, c0=64, p0=4, degree=2, tau=1.0)
+            PipelineConfig(alpha=1e-9, c0=64, p0=3, degree=2)
 
     def test_scales(self):
         cfg = PipelineConfig.desk(degree=2)

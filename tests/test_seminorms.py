@@ -351,6 +351,13 @@ class TestLepingle:
         with pytest.raises(ValueError, match="desk"):
             lepingle_stat(2, 3, -1, 1, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            lepingle_stat(2, 3, 4, 2, seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            substream(seed, 0)
+
     def test_deterministic(self):
         a = lepingle_stat(2, 3, 6, 25, 11)
         b = lepingle_stat(2, 3, 6, 25, 11)
