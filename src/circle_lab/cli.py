@@ -165,8 +165,9 @@ def _scale_pair(cfg: RunConfig) -> tuple[bool, tuple]:
     and --n2."""
     p = cfg.params
     if p.get("dyadic"):
-        l, m = p["dyadic"]
-        return True, (l, m)
+        if len(p["dyadic"]) != 2:
+            raise ValueError(f"--dyadic l,m needs exactly two integers, got {p['dyadic']}")
+        return True, tuple(p["dyadic"])
     if p.get("n1") is None or p.get("n2") is None:
         raise ValueError(f"{cfg.subcommand} needs either --n1 and --n2 or --dyadic l,m")
     return False, (p["n1"], p["n2"])
@@ -174,6 +175,8 @@ def _scale_pair(cfg: RunConfig) -> tuple[bool, tuple]:
 
 def _powers_of_two(p: dict) -> list[int]:
     """The N = 2^k between --nmin and --nmax."""
+    if not 1 <= p["nmin"] <= p["nmax"]:
+        raise ValueError(f"need 1 <= --nmin <= --nmax, got --nmin {p['nmin']} --nmax {p['nmax']}")
     return [2**k for k in range(int(math.log2(p["nmin"])), int(math.log2(p["nmax"])) + 1)]
 
 
@@ -630,7 +633,7 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         _COMMANDS[config.subcommand][2](config)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # OSError: unreadable --in, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -76,13 +76,40 @@ def variation(seq, r: float) -> SeminormReport:
     """r-variation: sup over increasing subsequences t_0 < ... < t_J of
     (sum |a_(t_(j+1)) - a_(t_j)|^r)^(1/r); r = inf gives the largest
     single increment |a_t - a_s| over s < t."""
-    s = RealSequence.of(seq)
     rule = _Exponent(r, "variation")
+    val, top, witness = _chain(seq, rule.weigh)
+    return SeminormReport("variation", float(rule.root(val)[top]), witness, {"r": r})
+
+
+def jump_count(seq, lam: float) -> SeminormReport:
+    """Longest chain t_0 < ... < t_J with every consecutive difference of
+    modulus >= lambda; the value is J."""
+    if not lam > 0:
+        raise ValueError("jump threshold must be positive")
+
+    def weigh(mags: np.ndarray, prior: np.ndarray) -> bool:
+        # a jump extends the chain ending at j to prior + 1; -1 rules j out
+        jumps = mags >= lam
+        np.add(prior, 2.0, out=mags)
+        mags *= jumps
+        mags -= 1.0
+        return True
+
+    val, top, witness = _chain(seq, weigh)
+    return SeminormReport("jump", float(val[top]), witness, {"lambda": lam})
+
+
+def _chain(seq, weigh) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """Best chain t_0 < ... < t_J through seq.  weigh turns the increments
+    |a_i - a_j|, j < i, in place into chain values from those at j and says
+    whether it folded them in; value(i) is the first largest if > 0, else 0.
+    Returns the values, the best chain's end and its labels (the witness)."""
+    s = RealSequence.of(seq)
     a = s.values
     n = a.size
     val = np.zeros(n)
     back = np.full(n, -1, dtype=np.int64)
-    folds, weigh = True, rule.weigh
+    folds = True
     for i in range(1, n):
         cand = np.abs(a[i] - a[:i])
         folds = weigh(cand, val[:i])
@@ -96,34 +123,7 @@ def variation(seq, r: float) -> SeminormReport:
         path.insert(0, int(back[path[0]]))
         if not folds:  # an unfolded chain is worth its last increment alone
             break
-    witness = tuple(int(s.labels[i]) for i in path)
-    return SeminormReport("variation", float(rule.root(val)[top]), witness, {"r": r})
-
-
-def jump_count(seq, lam: float) -> SeminormReport:
-    """Longest chain t_0 < ... < t_J with every consecutive difference of
-    modulus >= lambda; the value is J."""
-    if not lam > 0:
-        raise ValueError("jump threshold must be positive")
-    s = RealSequence.of(seq)
-    a = s.values
-    n = a.size
-    jumps = np.zeros(n, dtype=np.int64)
-    back = np.full(n, -1, dtype=np.int64)
-    for i in range(1, n):
-        ok = np.flatnonzero(np.abs(a[i] - a[:i]) >= lam)
-        if ok.size:
-            j = ok[int(np.argmax(jumps[ok]))]
-            jumps[i] = jumps[j] + 1
-            back[i] = j
-    top = int(np.argmax(jumps))
-    path = [top]
-    while back[path[0]] >= 0:
-        path.insert(0, int(back[path[0]]))
-    if jumps[top] == 0:
-        path = [0]
-    witness = tuple(int(s.labels[i]) for i in path)
-    return SeminormReport("jump", float(jumps[top]), witness, {"lambda": lam})
+    return val, top, tuple(int(s.labels[i]) for i in path)
 
 
 def oscillation(seq, anchors: Sequence[int], r: float) -> SeminormReport:
@@ -260,10 +260,6 @@ class LacunarySet:
     tau: float
     bound: int
     elements: tuple[int, ...]
-
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.array(self.elements, dtype=np.int64)
 
     def __iter__(self):
         return iter(self.elements)

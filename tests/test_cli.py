@@ -373,10 +373,31 @@ class TestErrors:
         (("lepingle", "--depth", "4", "--trials", "2", "--seed", "-1"), "seed must be a non-negative integer"),
         (("weyl-scan", "--poly", "0,0,1", "--ns", "64", "--samples", "5", "--seed", "-1"), "seed must be a non-negative integer"),
         (("project", "--q", "16", "--n1", "2", "--n2", "0.01", "--seed", "-1"), "seed must be a non-negative integer"),
+        (("lemma1", "--poly", "0,0,1", "--sweep", "--nmin", "0"), "need 1 <= --nmin <= --nmax"),
+        (("weyl-scan", "--poly", "0,0,1", "--nmin", "0"), "need 1 <= --nmin <= --nmax"),
+        (("weyl-scan", "--poly", "0,0,1", "--nmax", "0"), "need 1 <= --nmin <= --nmax"),
+        (("lemma1", "--poly", "0,0,1", "--sweep", "--nmin", "2048", "--nmax", "1024"), "need 1 <= --nmin <= --nmax"),
+        (("arcs", "--dyadic", "1,2,3"), "--dyadic l,m needs exactly two integers"),
+        (("arcs", "--dyadic", "1"), "--dyadic l,m needs exactly two integers"),
+        (("project", "--q", "16", "--dyadic", "1"), "--dyadic l,m needs exactly two integers"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and word in err
+
+    @pytest.mark.parametrize("argv", [
+        ("variation", "--r", "2"),
+        ("jumps", "--lam", "1"),
+        ("oscillation", "--r", "2", "--anchors", "0,2"),
+        ("project", "--q", "16", "--n1", "2", "--n2", "0.01"),
+        ("split", "--q", "2048", "--poly", "0,0,1", "--n", "128"),
+        ("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--nmax", "64"),
+    ])
+    def test_missing_input_file_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing.csv"
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(path) in err
 
     def test_nan_jump_threshold_exits_2(self, capsys, tmp_path):
         path = tmp_path / "seq.csv"

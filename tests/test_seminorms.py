@@ -27,6 +27,8 @@ from oracles import brute_jump, brute_variation, martingale_levels, martingale_v
 finite_values = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=10
 )
+# integers in -2..2 are full of ties: equal increments, equal chain values
+tied_values = st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=10)
 
 
 def recompute_variation_witness(seq: RealSequence, report) -> float:
@@ -98,14 +100,14 @@ class TestVariation:
         rep = variation(seq, 1)
         assert rep.witness == (3, 10, 20)
 
-    @given(finite_values, st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    @given(st.one_of(finite_values, tied_values), st.sampled_from([1.0, 2.0, 3.0, math.inf]))
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force(self, vals, r):
         got = variation(np.array(vals), r).value
         want = brute_variation(vals, r)
         assert got == pytest.approx(want, abs=1e-12)
 
-    @given(finite_values)
+    @given(st.one_of(finite_values, tied_values))
     @settings(max_examples=60, deadline=None)
     def test_witness_reproduces_value(self, vals):
         seq = RealSequence(np.array(vals))
@@ -137,12 +139,12 @@ class TestJumpCount:
         with pytest.raises(ValueError, match="jump threshold"):
             jump_count([0.0, 1.0, 0.0], math.nan)
 
-    @given(finite_values, st.sampled_from([0.1, 0.5, 1.0]))
+    @given(st.one_of(finite_values, tied_values), st.sampled_from([0.1, 0.5, 1.0]))
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force(self, vals, lam):
         assert jump_count(np.array(vals), lam).value == brute_jump(vals, lam)
 
-    @given(finite_values)
+    @given(st.one_of(finite_values, tied_values))
     @settings(max_examples=60, deadline=None)
     def test_witness_chain_is_valid(self, vals):
         lam = 0.5
