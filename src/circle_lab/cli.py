@@ -174,10 +174,12 @@ def _scale_pair(cfg: RunConfig) -> tuple[bool, tuple]:
 
 
 def _powers_of_two(p: dict) -> list[int]:
-    """The N = 2^k between --nmin and --nmax."""
-    if not 1 <= p["nmin"] <= p["nmax"]:
-        raise ValueError(f"need 1 <= --nmin <= --nmax, got --nmin {p['nmin']} --nmax {p['nmax']}")
-    return [2**k for k in range(int(math.log2(p["nmin"])), int(math.log2(p["nmax"])) + 1)]
+    """The N = 2^k with --nmin <= N <= --nmax."""
+    lo, hi = p["nmin"], p["nmax"]
+    ks = range((lo - 1).bit_length(), hi.bit_length())
+    if not (1 <= lo <= hi and ks):
+        raise ValueError(f"need 1 <= --nmin <= --nmax around a power of two, got --nmin {lo} --nmax {hi}")
+    return [2**k for k in ks]
 
 
 # ---------------------------------------------------------------------------

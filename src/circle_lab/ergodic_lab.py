@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .polyavg import IntPolynomial, Signal, _averages, _residues, riesz_split
+from .expsums import _phases, _reduce
+from .polyavg import IntPolynomial, Signal, _averages, riesz_split
 from .seminorms import LacunarySet, _block_oscillation, _Exponent, variation_values
 
 
@@ -171,13 +171,14 @@ class DiscrepancyReport:
 
 
 def _orbit_fractions(poly: IntPolynomial, theta: float, n_max: int) -> np.ndarray:
-    """Fractional parts of P(n) * theta for n = 1..n_max, exact with respect
-    to the binary value of theta: with theta = num/den exactly, they are the
-    residues of num*P(n) mod den, divided by den."""
-    frac_theta = Fraction(theta)
-    num, den = frac_theta.numerator, frac_theta.denominator
-    scaled = IntPolynomial(num * c for c in poly.coefficients)
-    return np.asarray(_residues(scaled, n_max, den) / den, dtype=float)
+    """Fractional parts of P(n) * theta for n = 1..n_max from the exact
+    uint64 phases of `expsums._phases`: whenever the binary value of theta
+    is num/den with den <= 2^64, each is the exact residue of num*P(n) mod
+    den over den, rounded once."""
+    hi, lo = _reduce(poly.coefficients, np.array([theta]))
+    units = np.empty((1, n_max), dtype=np.uint64)
+    rest = _phases(hi, lo, np.arange(1, n_max + 1, dtype=np.uint64), units)
+    return (units[0] if rest is None else units[0] + rest[0]) * 2.0**-64
 
 
 def star_discrepancy(points: np.ndarray) -> float:

@@ -6,11 +6,13 @@ G(a/q)   = m_q(a/q), the complete rational sum
 mm_N(xi) = integral over t in [0,1] of e(xi * P(N*t)) dt
 
 Rational points reduce a*P(n) mod q exactly in integers (`polyavg._residues`)
-over n = 1..min(N, q).  Real points reduce every coefficient exactly against
-the binary value of xi and then run Horner recursion with a mod-1 reduction
-at every step, so the phase error does not grow with the size of P(n) or of
-its coefficients.  mm_N is in closed form for binomials c0 + c n^d and a
-composite Gauss-Legendre quadrature otherwise (`_mm_many`).
+over n = 1..min(N, q).  Real points go through one phase kernel (`_reduce`,
+`_phases`, `_expi`): every coefficient is reduced exactly against the binary
+value of xi to units of 2^-64 turn, and Horner recursion runs in uint64,
+whose wrap-around is exactly mod 1, so the phase is exact whenever xi's
+binary denominator is at most 2^64, for P(n) and coefficients of any size.
+mm_N is in closed form for binomials c0 + c n^d and a composite
+Gauss-Legendre quadrature otherwise (`_mm_many`).
 """
 
 from __future__ import annotations
@@ -28,33 +30,94 @@ from .arcs import ArcSystem, ReducedFraction, TorusPoint, minor_sample, wrap_sig
 from .polyavg import IndexRange, IntPolynomial, _residues, kernel, spectrum
 
 
-def _coef_fracs(coefficients: Sequence[int], xs: np.ndarray) -> np.ndarray:
-    """frac(xi * c) for every point xi in xs (rows) and every integer c in
-    `coefficients` (columns), reduced exactly against the binary value of
-    xi = num/den (den a power of two): (num * c mod den) / den in integers,
-    rounded once to a float.  A non-finite xi raises ValueError."""
-    rows = []
+# ---------------------------------------------------------------------------
+# Real-point phases: one exact uint64 kernel
+# ---------------------------------------------------------------------------
+
+_TILE_CELLS = 1 << 15  # (point, n) cells per tile: the scratch stays in cache
+_HALF_CELL = np.uint64(1 << 51)  # rounds the top 12 bits to the nearest table turn
+_RAD = 2.0 * math.pi * 2.0**-76  # radians per unit of a phase shifted left 12 bits
+_QUARTERS = (np.arange(4096) + 512) // 1024
+# e(k/4096) as i^q e(k/4096 - q/4) with q the nearest quarter turn: the
+# arguments stay within pi/4, and e(0), e(1/4), e(1/2), e(3/4) are exact
+_TABLE = np.array([1, 1j, -1, -1j])[_QUARTERS % 4] * np.exp(
+    0.5j * math.pi * (np.arange(4096) / 1024 - _QUARTERS)
+)
+
+
+def _reduce(coefficients: Sequence[int], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """frac(xi * c) in units of 2^-64 turn for every point xi in xs (rows) and
+    integer c in `coefficients` (columns): with xi = num/den exactly,
+    (num * c mod den) * 2^64 / den as uint64 units and a float rest in
+    [0, 1).  The rests are None when all are 0, as whenever den <= 2^64 (for
+    every |xi| >= 2^-11).  A non-finite xi raises ValueError."""
+    units, rests = [], []
     for x in np.asarray(xs, dtype=float).tolist():
         if not math.isfinite(x):
             raise ValueError(f"xi must be finite, got {x}")
         num, den = x.as_integer_ratio()
-        rows.append([(num * c % den) / den for c in coefficients])
-    return np.array(rows)
+        for c in coefficients:
+            unit, rest = divmod((num * c % den) << 64, den)
+            units.append(unit)
+            rests.append(rest / den)
+    shape = (-1, len(coefficients))
+    lo = np.array(rests).reshape(shape) if any(rests) else None
+    return np.array(units, dtype=np.uint64).reshape(shape), lo
 
 
-def _phase_fracs(poly: IntPolynomial, xs: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """Fractional parts of xi * P(n) for every point xi in xs (rows) and
-    every n in ns (columns): the library's one real Horner loop.
+def _phases(hi: np.ndarray, lo: np.ndarray | None, ns: np.ndarray, out: np.ndarray):
+    """xi * P(n) in units of 2^-64 turn for the points `_reduce` gave (rows)
+    and the uint64 n in ns (columns): the library's one real Horner loop,
+    run in place in `out`, whose uint64 wrap-around is exactly mod 1 turn.
+    Given rests, their float polynomial's whole units are added to `out` and
+    its part below one unit is returned; otherwise None."""
 
-    The coefficients are first reduced exactly against xi (`_coef_fracs`).
-    The Horner recursion then reduces mod 1 after each step, which is valid
-    because multiplying by an integer n preserves values mod 1.
-    """
-    fracs = _coef_fracs(poly.coefficients, xs)
-    acc = fracs[:, -1:].repeat(ns.size, axis=1)
-    for k in range(poly.degree - 1, -1, -1):
-        acc = (acc * ns + fracs[:, k : k + 1]) % 1.0
-    return acc
+    def horner(acc: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+        acc[...] = coefs[:, -1:]
+        for k in range(coefs.shape[1] - 2, -1, -1):
+            acc *= ns
+            acc += coefs[:, k : k + 1]
+        return acc
+
+    horner(out, hi)
+    if lo is None:
+        return None
+    rest = horner(np.empty(out.shape), lo)
+    whole = np.floor(rest)
+    out += np.fmod(whole, 2.0**64).astype(np.uint64)
+    return rest - whole
+
+
+def _expi(units: np.ndarray, rest: np.ndarray | None = None, scratch=None) -> np.ndarray:
+    """e(t) at t = (units + rest) * 2^-64 turn: `_TABLE` at the nearest
+    1/4096 turn times the Taylor series of e at the offset, an angle of at
+    most pi/4096, so the dropped terms are below 2e-18.  Works in
+    `scratch` (from `_scratch`, made here when not given) and returns its
+    last buffer."""
+    ints, theta, t2, part, w, out = _scratch(units.shape) if scratch is None else scratch
+    np.left_shift(units, np.uint64(12), ints)  # the offset from the nearest table turn
+    theta[...] = ints  # exact: 52 significant bits
+    if rest is not None:
+        theta += rest * 2.0**12
+    theta *= _RAD
+    np.multiply(theta, theta, t2)
+    np.multiply(t2, 1.0 / 24.0, part)
+    part -= 0.5
+    part *= t2
+    np.add(part, 1.0, w.real)  # cos
+    np.multiply(t2, -1.0 / 6.0, part)
+    part += 1.0
+    np.multiply(part, theta, w.imag)  # sin
+    np.add(units, _HALF_CELL, ints)
+    ints >>= 52  # the rounded top 12 bits, signed: `take` wraps them mod 4096
+    _TABLE.take(ints, out=out, mode="wrap")
+    out *= w
+    return out
+
+
+def _scratch(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """The work buffers of `_expi`."""
+    return [np.empty(shape, dtype) for dtype in (np.int64, float, float, float, complex, complex)]
 
 
 def weyl_sum(
@@ -190,8 +253,8 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     """mm_N at every offset in xs: the library's one mm_N evaluator.
 
     The constant term only turns the integral: mm_N(x) = e(x c0) times the
-    integral for P - c0, with e(x c0) reduced exactly by `_coef_fracs`, so
-    a constant P gives e(x c0).  A binomial P = c0 + c n^d (d >= 1) leaves
+    integral for P - c0, with e(x c0) from the phase kernel (`_reduce`,
+    `_expi`), so a constant P gives e(x c0).  A binomial P = c0 + c n^d (d >= 1) leaves
     I(lam) = integral of e(lam t^d) over [0, 1], lam = x c N^d from the
     exact product, in closed form and at a cost that does not grow with lam:
 
@@ -210,8 +273,7 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     c0, d = poly.coefficients[0], poly.degree
     lead = poly.coefficients[-1] * n**d
-    fracs = _coef_fracs((c0, lead), xs)  # frac(x c0), frac(x lead)
-    turn = np.exp(2j * math.pi * fracs[:, 0])
+    turn, spin = _expi(*_reduce((c0, lead), xs)).T  # e(x c0), e(x lead)
     if d == 0:
         return turn
     if any(poly.coefficients[1:d]):
@@ -221,19 +283,19 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     mu = np.abs(lam)
     out = np.empty(xs.shape, dtype=complex)
     small = mu <= 1.0
-    turns = 2j * math.pi * lam[small]
-    out[small] = np.exp(turns / (d + 1)) * np.polyval(_centered_series(d), turns)
+    if small.any():  # np.polyval costs ~40 numpy calls even on no points
+        turns = 2j * math.pi * lam[small]
+        out[small] = np.exp(turns / (d + 1)) * np.polyval(_centered_series(d), turns)
     big = ~small
-    nodes, weights = _gauss_laguerre()
-    scale = 2.0 * math.pi * mu[big]
-    start = math.gamma(1.0 / d) * np.exp(0.5j * math.pi / d) / (d * scale ** (1.0 / d))
-    slope = (1.0 + 1j * nodes / scale[:, None]) ** (1.0 / d - 1.0) @ weights
-    end = 1j * slope / (d * scale)
-    neg = lam[big] < 0
-    start[neg], end[neg] = start[neg].conj(), end[neg].conj()
-    # % 1.0 as in `_phase_fracs`: a fraction just below 1 may round to 1.0
-    spin = np.exp(2j * math.pi * (fracs[big, 1] % 1.0))
-    out[big] = start - spin * end
+    if big.any():
+        nodes, weights = _gauss_laguerre()
+        scale = 2.0 * math.pi * mu[big]
+        start = math.gamma(1.0 / d) * np.exp(0.5j * math.pi / d) / (d * scale ** (1.0 / d))
+        slope = (1.0 + 1j * nodes / scale[:, None]) ** (1.0 / d - 1.0) @ weights
+        end = 1j * slope / (d * scale)
+        neg = lam[big] < 0
+        start[neg], end[neg] = start[neg].conj(), end[neg].conj()
+        out[big] = start - spin[big] * end
     return turn * out
 
 
@@ -341,13 +403,24 @@ def weyl_decay_scan(
 
 
 def _weyl_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
-    """m_N at an array of real points, chunked to bound memory."""
-    ns = np.arange(1, n + 1, dtype=float)
-    chunk = max(1, (1 << 21) // n)
-    return np.concatenate([
-        np.exp(2j * math.pi * _phase_fracs(poly, xs[s : s + chunk], ns)).mean(axis=1)
-        for s in range(0, xs.size, chunk)
-    ])
+    """m_N at an array of real points, in tiles of at most `_TILE_CELLS`
+    (point, n) cells over points and, past the tile, along n; the buffers
+    are allocated once per call."""
+    hi, lo = _reduce(poly.coefficients, xs)
+    cols = min(n, _TILE_CELLS)
+    rows = max(1, min(len(hi), _TILE_CELLS // cols))
+    buffers = [np.empty((rows, cols), dtype=np.uint64), *_scratch((rows, cols))]
+    first = np.arange(1, cols + 1, dtype=np.uint64)
+    sums = np.zeros(len(hi), dtype=complex)
+    for r in range(0, len(hi), rows):
+        for c in range(0, n, cols):
+            tile = buffers
+            if r + rows > len(hi) or c + cols > n:
+                tile = [b[: len(hi) - r, : n - c] for b in buffers]
+            ns = first[: n - c] + np.uint64(c) if c else first
+            rest = _phases(hi[r : r + rows], None if lo is None else lo[r : r + rows], ns, tile[0])
+            sums[r : r + rows] += np.add.reduce(_expi(tile[0], rest, tile[1:]), 1)
+    return sums / n
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +448,7 @@ def _lemma1_cell(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals |m_N(xi) - G(theta) mm_N(xi - theta)| and reference bounds
     2^l (M^-1 N^(d-1) + N^-1) for samples (theta, xi) on [0, 1): one
-    `_phase_fracs` pass for m_N and one `_mm_many` call for every sample."""
+    `_weyl_many` pass for m_N and one `_mm_many` call for every sample."""
     offsets = wrap_signed(xs - np.array([t.value for t in thetas]))
     far = np.abs(offsets) > 1.0 / big_m + 1e-15
     if far.any():

@@ -144,25 +144,12 @@ def naive_weyl(poly, n: int, xi: float) -> complex:
 
 
 def exact_weyl(poly, n: int, xi) -> complex:
-    """m_N(xi) with every phase xi * P(k) reduced mod 1 in exact rationals;
-    a float xi is taken at its exact binary value."""
-    x = Fraction(xi)
-    total = 0j
-    for k in range(1, n + 1):
-        phase = 2 * math.pi * float(x * poly(k) % 1)
-        total += complex(math.cos(phase), math.sin(phase))
-    return total / n
-
-
-def float_weyl(poly, n: int, xi: float) -> complex:
-    """m_N(xi) by float Horner recursion with each coefficient reduced as
-    (xi * c) % 1.0.  That reduction is exact when c is -1, 0 or 1, so the
-    library must match this bit for bit on such polynomials."""
-    ns = np.arange(1, n + 1, dtype=float)
-    acc = np.full(ns.shape, (xi * poly.coefficients[-1]) % 1.0)
-    for c in reversed(poly.coefficients[:-1]):
-        acc = (acc * ns + (xi * c) % 1.0) % 1.0
-    return complex(np.exp(2j * math.pi * acc).mean())
+    """m_N(xi) with every phase xi * P(k) reduced exactly in rationals to
+    [-1/2, 1/2) before it is multiplied by 2 pi, and the cos and sin parts
+    summed with math.fsum; a float xi is taken at its exact binary value."""
+    x, half = Fraction(xi), Fraction(1, 2)
+    angles = [2 * math.pi * float((x * poly(k) + half) % 1 - half) for k in range(1, n + 1)]
+    return complex(math.fsum(map(math.cos, angles)) / n, math.fsum(map(math.sin, angles)) / n)
 
 
 def _turn(phase: Fraction) -> complex:

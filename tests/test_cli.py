@@ -134,6 +134,19 @@ class TestSubcommands:
         )
         assert math.isfinite(doc["result"]["max_ratio"])
 
+    def test_scan_sizes_lie_between_nmin_and_nmax(self, capsys):
+        # --nmin 100 used to round down and scan N = 64
+        scan = run_json(
+            capsys, "weyl-scan", "--poly", "0,0,1", "--nmin", "100", "--nmax", "256",
+            "--samples", "5", "--seed", "1",
+        )
+        assert [pt["n"] for pt in scan["result"]["points"]] == [128, 256]
+        sweep = run_json(
+            capsys, "lemma1", "--poly", "0,0,1", "--sweep", "--nmin", "100", "--nmax", "256",
+            "--lmax", "0", "--samples", "3", "--seed", "3",
+        )
+        assert sorted(sweep["result"]["max_ratio_per_n"]) == ["128", "256"]
+
     def test_project_roundtrip(self, capsys, tmp_path):
         sig = Signal.delta(64)
         path = tmp_path / "sig.json"
@@ -380,6 +393,8 @@ class TestErrors:
         (("arcs", "--dyadic", "1,2,3"), "--dyadic l,m needs exactly two integers"),
         (("arcs", "--dyadic", "1"), "--dyadic l,m needs exactly two integers"),
         (("project", "--q", "16", "--dyadic", "1"), "--dyadic l,m needs exactly two integers"),
+        (("weyl-scan", "--poly", "0,0,1", "--nmin", "100", "--nmax", "100", "--samples", "5"), "got --nmin 100 --nmax 100"),
+        (("lemma1", "--poly", "0,0,1", "--sweep", "--nmin", "65", "--nmax", "127"), "got --nmin 65 --nmax 127"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)

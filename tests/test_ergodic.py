@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circle_lab._util import substream
 from circle_lab.ergodic_lab import (
@@ -216,6 +219,21 @@ class TestDiscrepancy:
         rep = discrepancy(LINEAR, theta, [50])
         direct = sorted((k * theta) % 1.0 for k in range(1, 51))
         assert rep.entries[0][1] == pytest.approx(star_discrepancy(np.array(direct)), abs=1e-9)
+
+    @given(
+        coeffs=st.lists(st.integers(-(10**25), 10**25), min_size=1, max_size=5),
+        num=st.integers(-(2**60), 2**60),
+        shift=st.integers(0, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_fraction_reference(self, coeffs, num, shift):
+        # den <= 2^64: each point is the exact residue over den, rounded once
+        theta = num * 2.0**-shift
+        ns = [1, 7, 300]
+        x = Fraction(theta)
+        pts = np.array([float(x * IntPolynomial(coeffs)(k) % 1) for k in range(1, 301)])
+        ref = tuple((n, star_discrepancy(pts[:n])) for n in ns)
+        assert discrepancy(IntPolynomial(coeffs), theta, ns).entries == ref
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_rejects_nonfinite_theta(self, theta):

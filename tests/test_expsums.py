@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 from circle_lab._util import substream
 from circle_lab.arcs import ReducedFraction, minor_sample
 from circle_lab.expsums import (
+    _TILE_CELLS,
+    _expi,
     _mm_many,
+    _phases,
+    _reduce,
     _weyl_many,
     DecayScanReport,
     complete_sum,
@@ -28,7 +33,6 @@ from circle_lab.polyavg import IntPolynomial
 from oracles import (
     exact_weyl,
     fine_mm,
-    float_weyl,
     fresnel_mm_square,
     linear_mm,
     naive_weyl,
@@ -117,11 +121,11 @@ class TestExactPhaseReduction:
         st.integers(min_value=1, max_value=300),
     )
     @settings(max_examples=60, deadline=None)
-    def test_unit_coefficients_bit_identical(self, coeffs, xs, n):
+    def test_unit_coefficients_exact(self, coeffs, xs, n):
         poly = IntPolynomial(coeffs)
-        ref = [float_weyl(poly, n, x) for x in xs]
-        assert [weyl_sum(poly, n, x) for x in xs] == ref
-        assert _weyl_many(poly, n, np.array(xs)).tolist() == ref
+        ref = np.array([exact_weyl(poly, n, x) for x in xs])
+        assert np.abs(np.array([weyl_sum(poly, n, x) for x in xs]) - ref).max() <= 1e-15
+        assert np.abs(_weyl_many(poly, n, np.array(xs)) - ref).max() <= 1e-15
 
     @pytest.mark.parametrize("n, a, q", [(10, 3, 10**7), (97, 5, 97), (250, 37, 101)])
     def test_rational_point_ranges(self, n, a, q):
@@ -140,6 +144,89 @@ class TestExactPhaseReduction:
             weyl_sum(SQUARE, 10, xi)
         with pytest.raises(ValueError, match="finite"):
             continuous_multiplier(SQUARE, 10, xi)
+
+
+QUINTIC = IntPolynomial((0, 0, 0, 0, 0, 1))
+
+
+def exact_units(poly, n: int, xi: float) -> Fraction:
+    """xi * P(n) mod 1 in units of 2^-64 turn, exact in rationals."""
+    return Fraction(xi) * poly(n) % 1 * 2**64
+
+
+class TestPhaseKernel:
+    """The uint64 phase kernel against exact Fraction phases: exact whenever
+    xi's binary denominator is at most 2^64, within the README bound below
+    that, for coefficients and P(n) of any size."""
+
+    @given(
+        coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=2, max_size=7).filter(lambda c: c[-1]),
+        num=st.integers(-(2**70), 2**70),
+        shift=st.integers(0, 64),
+        n=st.integers(1, 2**14),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_phases_exact_when_den_divides_two_to_64(self, coeffs, num, shift, n):
+        poly = IntPolynomial(coeffs)
+        xi = num * 2.0**-shift  # num rounds to an integer, so den divides 2^shift
+        ns = np.array(sorted({1, n, max(1, n - 1), (n + 1) // 2}), dtype=np.uint64)
+        hi, lo = _reduce(poly.coefficients, np.array([xi]))
+        out = np.empty((1, ns.size), dtype=np.uint64)
+        assert _phases(hi, lo, ns, out) is None
+        assert out[0].tolist() == [exact_units(poly, int(k), xi) for k in ns]
+
+    @pytest.mark.parametrize("xi", [0.77 * 2**-30, 1e-5, -3e-7, 2.0**-11 * 0.999, 5e-324])
+    @pytest.mark.parametrize("poly", [IntPolynomial((0, 10**20 + 7)), IntPolynomial((3, -(10**20), 0, 0, 0, 10**20 + 1))])
+    def test_tiny_point_huge_coefficient_within_bound(self, xi, poly):
+        # README: below |xi| = 2^-11 the phase error is at most
+        # 2^-65 + (2d + 1)(d + 1) N^d 2^-117 turns
+        n, d = 4096, poly.degree
+        bound = 2.0**-65 + (2 * d + 1) * (d + 1) * float(n) ** d * 2.0**-117
+        ns = np.arange(1, n + 1, 37, dtype=np.uint64)
+        hi, lo = _reduce(poly.coefficients, np.array([xi]))
+        out = np.empty((1, ns.size), dtype=np.uint64)
+        rest = _phases(hi, lo, ns, out)
+        rest = np.zeros(ns.size) if rest is None else rest[0]
+        for k, unit, part in zip(ns.tolist(), out[0].tolist(), rest.tolist()):
+            err = (unit + Fraction(part) - exact_units(poly, k, xi) + 2**63) % 2**64 - 2**63
+            assert abs(err) * 2.0**-64 <= bound
+        assert abs(weyl_sum(poly, n, xi) - exact_weyl(poly, n, xi)) <= 1e-15
+
+    def test_table_matches_cos_sin(self):
+        units = np.concatenate([
+            substream(12).integers(0, 2**64, size=10**5, dtype=np.uint64),
+            np.array([0, 2**52 - 1, 2**52, 2**64 - 1], dtype=np.uint64),
+        ])
+        # the signed view is t - round(t) in units, so the angle is within pi
+        angle = 2 * math.pi * units.view(np.int64).astype(float) * 2.0**-64
+        got = _expi(units)
+        assert np.abs(got.real - np.cos(angle)).max() <= 1e-15
+        assert np.abs(got.imag - np.sin(angle)).max() <= 1e-15
+
+    @pytest.mark.parametrize("xi", [0.1234567, 0.3 + 1e-5])
+    def test_degree_five_weyl_sum(self, xi):
+        # the float Horner was 1.7e-2 off here
+        assert abs(weyl_sum(QUINTIC, 4096, xi) - exact_weyl(QUINTIC, 4096, xi)) <= 1e-15
+
+    def test_degree_five_decay_scan(self):
+        rep = weyl_decay_scan(QUINTIC, [64, 4096], 0.125, 1.0, 6, 7, threads=1)
+        for idx, (n, sup) in enumerate(rep.points):
+            pts = minor_sample(scan_arcs(n, 5, 0.125, 1.0), 6, substream(7, idx))
+            assert abs(sup - max(abs(exact_weyl(QUINTIC, n, p.value)) for p in pts)) <= 1e-15
+
+    def test_tiles_split_along_n(self):
+        n = _TILE_CELLS + 3
+        assert abs(weyl_sum(SQUARE, n, 0.61803) - exact_weyl(SQUARE, n, 0.61803)) <= 1e-15
+
+    def test_scratch_memory_is_bounded(self):
+        weyl_sum(SQUARE, 64, 0.3)  # the table and caches are built outside the window
+        tracemalloc.start()
+        try:
+            weyl_sum(SQUARE, 2**20, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestCompleteSum:
@@ -385,6 +472,20 @@ class TestLemma1:
 
     def test_shell_index(self):
         assert [shell_index(q) for q in (1, 2, 3, 4, 5, 8, 9, 16)] == [0, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_square_cell_1024_0_matches_exact_phases(self):
+        # cell "1024,0" of the README sweep (seed 3, 100 samples); with float
+        # Horner phases its ratio was 2.85e-10 relative off
+        n, big_m = 1024, 1024.0**2
+        sweep = lemma1_grid_sweep(SQUARE, [64, 128, 256, 512, 1024], 0, 100, 3)
+        rng = substream(3, 4, 0)  # the sweep's stream for (N index 4, level 0)
+        ratios = []
+        for _ in range(100):
+            rng.integers(1)  # the level-0 shell holds only 0/1
+            xi = (0.0 + rng.uniform(-1.0, 1.0) / big_m) % 1.0
+            residual = abs(exact_weyl(SQUARE, n, xi) - fine_mm(SQUARE, n, xi - round(xi)))
+            ratios.append(residual / (n / big_m + 1.0 / n))
+        assert sweep["cells"][(n, 0)] == pytest.approx(max(ratios), rel=1e-11, abs=0)
 
     def test_sweep_stability(self):
         sweep = lemma1_grid_sweep(SQUARE, [64, 128], 2, 20, 3)
