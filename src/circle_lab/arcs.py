@@ -7,10 +7,12 @@ the fraction 1/1 is stored once as 0/1.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,36 +53,45 @@ class TorusPoint:
         return self.value
 
 
+def _integer(value, name: str) -> int:
+    """`value` as a Python int; anything that is not an integer raises
+    ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, order=False)
 class ReducedFraction:
-    """Reduced fraction a/q on the torus: gcd(a, q) = 1 and 0 <= a < q."""
+    """Reduced fraction a/q on the torus: gcd(a, q) = 1 and 0 <= a < q.
+    Both parts are stored as Python ints."""
 
     numerator: int
     denominator: int
 
     def __post_init__(self):
-        a, q = self.numerator, self.denominator
+        a, q = _integer(self.numerator, "numerator"), _integer(self.denominator, "denominator")
         if q < 1:
             raise ValueError("denominator must be positive")
-        if not 0 <= a < q and not (a == 0 and q == 1):
+        if not 0 <= a < q:
             raise ValueError(f"numerator must satisfy 0 <= a < q, got {a}/{q}")
-        if math.gcd(a, q) != 1 and not (a == 0 and q == 1):
+        if math.gcd(a, q) != 1:
             raise ValueError(f"{a}/{q} is not reduced")
+        object.__setattr__(self, "numerator", a)
+        object.__setattr__(self, "denominator", q)
 
     @classmethod
     def reduce(cls, a: int, q: int) -> "ReducedFraction":
         """Canonical representative of a/q on the torus."""
+        a, q = _integer(a, "numerator"), _integer(q, "denominator")
         if q == 0:
             raise ValueError("denominator must be nonzero")
         if q < 0:
             a, q = -a, -q
         a %= q
-        g = math.gcd(a, q)
-        a, q = a // g, q // g
-        if a == 0:
-            q = 1
-        return cls(a, q)
-
+        g = math.gcd(a, q)  # q when a = 0, giving 0/1
+        return cls(a // g, q // g)
 
     @property
     def value(self) -> float:
@@ -98,10 +109,10 @@ FAREY_MAX_DENOMINATOR = 2048  # 1.3e6 fractions; the table grows as q_max^2
 
 
 @lru_cache(maxsize=32)
-def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted read-only int64 (num, den) of every reduced a/q in [0, 1) with
-    q <= q_max.  Distinct ones differ by >= 1/q_max^2, so the float sort is
-    exact."""
+def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted (num, den, num / den) of every reduced a/q in [0, 1) with
+    q <= q_max, as int64, int64 and float64.  Distinct ones differ by
+    >= 1/q_max^2, so the float sort is exact."""
     if q_max > FAREY_MAX_DENOMINATOR:
         raise ValueError(
             f"denominator bound {q_max} exceeds the Farey table limit {FAREY_MAX_DENOMINATOR}"
@@ -110,48 +121,70 @@ def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray]:
     num = np.arange(den.size, dtype=np.int64) - den * (den - 1) // 2
     keep = np.gcd(num, den) == 1  # drops a = 0 for every q > 1
     num, den = num[keep], den[keep]
-    order = np.argsort(num / den)
-    num, den = num[order], den[order]
-    num.flags.writeable = den.flags.writeable = False
-    return num, den
+    val = num / den
+    order = np.argsort(val)
+    return num[order], den[order], val[order]
 
 
-@lru_cache(maxsize=None)
-def _fraction_row(q: int) -> np.ndarray:
-    """ReducedFraction(a, q) at index a for each a coprime to q, made once; the
-    cache is unbounded because a table needs every row up to its bound."""
-    row = np.empty(q, dtype=object)
-    row[:] = [ReducedFraction(a, q) if math.gcd(a, q) == 1 else None for a in range(q)]
-    row.flags.writeable = False
-    return row
+def _entry(a: int, q: int) -> ReducedFraction:
+    """ReducedFraction(a, q) without the checks, for a table's Python ints."""
+    fr = object.__new__(ReducedFraction)
+    fr.__dict__.update(numerator=a, denominator=q)
+    return fr
 
 
-def _fraction_list(num: np.ndarray, den: np.ndarray) -> list[ReducedFraction]:
-    rows = np.concatenate([_fraction_row(q) for q in range(1, int(den.max()) + 1)])
-    return rows[den * (den - 1) // 2 + num].tolist()
+class FareyTable(Sequence):
+    """Read-only sorted ReducedFractions over the arrays `numerators`,
+    `denominators` and `values` (= numerators / denominators).  An element
+    is made only when it is read, a slice is a table, and a table is equal
+    to the list or tuple of its elements."""
+
+    __hash__ = None  # equal to lists, which are unhashable
+
+    def __init__(self, *arrays: np.ndarray):
+        for a in arrays:
+            a.flags.writeable = False
+        self.numerators, self.denominators, self.values = arrays
+
+    def __len__(self) -> int:
+        return self.numerators.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FareyTable(self.numerators[i], self.denominators[i], self.values[i])
+        i = operator.index(i)
+        return _entry(int(self.numerators[i]), int(self.denominators[i]))
+
+    def __iter__(self):
+        return map(_entry, self.numerators.tolist(), self.denominators.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (FareyTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"FareyTable({list(self)!r})"
 
 
-def _farey_bound(n1: float) -> tuple[np.ndarray, np.ndarray]:
-    if not 1 <= n1 < math.inf:  # also rejects NaN
-        raise ValueError(f"denominator bound must be finite and >= 1, got {n1}")
-    return _farey(math.floor(n1))
-
-
-def canonical_fractions(n1: float) -> list[ReducedFraction]:
+def canonical_fractions(n1: float) -> FareyTable:
     """All reduced fractions a/q on [0, 1) with q <= floor(n1), sorted.
 
     Contains 0/1 (the torus representative of both 0 and 1).
     """
-    return _fraction_list(*_farey_bound(n1))
+    if not 1 <= n1 < math.inf:  # also rejects NaN
+        raise ValueError(f"denominator bound must be finite and >= 1, got {n1}")
+    return FareyTable(*_farey(math.floor(n1)))
 
 
-def dyadic_shell(level: int) -> list[ReducedFraction]:
+def dyadic_shell(level: int) -> FareyTable:
     """Fractions with denominator in (2^(level-1), 2^level]; level 0 is {0/1}."""
+    level = _integer(level, "shell level")
     if level < 0:
-        raise ValueError("shell level must be >= 0")
-    num, den = _farey(2**level)
+        raise ValueError(f"shell level must be >= 0, got {level}")
+    num, den, val = _farey(2**level)
     keep = den > 2**level // 2
-    return _fraction_list(num[keep], den[keep])
+    return FareyTable(num[keep], den[keep], val[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +289,7 @@ class ClassifyResult(NamedTuple):
 @dataclass(frozen=True)
 class ArcSystem:
     """Intervals of a fixed halfwidth around every canonical fraction of
-    denominator at most `denominator_bound`."""
+    denominator at most `denominator_bound`; `centers` is their FareyTable."""
 
     denominator_bound: float
     halfwidth: float
@@ -264,25 +297,18 @@ class ArcSystem:
     def __post_init__(self):
         if not 0 <= self.halfwidth < math.inf:
             raise ValueError(f"halfwidth must be finite and >= 0, got {self.halfwidth}")
-        object.__setattr__(self, "_pairs", _farey_bound(self.denominator_bound))
+        object.__setattr__(self, "centers", canonical_fractions(self.denominator_bound))
 
-    @cached_property
-    def centers(self) -> tuple[ReducedFraction, ...]:
-        """canonical_fractions(denominator_bound), made on first use."""
-        return tuple(_fraction_list(*self._pairs))
-
-    @cached_property
+    @property
     def center_values(self) -> np.ndarray:
-        vals = np.divide(*self._pairs)
-        vals.flags.writeable = False
-        return vals
+        return self.centers.values
 
     @cached_property
     def min_center_gap(self) -> Fraction:
         """Exact minimal torus distance between distinct centers (1 if only
         one center).  Farey neighbours a/b < c/d satisfy cb - ad = 1, so
         their gap is 1/(bd); the last center and 1/1 are neighbours too."""
-        _, den = self._pairs
+        den = self.centers.denominators
         return Fraction(1, int((den * np.roll(den, -1)).max()))
 
     @cached_property
@@ -306,7 +332,7 @@ class ArcSystem:
         right = np.searchsorted(c, xs % 1.0, side="right") % c.size
         pair = np.stack((right - 1, right))  # index -1 is the last center
         d = np.abs(wrap_signed(xs - c[pair]))
-        den = self._pairs[1][pair]
+        den = self.centers.denominators[pair]
         second = (d[1] < d[0]) | ((d[1] == d[0]) & (den[1] < den[0]))
         return np.where(second, d[1], d[0]), np.where(second, pair[1], pair[0])
 
@@ -330,8 +356,10 @@ class DyadicScale:
     m: int
 
     def __post_init__(self):
-        if self.l < 0:
-            raise ValueError("l must be >= 0")
+        l = _integer(self.l, "shell level l")
+        if l < 0:
+            raise ValueError(f"shell level l must be >= 0, got {l}")
+        object.__setattr__(self, "l", l)
 
 
 class DyadicArcs(NamedTuple):
@@ -350,7 +378,7 @@ def dyadic_arcs(scale: DyadicScale) -> DyadicArcs:
         shell = full
     else:
         shell = full.difference(ArcSystem(2.0 ** (scale.l - 1), half).intervals)
-    narrower = TorusIntervalSet.from_arcs([fr.value for fr in dyadic_shell(scale.l)], half / 2.0)
+    narrower = TorusIntervalSet.from_arcs(dyadic_shell(scale.l).values, half / 2.0)
     shell_refined = shell.difference(narrower)
     return DyadicArcs(system, shell, shell_refined)
 

@@ -223,12 +223,9 @@ def _command(name: str, help: str, *flags: tuple):
           _arg("--n1", type=float, required=True))
 def _cmd_fractions(cfg: RunConfig) -> None:
     fracs = canonical_fractions(cfg.params["n1"])
-    rows = [
-        {"num": fr.numerator, "den": fr.denominator, "value": fr.value} for fr in fracs
-    ]
-    csv_text = "num,den,value\n" + "".join(
-        f"{r['num']},{r['den']},{r['value']!r}\n" for r in rows
-    )
+    cols = (fracs.numerators.tolist(), fracs.denominators.tolist(), fracs.values.tolist())
+    rows = [{"num": a, "den": q, "value": v} for a, q, v in zip(*cols)]
+    csv_text = "num,den,value\n" + "".join(f"{a},{q},{v!r}\n" for a, q, v in zip(*cols))
     _emit(cfg, {"count": len(rows), "fractions": rows}, csv_text)
 
 
@@ -245,8 +242,9 @@ def _cmd_arcs(cfg: RunConfig) -> None:
     else:
         system = ArcSystem(a, b)
         extra = {}
+    c = system.centers
     result = {
-        "centers": [str(fr) for fr in system.centers],
+        "centers": list(map("{}/{}".format, c.numerators.tolist(), c.denominators.tolist())),
         "halfwidth": system.halfwidth,
         "disjoint": system.is_disjoint,
         "coverage": system.coverage,

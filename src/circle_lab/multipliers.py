@@ -139,7 +139,7 @@ def shell_vanishing_overlap(
     without fixing eps.
     """
     shell_set = TorusIntervalSet.from_arcs(
-        [fr.value for fr in dyadic_shell(level)], 2.0**cut_log2
+        dyadic_shell(level).values, 2.0**cut_log2
     )
     lower_set = ArcSystem(2.0**lower_level, 2.0**lower_cut_log2).intervals
     return shell_set.intersect(lower_set).measure

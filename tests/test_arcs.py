@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from circle_lab.arcs import (
     FAREY_MAX_DENOMINATOR,
     ArcSystem,
     DyadicScale,
+    FareyTable,
     ReducedFraction,
     TorusIntervalSet,
     TorusPoint,
@@ -22,7 +24,8 @@ from circle_lab.arcs import (
     wrap_signed,
 )
 
-from circle_lab.expsums import scan_arcs
+from circle_lab.expsums import complete_sum, scan_arcs
+from circle_lab.polyavg import IntPolynomial
 
 from oracles import (
     dense_distances,
@@ -59,6 +62,28 @@ class TestReducedFraction:
     def test_value(self):
         fr = ReducedFraction(2, 5)
         assert fr.value == 0.4 and fr.as_fraction == Fraction(2, 5)
+
+    @pytest.mark.parametrize("a, q, bad", [
+        (1.5, 2, "numerator"), (1.0, 2, "numerator"), ("1", 2, "numerator"),
+        (1, 2.0, "denominator"), (1, None, "denominator"),
+    ])
+    def test_non_integer_parts_raise_value_error(self, a, q, bad):
+        value = a if bad == "numerator" else q
+        with pytest.raises(ValueError, match=re.escape(f"{bad} must be an integer, got {value!r}")):
+            ReducedFraction(a, q)
+
+    @pytest.mark.parametrize("a, q", [(0.5, 1), (1, 2.5), ("1", "2")])
+    def test_reduce_rejects_non_integer_parts(self, a, q):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ReducedFraction.reduce(a, q)
+
+    @pytest.mark.parametrize("a, q", [(np.int64(1), 2), (True, 2), (1, np.int32(3))])
+    def test_parts_are_stored_as_python_ints(self, a, q):
+        fr = ReducedFraction(a, q)
+        assert type(fr.numerator) is int and type(fr.denominator) is int
+        assert fr == ReducedFraction(int(a), int(q))
+        fr = ReducedFraction.reduce(a, q)
+        assert type(fr.numerator) is int and type(fr.denominator) is int
 
 
 class TestWrap:
@@ -153,6 +178,20 @@ class TestDyadicShells:
 
     def test_level_two(self):
         assert [str(fr) for fr in dyadic_shell(2)] == ["1/4", "1/3", "2/3", "3/4"]
+
+    @pytest.mark.parametrize("level", [2.0, 1.5, "2", None])
+    def test_non_integer_level_raises_value_error(self, level):
+        with pytest.raises(ValueError, match=re.escape(f"shell level must be an integer, got {level!r}")):
+            dyadic_shell(level)
+
+    @pytest.mark.parametrize("level", [1.5, 2.0])
+    def test_non_integer_scale_level_raises_value_error(self, level):
+        with pytest.raises(ValueError, match=re.escape(f"got {level!r}")):
+            DyadicScale(level, -2)
+
+    def test_scale_level_is_stored_as_python_int(self):
+        scale = DyadicScale(np.int64(3), -8)
+        assert type(scale.l) is int and scale == DyadicScale(3, -8)
 
     def test_partition(self):
         for level in range(0, 11):
@@ -357,6 +396,78 @@ class TestFareyTables:
             assert arcs.min_center_gap == want
             assert type(arcs.min_center_gap) is Fraction
         assert ArcSystem(256, 0.0).min_center_gap == Fraction(1, 256 * 255)
+
+    def test_values_bit_equal_to_quotients(self):
+        brute = farey_fractions(200)
+        table = canonical_fractions(200)
+        assert [(a, q) for a, q in zip(table.numerators.tolist(), table.denominators.tolist())] == [
+            (f.numerator, f.denominator) for f in brute
+        ]
+        want = [(f.numerator / f.denominator).hex() for f in brute]
+        assert [v.hex() for v in table.values.tolist()] == want
+        assert table.values.dtype == np.float64
+
+    def test_elements_are_python_int_fractions(self):
+        table = canonical_fractions(60)
+        elements = [table[i] for i in range(len(table))]
+        assert elements == list(table) == table
+        for fr in elements:
+            assert type(fr) is ReducedFraction
+            assert type(fr.numerator) is int and type(fr.denominator) is int
+            same = ReducedFraction(fr.numerator, fr.denominator)
+            assert fr == same and hash(fr) == hash(same)
+
+    def test_elements_hit_the_complete_sum_cache(self):
+        poly = IntPolynomial((0, 0, 1))
+        table = dyadic_shell(5)
+        complete_sum.cache_clear()
+        for fr in table:
+            complete_sum(poly, fr)
+        misses = complete_sum.cache_info().misses
+        for fr in table:
+            complete_sum(poly, ReducedFraction(fr.numerator, fr.denominator))
+        info = complete_sum.cache_info()
+        assert info.misses == misses == len(table) and info.hits == len(table)
+
+    def test_indexing_and_slicing(self):
+        table = canonical_fractions(5)
+        want = [ReducedFraction(a, q) for a, q in
+                [(0, 1), (1, 5), (1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5)]]
+        assert table == want and want == table and table == tuple(want)
+        assert table != want[:-1] and table != want[::-1]
+        assert table[-1] == want[-1] and table[-len(want)] == want[0]
+        assert table[np.int64(3)] == want[3]
+        for sl in (slice(2, 5), slice(None, None, -1), slice(-3, None), slice(1, 8, 3), slice(7, 2)):
+            part = table[sl]
+            assert isinstance(part, FareyTable) and part == want[sl]
+            assert part.values.tolist() == [fr.value for fr in want[sl]]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_arrays_are_read_only(self):
+        for table in (canonical_fractions(30), dyadic_shell(4), ArcSystem(30, 0.0).centers,
+                      canonical_fractions(30)[::2]):
+            for arr in (table.numerators, table.denominators, table.values):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    def test_reads_allocate_no_objects_for_the_whole_table(self):
+        canonical_fractions(1024)  # warms the cached arrays
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            table = canonical_fractions(1024)
+            picked = [len(table), table[0], table[-1]]
+            picked += [table[i] for i in rng.integers(0, len(table), size=512)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert picked[0] == 318_964 and picked[2] == ReducedFraction(1023, 1024)
+        assert peak < 2**20
 
     def test_center_values_match_fractions(self):
         arcs = ArcSystem(50, 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -54,6 +55,20 @@ class TestSubcommands:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "num,den,value" and len(lines) == 5
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("fractions", "--n1", "200"),
+         "1ba0116ccc6878f9969dd3235dcc4497c05bb810c32b7a2f9774b6b4186c3634"),
+        (("fractions", "--n1", "200", "--format", "csv"),
+         "03b83a3f2fe4462c068cc4d50a5d15e669922cb87ee7c3ad1d0ecd68b72753ea"),
+        (("arcs", "--n1", "16", "--n2", "0.001"),
+         "260b27b35ae84fd8a8acead9ee626422360dda7a6b7bc46f60cf5ce06d67860e"),
+    ])
+    def test_farey_report_bytes_pinned(self, capsys, argv, digest):
+        # digests of the reports made when every table entry was an object
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_arcs(self, capsys):
         doc = run_json(capsys, "arcs", "--n1", "4", "--n2", "0.001")
