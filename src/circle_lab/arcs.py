@@ -126,6 +126,18 @@ def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return num[order], den[order], val[order]
 
 
+def _level(level, name: str) -> int:
+    """`level` as an int >= 0 whose 2^level is within the Farey table limit."""
+    level = _integer(level, name)
+    if level < 0:
+        raise ValueError(f"{name} must be >= 0, got {level}")
+    if level >= FAREY_MAX_DENOMINATOR.bit_length():
+        raise ValueError(
+            f"denominator bound 2^{level} exceeds the Farey table limit {FAREY_MAX_DENOMINATOR}"
+        )
+    return level
+
+
 def _entry(a: int, q: int) -> ReducedFraction:
     """ReducedFraction(a, q) without the checks, for a table's Python ints."""
     fr = object.__new__(ReducedFraction)
@@ -179,9 +191,7 @@ def canonical_fractions(n1: float) -> FareyTable:
 
 def dyadic_shell(level: int) -> FareyTable:
     """Fractions with denominator in (2^(level-1), 2^level]; level 0 is {0/1}."""
-    level = _integer(level, "shell level")
-    if level < 0:
-        raise ValueError(f"shell level must be >= 0, got {level}")
+    level = _level(level, "shell level")
     num, den, val = _farey(2**level)
     keep = den > 2**level // 2
     return FareyTable(num[keep], den[keep], val[keep])
@@ -356,10 +366,9 @@ class DyadicScale:
     m: int
 
     def __post_init__(self):
-        l = _integer(self.l, "shell level l")
-        if l < 0:
-            raise ValueError(f"shell level l must be >= 0, got {l}")
-        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "l", _level(self.l, "shell level l"))
+        if not self.m < 1024:  # 2.0**m overflows; also rejects NaN
+            raise ValueError(f"halfwidth exponent m must be < 1024, got {self.m}")
 
 
 class DyadicArcs(NamedTuple):

@@ -160,14 +160,14 @@ def _read_sequence(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(labels), np.array(vals)
 
 
-def _scale_pair(cfg: RunConfig) -> tuple[bool, tuple]:
-    """(True, (l, m)) from --dyadic l,m, else (False, (n1, n2)) from --n1
-    and --n2."""
+def _scale_pair(cfg: RunConfig) -> tuple[bool, DyadicScale | tuple]:
+    """(True, DyadicScale(l, m)) from --dyadic l,m, checked before any power
+    is taken, else (False, (n1, n2)) from --n1 and --n2."""
     p = cfg.params
     if p.get("dyadic"):
         if len(p["dyadic"]) != 2:
             raise ValueError(f"--dyadic l,m needs exactly two integers, got {p['dyadic']}")
-        return True, tuple(p["dyadic"])
+        return True, DyadicScale(*p["dyadic"])
     if p.get("n1") is None or p.get("n2") is None:
         raise ValueError(f"{cfg.subcommand} needs either --n1 and --n2 or --dyadic l,m")
     return False, (p["n1"], p["n2"])
@@ -231,16 +231,16 @@ def _cmd_fractions(cfg: RunConfig) -> None:
 
 @_command("arcs", "arc system geometry", *_SCALES)
 def _cmd_arcs(cfg: RunConfig) -> None:
-    dyadic, (a, b) = _scale_pair(cfg)
+    dyadic, scale = _scale_pair(cfg)
     if dyadic:
-        bundle = dyadic_arcs(DyadicScale(a, b))
+        bundle = dyadic_arcs(scale)
         system = bundle.system
         extra = {
             "shell_intervals": [list(iv) for iv in bundle.shell.intervals],
             "shell_refined_intervals": [list(iv) for iv in bundle.shell_refined.intervals],
         }
     else:
-        system = ArcSystem(a, b)
+        system = ArcSystem(*scale)
         extra = {}
     c = system.centers
     result = {
@@ -366,8 +366,8 @@ def _cmd_lemma1(cfg: RunConfig) -> None:
 def _cmd_project(cfg: RunConfig) -> None:
     p = cfg.params
     q = p["q"]
-    dyadic, (a, b) = _scale_pair(cfg)
-    n1, n2 = (2.0**a, 2.0**b) if dyadic else (a, b)
+    dyadic, scale = _scale_pair(cfg)
+    n1, n2 = (2.0**scale.l, 2.0**scale.m) if dyadic else scale
     if p.get("symbol_only"):
         sym = projection_symbol(q, n1, n2)
         csv_text = "frequency,symbol\n" + "".join(
@@ -427,7 +427,8 @@ def _cmd_split(cfg: RunConfig) -> None:
           _arg("--seed", type=int, default=0))
 def _cmd_probe_lp(cfg: RunConfig) -> None:
     p = cfg.params
-    op = projection_op(2.0 ** p["l"], 2.0 ** p["m"])
+    scale = DyadicScale(p["l"], p["m"])  # checks l and m before any power is taken
+    op = projection_op(2.0**scale.l, 2.0**scale.m)
     lower = lp_norm_probe(op, p["p"], p["q"], p["trials"], p["seed"])
     upper = kernel_l1_bound(op, p["q"])
     _emit(

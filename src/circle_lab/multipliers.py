@@ -10,8 +10,8 @@ major/minor pipeline split are all built on that one primitive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -152,31 +152,30 @@ def shell_vanishing_overlap(
 
 @dataclass(frozen=True)
 class MultiplierOp:
-    """Operator with symbol sum_theta S(theta) * base(xi - theta).
+    """Operator with symbol sum_k weights[k] * base(xi - centers[k]).
 
-    `coefficients` maps each frequency to its weight (missing keys count as
-    1).  `base_symbol` must accept a float array of wrapped offsets and act
-    elementwise; beyond `support_halfwidth` (if set) it counts as 0, and
+    `centers` is a float array of points in [0, 1) and `weights` a complex
+    array aligned with it, or a scalar for every center.  `base_symbol`
+    must accept a float array of wrapped offsets and act elementwise;
+    beyond `support_halfwidth` (if set) it counts as 0, and
     `symbol_on_grid` visits only the ~2*halfwidth*Q grid points around each
     center, so it costs O(total support) instead of O(#centers * Q).
     """
 
-    frequencies: tuple[ReducedFraction, ...]
-    coefficients: Mapping[ReducedFraction, complex] | None
+    centers: np.ndarray
+    weights: np.ndarray | complex
     base_symbol: Callable[[np.ndarray], np.ndarray]
     support_halfwidth: float | None = None
 
     def __post_init__(self):
-        if not self.frequencies:
-            raise ValueError("multiplier needs at least one frequency")
+        if not np.size(self.centers):
+            raise ValueError("multiplier needs at least one center")
 
     def symbol_on_grid(self, modulus: int) -> np.ndarray:
         """Exact symbol at j/Q from one base_symbol call per batch of center
         windows, summed in center order (bit-identical to a full-grid sum)."""
-        h = self.support_halfwidth
-        centers = np.array([fr.value for fr in self.frequencies])
-        coeffs = self.coefficients or {}
-        weights = np.array([coeffs.get(fr, 1.0) for fr in self.frequencies], dtype=np.complex128)
+        h, centers = self.support_halfwidth, self.centers
+        weights = np.broadcast_to(np.asarray(self.weights, dtype=np.complex128), centers.shape)
         width, starts = modulus, np.zeros(centers.size, dtype=np.int64)
         if h is not None and 0 <= h < 0.5:
             width = min(modulus, math.floor(2 * h * modulus) + 5)
@@ -197,16 +196,14 @@ class MultiplierOp:
 
 
 def identity_op() -> MultiplierOp:
-    return MultiplierOp(
-        (ReducedFraction(0, 1),), None, lambda x: np.ones_like(np.asarray(x, dtype=float))
-    )
+    return MultiplierOp(np.zeros(1), 1.0, lambda x: np.ones_like(np.asarray(x, dtype=float)))
 
 
 def projection_op(n1: float, n2: float) -> MultiplierOp:
     """The major-arc projection as a MultiplierOp (weights 1, bump base)."""
     return MultiplierOp(
-        tuple(canonical_fractions(n1)),
-        None,
+        canonical_fractions(n1).values,
+        1.0,
         lambda x, s=float(n2): eta(np.asarray(x, dtype=float) / s),
         support_halfwidth=float(n2) / 2.0,
     )
@@ -379,10 +376,11 @@ def arc_split(
 
 def gauss_coefficients(
     poly: IntPolynomial, frequencies: Sequence[ReducedFraction]
-) -> dict[ReducedFraction, complex]:
+) -> np.ndarray:
+    """The complete sums G(theta), aligned with `frequencies`."""
     from .expsums import complete_sum
 
-    return {fr: complete_sum(poly, fr) for fr in frequencies}
+    return np.array([complete_sum(poly, fr) for fr in frequencies], dtype=np.complex128)
 
 
 def approx_average_op(
@@ -400,7 +398,7 @@ def approx_average_op(
     n = int(IndexRange.of(n_range))
     degree = poly.degree
     cut = eta_at_scale(-degree * high_scale)
-    freqs = tuple(dyadic_shell(level) if shell_only else canonical_fractions(2.0**level))
+    table = dyadic_shell(level) if shell_only else canonical_fractions(2.0**level)
 
     def base(offsets: np.ndarray) -> np.ndarray:
         offs = np.atleast_1d(np.asarray(offsets, dtype=float))
@@ -408,12 +406,8 @@ def approx_average_op(
         uniq, inverse = np.unique(offs, return_inverse=True)
         return _mm_many(poly, n, uniq)[inverse.reshape(offs.shape)] * cut(offs)
 
-    return MultiplierOp(
-        freqs,
-        gauss_coefficients(poly, freqs),
-        base,
-        support_halfwidth=2.0 ** (-degree * high_scale - 1),
-    )
+    half = 2.0 ** (-degree * high_scale - 1)
+    return MultiplierOp(table.values, gauss_coefficients(poly, table), base, support_halfwidth=half)
 
 
 def factorization_gap(
@@ -435,16 +429,12 @@ def factorization_gap(
     """
     n = int(IndexRange.of(n_range))
     one_step = approx_average_op(poly, n, level, high_scale, shell_only=True)
-    freqs = one_step.frequencies
-    narrow = MultiplierOp(
-        freqs,
-        gauss_coefficients(poly, freqs),
-        eta_at_scale(-narrow_scale),
+    narrow = replace(
+        one_step,
+        base_symbol=eta_at_scale(-narrow_scale),
         support_halfwidth=2.0 ** (-narrow_scale - 1),
     )
-    smooth = MultiplierOp(
-        freqs, None, one_step.base_symbol, support_halfwidth=one_step.support_halfwidth
-    )
+    smooth = replace(one_step, weights=1.0)
     direct = multiplier_apply(f, one_step)
     factored = multiplier_apply(multiplier_apply(f, narrow), smooth)
     return float((direct - factored).norm(2))

@@ -210,10 +210,10 @@ def planted_symbol(op, modulus: int) -> np.ndarray:
     Costs O(#centers * Q)."""
     xs = np.arange(modulus) / modulus
     sym = np.zeros(modulus, dtype=np.complex128)
-    for fr in op.frequencies:
-        x = xs - fr.numerator / fr.denominator
+    weights = np.broadcast_to(op.weights, np.shape(op.centers))
+    for center, weight in zip(op.centers.tolist(), weights.tolist()):
+        x = xs - center
         offsets = x - np.ceil(x - 0.5)
-        weight = 1.0 if op.coefficients is None else complex(op.coefficients.get(fr, 1.0))
         if op.support_halfwidth is None:
             sym += weight * np.asarray(op.base_symbol(offsets), dtype=np.complex128)
             continue

@@ -189,6 +189,17 @@ class TestDyadicShells:
         with pytest.raises(ValueError, match=re.escape(f"got {level!r}")):
             DyadicScale(level, -2)
 
+    def test_level_past_the_table_is_checked_first(self):
+        # 2**20000 has more digits than int-to-str conversion allows
+        with pytest.raises(ValueError, match="Farey table limit"):
+            dyadic_shell(20000)
+
+    def test_scale_past_the_table_or_the_float_range(self):
+        with pytest.raises(ValueError, match="Farey table limit"):
+            DyadicScale(2000, -3)
+        with pytest.raises(ValueError, match="halfwidth exponent m"):
+            DyadicScale(2, 2000)  # 2.0**2000 overflows
+
     def test_scale_level_is_stored_as_python_int(self):
         scale = DyadicScale(np.int64(3), -8)
         assert type(scale.l) is int and scale == DyadicScale(3, -8)

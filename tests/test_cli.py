@@ -410,6 +410,12 @@ class TestErrors:
         (("project", "--q", "16", "--dyadic", "1"), "--dyadic l,m needs exactly two integers"),
         (("weyl-scan", "--poly", "0,0,1", "--nmin", "100", "--nmax", "100", "--samples", "5"), "got --nmin 100 --nmax 100"),
         (("lemma1", "--poly", "0,0,1", "--sweep", "--nmin", "65", "--nmax", "127"), "got --nmin 65 --nmax 127"),
+        (("arcs", "--dyadic", "2000,-3"), "Farey table limit"),
+        (("arcs", "--dyadic", "1,2000"), "halfwidth exponent m"),
+        (("project", "--q", "64", "--dyadic", "2000,-3", "--symbol-only"), "Farey table limit"),
+        (("remark2", "--l", "2000", "--m", "-3"), "Farey table limit"),
+        (("remark2", "--l", "2", "--m", "2000"), "halfwidth exponent m"),
+        (("probe-lp", "--l", "2000", "--m", "-3", "--p", "4"), "Farey table limit"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)

@@ -218,6 +218,16 @@ class TestPhaseKernel:
         n = _TILE_CELLS + 3
         assert abs(weyl_sum(SQUARE, n, 0.61803) - exact_weyl(SQUARE, n, 0.61803)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [64, 100, 5000])
+    @pytest.mark.parametrize("poly", [SQUARE, IntPolynomial((3, -7, 0, 2, 0, 5))])
+    def test_tiles_over_points_match_one_point_calls(self, poly, n):
+        # at N = 64 and 100 the last row tile is partial; every 7th point lies
+        # below 2^-11, so the float rests are sliced per tile too
+        xs = substream(14).uniform(-1.0, 1.0, 1500)
+        xs[::7] *= 2.0**-12
+        want = [weyl_sum(poly, n, x) for x in xs.tolist()]
+        assert np.array_equal(_weyl_many(poly, n, xs), want)
+
     def test_scratch_memory_is_bounded(self):
         weyl_sum(SQUARE, 64, 0.3)  # the table and caches are built outside the window
         tracemalloc.start()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,16 +175,12 @@ class TestMultiplierOp:
         assert (a - b).norm(2) <= 1e-12 * f.norm(2)
 
     def test_weighted_symbol(self):
-        op = MultiplierOp(
-            (ReducedFraction(0, 1),),
-            {ReducedFraction(0, 1): 2.0},
-            lambda x: eta(np.asarray(x) / 0.25),
-        )
+        op = MultiplierOp(np.zeros(1), np.array([2.0]), lambda x: eta(np.asarray(x) / 0.25))
         assert l2_operator_norm(op, 64) == pytest.approx(2.0)
 
     def test_needs_frequencies(self):
         with pytest.raises(ValueError):
-            MultiplierOp((), None, lambda x: x)
+            MultiplierOp(np.zeros(0), 1.0, lambda x: x)
 
     def test_support_halfwidth_skips_far_offsets(self):
         calls = []
@@ -192,9 +189,23 @@ class TestMultiplierOp:
             calls.append(np.abs(x).max())
             return np.ones_like(x)
 
-        op = MultiplierOp((ReducedFraction(0, 1),), None, base, support_halfwidth=0.1)
+        op = MultiplierOp(np.zeros(1), 1.0, base, support_halfwidth=0.1)
         op.symbol_on_grid(64)
         assert calls and max(calls) <= 0.1
+
+    def test_projection_centers_are_the_table(self):
+        op = projection_op(30, 1e-3)
+        assert np.shares_memory(op.centers, canonical_fractions(30).values)
+
+    def test_projection_build_does_not_copy_the_table(self):
+        projection_op(1024, 1e-7)  # the Farey table is built outside the window
+        tracemalloc.start()
+        try:
+            projection_op(1024, 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a copy of the 318,964 centers would be 2.4 MB
 
 
 class TestOperatorNorms:
@@ -376,19 +387,20 @@ class TestSymbolEngine:
     )
     @settings(max_examples=80, deadline=None)
     def test_weighted_centers_match_oracle(self, q, pairs, halfwidth, seed):
-        # repeated and wrapping centers (near 0 and 1), complex weights with
-        # some centers left at the default weight 1; the base does not vanish
+        # repeated and wrapping centers (near 0 and 1), complex weights on
+        # every other center and 1 elsewhere; the base does not vanish
         # at the support edge, and dyadic halfwidths put grid points on it
-        freqs = tuple(ReducedFraction.reduce(a, b) for a, b in pairs)
+        centers = np.array([ReducedFraction.reduce(a, b).value for a, b in pairs])
         rng = substream(seed)
-        coeffs = {fr: complex(*rng.standard_normal(2)) for fr in freqs[::2]}
+        weights = np.ones(centers.size, dtype=complex)
+        weights[::2] = [complex(*rng.standard_normal(2)) for _ in weights[::2]]
         base = lambda x: np.exp(2j * np.asarray(x)) * (1.5 + np.asarray(x))
-        op = MultiplierOp(freqs, coeffs, base, support_halfwidth=halfwidth)
+        op = MultiplierOp(centers, weights, base, support_halfwidth=halfwidth)
         assert np.array_equal(op.symbol_on_grid(q), planted_symbol(op, q))
 
     def test_wrapping_centers(self):
-        freqs = (ReducedFraction(0, 1), ReducedFraction(1, 97), ReducedFraction(96, 97))
-        op = MultiplierOp(freqs, None, lambda x: 1.0 - np.abs(x) * 10, support_halfwidth=0.03)
+        centers = np.array([0.0, 1 / 97, 96 / 97])
+        op = MultiplierOp(centers, 1.0, lambda x: 1.0 - np.abs(x) * 10, support_halfwidth=0.03)
         for q in (97, 100, 1009):
             assert np.array_equal(op.symbol_on_grid(q), planted_symbol(op, q))
 
@@ -417,7 +429,7 @@ class TestSymbolEngine:
         sym = dataclasses.replace(op, base_symbol=counting).symbol_on_grid(q)
         assert np.array_equal(sym, op.symbol_on_grid(q))
         assert len(received) == 1
-        assert 0 < received[0] <= len(op.frequencies) * (2 * halfwidth * q + 4)
+        assert 0 < received[0] <= op.centers.size * (2 * halfwidth * q + 4)
 
     def test_approx_mm_once_per_distinct_offset(self, monkeypatch):
         calls = []
@@ -430,7 +442,7 @@ class TestSymbolEngine:
         monkeypatch.setattr(expsums, "_mm_many", counting)
         op = approx_average_op(SQUARE, 256, 2, 2)
         op.symbol_on_grid(4096)
-        assert len(op.frequencies) == 6
+        assert op.centers.size == 6
         # one call; 0, 1/4, 1/2, 3/4 share their 257 grid offsets and 1/3 and
         # 2/3 add 256 each
         assert len(calls) == 1
