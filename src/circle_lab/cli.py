@@ -508,14 +508,14 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
         # one sequence N -> A_N f(x), pipeable into variation/jumps/oscillation
         x = p["point"] % p["mod"]
         csv_text = "label,re,im\n" + "".join(
-            f"{n},{float(sig.values[x].real)!r},{float(sig.values[x].imag)!r}\n"
-            for n, sig in zip(series.indices, series.signals)
+            f"{n},{float(v.real)!r},{float(v.imag)!r}\n"
+            for n, v in zip(series.indices, series.values[:, x])
         )
     else:
         csv_text = "n,max_abs,mean_re,mean_im\n" + "".join(
-            f"{n},{float(np.abs(sig.values).max())!r},"
-            f"{float(sig.values.mean().real)!r},{float(sig.values.mean().imag)!r}\n"
-            for n, sig in zip(series.indices, series.signals)
+            f"{n},{float(np.abs(row).max())!r},"
+            f"{float(row.mean().real)!r},{float(row.mean().imag)!r}\n"
+            for n, row in zip(series.indices, series.values)
         )
     _emit(cfg, {"ergodic": sys_.is_ergodic, "diagnostic": diag}, csv_text)
     if p.get("csv"):

@@ -10,8 +10,10 @@ correlation estimates, and star discrepancy of real orbits.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,22 +45,36 @@ class FiniteSystem:
 
 @dataclass(frozen=True)
 class AverageSeries:
-    """Averages A_N f for every N in an increasing index set."""
+    """Averages A_N f for every N in an increasing index set: row k of the
+    read-only complex array `values`, shape (number of N, Q), is A_N f at
+    N = indices[k].  A writable `values` is copied; a read-only one is kept."""
 
     indices: tuple[int, ...]
-    signals: tuple[Signal, ...]
+    values: np.ndarray
     system: FiniteSystem
     poly: IntPolynomial
 
     def __post_init__(self):
         if list(self.indices) != sorted(set(self.indices)):
             raise ValueError("index set must be strictly increasing")
-        if len(self.indices) != len(self.signals):
-            raise ValueError("one signal per index required")
+        vals = np.asarray(self.values, dtype=np.complex128)
+        if vals.shape != (len(self.indices), self.system.modulus):
+            raise ValueError("one row of Q values per index required")
+        if not np.isfinite(vals).all():
+            raise ValueError("average values must be finite")
+        if vals.flags.writeable:
+            vals = vals.copy()
+            vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def signals(self) -> tuple[Signal, ...]:
+        """The rows as Signals that view `values` without a copy."""
+        return tuple(map(Signal._view, self.values))
 
     def matrix(self) -> np.ndarray:
-        """Stacked values, shape (number of N, Q)."""
-        return np.stack([sig.values for sig in self.signals])
+        """The values themselves, shape (number of N, Q); not a copy."""
+        return self.values
 
 
 def orbit_polynomial(sys: FiniteSystem, poly: IntPolynomial) -> IntPolynomial:
@@ -86,8 +102,11 @@ def average_series(
         raise ValueError(f"uniform_from must be >= 0, got {uniform_from}")
     if any(n <= m for n in ns):
         raise ValueError("uniform averages need N > M")
-    signals = tuple(_averages(orbit_polynomial(sys, poly), f, ns, start=m))
-    return AverageSeries(ns, signals, sys, poly)
+    vals = np.empty((len(ns), sys.modulus), dtype=np.complex128)
+    for row, avg in zip(vals, _averages(orbit_polynomial(sys, poly), f, ns, start=m)):
+        row[...] = avg
+    vals.flags.writeable = False
+    return AverageSeries(ns, vals, sys, poly)
 
 
 def convergence_diagnostic(
@@ -106,11 +125,11 @@ def convergence_diagnostic(
     """
     if not (1 <= r < math.inf):
         raise ValueError("diagnostic exponent must satisfy 1 <= r < inf")
-    ns = np.array(series.indices)
-    tail_mask = ns >= tail_start
-    if tail_mask.sum() < 2:
+    ns = series.indices
+    tail = bisect.bisect_left(ns, tail_start)  # indices increase: the tail is a suffix
+    if len(ns) - tail < 2:
         raise ValueError("need at least two indices >= tail_start")
-    mat = series.matrix()  # (T, Q)
+    mat = series.values  # (T, Q)
 
     vr = variation_values(mat, r)
 
@@ -119,11 +138,11 @@ def convergence_diagnostic(
         anchors.append(len(ns) - 1)
     if len(anchors) < 2:
         anchors = [0, len(ns) - 1]
-    osc, _ = _block_oscillation(mat, anchors, _Exponent(r, "diagnostic"))
+    osc, _ = _block_oscillation(mat, anchors, _Exponent(r, "diagnostic").in_units(mat))
     anchor_ns = [int(ns[i]) for i in anchors]
     doubling = all(b > 2 * a for a, b in zip(anchor_ns, anchor_ns[1:]))
 
-    width = variation_values(mat[tail_mask], math.inf)
+    width = variation_values(mat[tail:], math.inf)
 
     def aggregate(stat: np.ndarray) -> dict:
         out = {"max": float(stat.max())}
@@ -217,8 +236,8 @@ def mean_ergodic_check(
     invariant = riesz_split(f, sys.shift).invariant
     series = average_series(sys, IntPolynomial((0, 1)), f, sorted(set(int(v) for v in n_values)))
     entries = [
-        (n, float(np.sqrt(np.mean(np.abs((avg - invariant).values) ** 2))))
-        for n, avg in zip(series.indices, series.signals)
+        (n, float(np.sqrt(np.mean(np.abs(row - invariant.values) ** 2))))
+        for n, row in zip(series.indices, series.values)
     ]
     return {
         "ergodic": sys.is_ergodic,

@@ -21,6 +21,7 @@ from .arcs import (
     DyadicScale,
     ReducedFraction,
     TorusIntervalSet,
+    _level,
     canonical_fractions,
     dyadic_shell,
     wrap_signed,
@@ -395,10 +396,11 @@ def approx_average_op(
     2^(-degree * high_scale)."""
     from .expsums import _mm_many
 
+    level = _level(level, "level")
     n = int(IndexRange.of(n_range))
     degree = poly.degree
     cut = eta_at_scale(-degree * high_scale)
-    table = dyadic_shell(level) if shell_only else canonical_fractions(2.0**level)
+    table = dyadic_shell(level) if shell_only else canonical_fractions(2**level)
 
     def base(offsets: np.ndarray) -> np.ndarray:
         offs = np.atleast_1d(np.asarray(offsets, dtype=float))

@@ -114,6 +114,14 @@ class Signal:
         object.__setattr__(self, "values", vals)
 
     @classmethod
+    def _view(cls, values: np.ndarray) -> "Signal":
+        """Signal over a read-only row already checked, without the checks
+        or the copy."""
+        sig = object.__new__(cls)
+        sig.__dict__.update(modulus=values.size, values=values)
+        return sig
+
+    @classmethod
     def constant(cls, modulus: int, value: complex = 1.0) -> "Signal":
         return cls(modulus, np.full(modulus, value, dtype=np.complex128))
 
@@ -246,9 +254,10 @@ def kernel(poly: IntPolynomial, n_range: IndexRange | int, modulus: int) -> Sign
 
 def _averages(
     poly: IntPolynomial, f: Signal, ns: Iterable[IndexRange | int], start: int = 0
-) -> Iterator[Signal]:
-    """Mean of f(x - P(n)) over n in (start, N] for each N in ns: the one
-    averaging path, with one residue table and one FFT convolution per N.
+) -> Iterator[np.ndarray]:
+    """Values of the mean of f(x - P(n)) over n in (start, N] for each N in
+    ns: the one averaging path, with one residue table and one FFT
+    convolution per N.
 
     Every shift of a window is a multiple of d = gcd(Q, shifts), so the
     average fixes the period-d signals.  The anchor tile(f[:d]) is added
@@ -267,7 +276,7 @@ def _averages(
             rest = np.fft.ifft(f.values - anchor)
             anchor_d = d
         kern = np.fft.ifft(np.bincount(window, minlength=q) / (n - start))
-        yield Signal(q, np.fft.fft(kern * rest) * q + anchor)
+        yield np.fft.fft(kern * rest) * q + anchor
 
 
 def average_linear(
@@ -276,7 +285,7 @@ def average_linear(
     f: Signal,
 ) -> Signal:
     """A_N f(x) = mean of f(x - P(n)) over n = 1..N, a cyclic convolution."""
-    return next(_averages(poly, f, [n_range]))
+    return Signal(f.modulus, next(_averages(poly, f, [n_range])))
 
 
 def average_bilinear(
@@ -306,7 +315,7 @@ def maximal_function(
         raise ValueError("maximal function needs at least one N")
     best = np.zeros(f.modulus)
     for avg in _averages(poly, f, n_ranges):
-        best = np.maximum(best, np.abs(avg.values))
+        best = np.maximum(best, np.abs(avg))
     return Signal(f.modulus, best.astype(np.complex128))
 
 

@@ -76,8 +76,9 @@ def variation(seq, r: float) -> SeminormReport:
     """r-variation: sup over increasing subsequences t_0 < ... < t_J of
     (sum |a_(t_(j+1)) - a_(t_j)|^r)^(1/r); r = inf gives the largest
     single increment |a_t - a_s| over s < t."""
-    rule = _Exponent(r, "variation")
-    val, top, witness = _chain(seq, rule.weigh)
+    s = RealSequence.of(seq)
+    rule = _Exponent(r, "variation").in_units(s.values)
+    val, top, witness = _chain(s, rule.weigh)
     return SeminormReport("variation", float(rule.root(val)[top]), witness, {"r": r})
 
 
@@ -87,9 +88,9 @@ def jump_count(seq, lam: float) -> SeminormReport:
     if not lam > 0:
         raise ValueError("jump threshold must be positive")
 
-    def weigh(mags: np.ndarray, prior: np.ndarray) -> bool:
+    def weigh(mags: np.ndarray, prior: np.ndarray, scratch: np.ndarray) -> bool:
         # a jump extends the chain ending at j to prior + 1; -1 rules j out
-        jumps = mags >= lam
+        jumps = np.greater_equal(mags, lam, out=scratch)
         np.add(prior, 2.0, out=mags)
         mags *= jumps
         mags -= 1.0
@@ -101,18 +102,19 @@ def jump_count(seq, lam: float) -> SeminormReport:
 
 def _chain(seq, weigh) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """Best chain t_0 < ... < t_J through seq.  weigh turns the increments
-    |a_i - a_j|, j < i, in place into chain values from those at j and says
-    whether it folded them in; value(i) is the first largest if > 0, else 0.
-    Returns the values, the best chain's end and its labels (the witness)."""
+    |a_i - a_j|, j < i, in place into chain values from those at j, given a
+    float scratch buffer of their size, and says whether it folded them in;
+    value(i) is the first largest if > 0, else 0.  Returns the values, the
+    best chain's end and its labels (the witness)."""
     s = RealSequence.of(seq)
     a = s.values
     n = a.size
-    val = np.zeros(n)
+    val, scratch = np.zeros(n), np.empty(n)
     back = np.full(n, -1, dtype=np.int64)
     folds = True
     for i in range(1, n):
         cand = np.abs(a[i] - a[:i])
-        folds = weigh(cand, val[:i])
+        folds = weigh(cand, val[:i], scratch[:i])
         j = int(cand.argmax())
         if cand[j] > 0.0:
             val[i] = cand[j]
@@ -132,7 +134,7 @@ def oscillation(seq, anchors: Sequence[int], r: float) -> SeminormReport:
     from a_(I_j), combined in the r-th power mean sum (the largest one at
     r = inf)."""
     s = RealSequence.of(seq)
-    rule = _Exponent(r, "oscillation")
+    rule = _Exponent(r, "oscillation").in_units(s.values)
     anchor_list = [int(t) for t in anchors]
     if len(anchor_list) < 2:
         raise ValueError("need at least two anchors (J >= 1)")
@@ -158,25 +160,54 @@ class _Exponent:
     """The one place an exponent r >= 1 (r = inf allowed) acts: a chain of
     increments d_j is worth sum |d_j|^r, with r-th root the seminorm.  At
     r = inf callers' max over chain ends already gives the sup increment,
-    so each increment stands alone and no chain value is folded in."""
+    so each increment stands alone and no chain value is folded in.
+
+    After `in_units(a)`, increments are counted in units u = 2^k, one per
+    trailing slice of the samples a, wherever their r-th powers could leave
+    the normal float range; u = 1 elsewhere, so such slices keep their bits.
+    Only 1 < r < inf needs units: at r = 1 and r = inf a sum or increment
+    that overflows has a true value past the float range too."""
 
     def __init__(self, r: float, what: str):
         if not r >= 1:  # also rejects NaN
             raise ValueError(f"{what} exponent must satisfy r >= 1")
         self.r = r
+        self.unit = None
 
-    def weigh(self, mags: np.ndarray, prior) -> bool:
-        """In place, increments |d| become chain values |d|^r + prior.
-        Returns whether prior was folded in (False at r = inf)."""
+    def in_units(self, a: np.ndarray) -> "_Exponent":
+        """Set the units for samples a of shape (T, ...); returns self."""
+        r, t = self.r, a.shape[0]
+        if not 1 < r < math.inf or t < 2:
+            return self
+        # each increment of a slice lies in [0, sqrt(2) w] for its span w (the
+        # larger of the real and imaginary spans) and the largest is >= w, so
+        # for w in [lo, hi] the largest r-th power is >= 2^-969 (smaller ones
+        # lost to underflow do not matter) and a chain of t - 1 stays finite
+        span = a.real.max(axis=0) - a.real.min(axis=0)
+        if a.dtype.kind == "c":
+            span = np.maximum(span, a.imag.max(axis=0) - a.imag.min(axis=0))
+        lo, hi = 2.0 ** (-969 / r), 2.0 ** ((1023 - math.log2(t - 1)) / r - 0.5)
+        out = (span > hi) | (span < lo) & (span > 0)
+        if out.any():
+            k = np.minimum(np.frexp(span)[1], 1023)  # 2^(k-1) <= w < 2^k
+            self.unit = np.where(out & np.isfinite(span), np.ldexp(1.0, k), 1.0)
+        return self
+
+    def weigh(self, mags: np.ndarray, prior, scratch: np.ndarray) -> bool:
+        """In place, increments |d| become chain values |d|^r + prior, with
+        scratch a float buffer shaped like mags.  Returns whether prior was
+        folded in (False at r = inf)."""
         r = self.r
         if r == math.inf:
             return False
+        if self.unit is not None:  # exact: u is a power of two
+            mags /= self.unit.reshape(self.unit.shape + (1,) * (mags.ndim - self.unit.ndim))
         # integer exponents by multiplication; float powers are far slower
         if r == 2.0:
             np.multiply(mags, mags, out=mags)
         elif r == 3.0:
-            sq = mags * mags
-            np.multiply(sq, mags, out=mags)
+            np.multiply(mags, mags, out=scratch)
+            np.multiply(scratch, mags, out=mags)
         elif r == 4.0:
             np.multiply(mags, mags, out=mags)
             np.multiply(mags, mags, out=mags)
@@ -187,7 +218,8 @@ class _Exponent:
 
     def root(self, total: np.ndarray) -> np.ndarray:
         """Seminorm from a chain value array: total^(1/r), or total at r = inf."""
-        return total if self.r == math.inf else total ** (1.0 / self.r)
+        out = total if self.r == math.inf else total ** (1.0 / self.r)
+        return out if self.unit is None else out * self.unit
 
 
 def _block_oscillation(a: np.ndarray, cuts: Sequence[int], rule: _Exponent):
@@ -195,13 +227,13 @@ def _block_oscillation(a: np.ndarray, cuts: Sequence[int], rule: _Exponent):
     c_0 < ... < c_J cut [c_0, c_J) into blocks [c_j, c_(j+1)), and each
     block adds its sup deviation from a[c_j].  Returns the values and, per
     block, the positions where those sups are reached."""
-    total = np.zeros(a.shape[1:])
+    total, scratch = np.zeros(a.shape[1:]), np.empty(a.shape[1:])
     peaks = []
     for c0, c1 in zip(cuts, cuts[1:]):
         devs = np.abs(a[c0:c1] - a[c0])
         peaks.append(c0 + devs.argmax(axis=0))
         dev = devs.max(axis=0)
-        rule.weigh(dev, total)
+        rule.weigh(dev, total, scratch)
         total = np.maximum(total, dev)
     return rule.root(total), peaks
 
@@ -216,14 +248,16 @@ def _level_variation(levels: list[np.ndarray], rule: _Exponent) -> np.ndarray:
     for a_i in levels:
         v_i = np.zeros(a_i.shape)
         diff, mag = np.empty_like(a_i), np.empty(a_i.shape)
+        # the rule's scratch; a float diff is dead once mag holds |diff|
+        spare = diff if diff.dtype == mag.dtype else np.empty(a_i.shape)
         lead = None
         for a_j, v_j in zip(heads, vals):
             if a_j.shape[:-1] != lead:  # a plain stack keeps one view per level
                 lead = a_j.shape[:-1]
-                a, d, m, v = (x.reshape(lead + (-1,)) for x in (a_i, diff, mag, v_i))
+                a, d, m, w, v = (x.reshape(lead + (-1,)) for x in (a_i, diff, mag, spare, v_i))
             np.subtract(a, a_j, out=d)
             np.abs(d, out=m)
-            rule.weigh(m, v_j)
+            rule.weigh(m, v_j, w)
             np.maximum(v, m, out=v)
         heads.append(a_i[..., None])
         vals.append(v_i[..., None])
@@ -245,7 +279,7 @@ def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
     a = np.asarray(samples)
     if a.ndim == 0 or a.shape[0] < 1:
         raise ValueError("variation needs at least one sample")
-    return _level_variation(list(a), rule)
+    return _level_variation(list(a), rule.in_units(a))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,43 @@ def brute_variation(values, r: float) -> float:
     return best ** (1.0 / r) if best > 0 else 0.0
 
 
+def exact_root(total: Fraction, r: int) -> float:
+    """total^(1/r) for a Fraction total >= 0 and an integer r, at any size:
+    the float root of total / 2^(r e), near 1, scaled back by 2^e."""
+    if total == 0:
+        return 0.0
+    e = (total.numerator.bit_length() - total.denominator.bit_length()) // r
+    return math.ldexp(float(total / Fraction(2) ** (r * e)) ** (1.0 / r), e)
+
+
+def exact_chain(values, r: int) -> float:
+    """(sum |a_(j+1) - a_j|^r)^(1/r) over a real float chain, summed exactly."""
+    vals = [Fraction(v) for v in values]
+    return exact_root(sum((abs(b - a) ** r for a, b in zip(vals, vals[1:])), Fraction(0)), r)
+
+
+def exact_variation(values, r: int) -> float:
+    """r-variation of a real float sequence over all increasing
+    subsequences, with the r-th powers summed exactly in Fractions, so no
+    float range bounds them."""
+    vals = [Fraction(v) for v in values]
+    best = Fraction(0)
+    for size in range(2, len(vals) + 1):
+        for idx in itertools.combinations(range(len(vals)), size):
+            best = max(best, sum(abs(vals[b] - vals[a]) ** r for a, b in zip(idx, idx[1:])))
+    return exact_root(best, r)
+
+
+def exact_oscillation(values, anchors, r: int) -> float:
+    """Blockwise oscillation of a real float sequence at anchor positions,
+    with the r-th powers summed exactly in Fractions."""
+    vals = [Fraction(v) for v in values]
+    total = sum(
+        max(abs(vals[t] - vals[a]) for t in range(a, b)) ** r for a, b in zip(anchors, anchors[1:])
+    )
+    return exact_root(total, r)
+
+
 def brute_jump(values, lam: float) -> int:
     """Exhaustive lambda-jump count over all increasing subsequences."""
     vals = list(values)

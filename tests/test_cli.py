@@ -286,6 +286,14 @@ class TestSequenceCommands:
         doc = run_json(capsys, "jumps", "--lam", "1", "--in", str(path))
         assert doc["result"]["value"] == 1.0
 
+    def test_variation_past_the_float_range_of_squares(self, capsys, tmp_path):
+        # the squared increments (2e300)^2 overflow float64; the value does not
+        path = tmp_path / "seq.csv"
+        path.write_text("label,re,im\n0,1e300,0\n1,-1e300,0\n2,1e300,0\n")
+        doc = run_json(capsys, "variation", "--r", "2", "--in", str(path))
+        assert doc["result"]["value"] == pytest.approx(2.0 * math.sqrt(2.0) * 1e300, rel=1e-13, abs=0)
+        assert doc["result"]["witness"] == [0, 1, 2]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_series_exits_2(self, capsys, tmp_path, value):
         path = tmp_path / "seq.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +9,17 @@ from hypothesis import strategies as st
 
 from circle_lab._util import substream
 from circle_lab.ergodic_lab import (
+    AverageSeries,
     FiniteSystem,
     average_series,
     convergence_diagnostic,
     discrepancy,
     mean_ergodic_check,
+    orbit_polynomial,
     star_discrepancy,
     vdc_correlation,
 )
-from circle_lab.polyavg import IntPolynomial, Signal
+from circle_lab.polyavg import IntPolynomial, Signal, average_linear
 from circle_lab.seminorms import lacunary
 
 SQUARE = IntPolynomial((0, 0, 1))
@@ -129,6 +132,62 @@ class TestAverageSeries:
         assert FiniteSystem(10, 3).is_ergodic
         assert not FiniteSystem(10, 4).is_ergodic
         assert not FiniteSystem(10, 0).is_ergodic
+
+
+class TestSeriesLayout:
+    """One read-only (T, Q) array; rows, signals and the matrix view it."""
+
+    @staticmethod
+    def series(q=32, shift=3, poly=SQUARE, tau=1.5, nmax=200):
+        sys = FiniteSystem(q, shift)
+        f = random_signal(q, 11)
+        return average_series(sys, poly, f, lacunary(tau, nmax)), f
+
+    def test_matrix_is_the_read_only_values(self):
+        series, _ = self.series()
+        mat = series.matrix()
+        assert mat.shape == (len(series.indices), 32) and mat.dtype == np.complex128
+        assert np.shares_memory(mat, series.values)
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+    def test_signals_view_rows_bit_equal_to_average_linear(self):
+        series, f = self.series()
+        orbit = orbit_polynomial(series.system, series.poly)
+        for n, sig in zip(series.indices, series.signals):
+            assert sig.modulus == 32 and np.shares_memory(sig.values, series.values)
+            assert np.array_equal(sig.values, average_linear(orbit, n, f).values)
+
+    def test_constructor_keeps_its_own_read_only_copy(self):
+        vals = np.ones((2, 4), dtype=np.complex128)
+        series = AverageSeries((1, 2), vals, FiniteSystem(4, 1), LINEAR)
+        vals[0, 0] = 5.0
+        assert series.values[0, 0] == 1.0 and not series.values.flags.writeable
+        frozen = series.values
+        assert AverageSeries((1, 2), frozen, FiniteSystem(4, 1), LINEAR).values is frozen
+
+    @pytest.mark.parametrize("vals, message", [
+        (np.ones((3, 4)), "one row of Q values per index"),
+        (np.ones((2, 5)), "one row of Q values per index"),
+        (np.array([[1.0, 2.0, np.nan, 0.0], [0.0] * 4]), "finite"),
+        (np.array([[1.0, 2.0, 0.0, 0.0], [complex(0, np.inf)] * 4]), "finite"),
+    ])
+    def test_constructor_checks_values(self, vals, message):
+        with pytest.raises(ValueError, match=message):
+            AverageSeries((1, 2), vals, FiniteSystem(4, 1), LINEAR)
+
+    def test_diagnostic_holds_less_than_one_copy_of_the_series(self):
+        sys = FiniteSystem(4096, 3)
+        series = average_series(sys, SQUARE, random_signal(4096, 12), lacunary(1.05, 4096))
+        assert series.values.shape == (128, 4096)
+        tracemalloc.start()
+        try:
+            convergence_diagnostic(series, 2.0, tail_start=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < series.values.nbytes
 
 
 class TestConvergenceDiagnostic:

@@ -431,6 +431,16 @@ class TestSymbolEngine:
         assert len(received) == 1
         assert 0 < received[0] <= op.centers.size * (2 * halfwidth * q + 4)
 
+    @pytest.mark.parametrize("level, message", [
+        (2000, "Farey table limit"),  # 2.0**2000 overflows
+        (1.5, "level must be an integer, got 1.5"),
+        (-1, "level must be >= 0"),
+    ])
+    @pytest.mark.parametrize("shell", [False, True])
+    def test_level_is_checked_first(self, level, message, shell):
+        with pytest.raises(ValueError, match=message):
+            approx_average_op(SQUARE, 64, level, 2, shell_only=shell)
+
     def test_approx_mm_once_per_distinct_offset(self, monkeypatch):
         calls = []
         original = expsums._mm_many

@@ -22,7 +22,15 @@ from circle_lab.seminorms import (
     variation_values,
 )
 
-from oracles import brute_jump, brute_variation, martingale_levels, martingale_variation
+from oracles import (
+    brute_jump,
+    brute_variation,
+    exact_chain,
+    exact_oscillation,
+    exact_variation,
+    martingale_levels,
+    martingale_variation,
+)
 
 finite_values = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=10
@@ -245,6 +253,66 @@ class TestInequalities:
             seq = [variation(vals, r).value for r in (1.0, 1.5, 2.0, 3.0)]
             assert all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
             assert seq[-1] >= variation(vals, math.inf).value - 1e-12
+
+
+# increments whose r-th powers overflow or underflow float64
+OUT_OF_RANGE = [
+    [1e300, -1e300, 1e300],
+    [1e-200, -1e-200, 1e-200],
+    [3e250, -1e249, 7e250, 2e250, -5e250, 1e250],
+    [1e-300, 3e-300, -2e-300, 5e-301, 0.0],
+    [1e154, -1e154, 3e153, 2e154],
+    [2.0**-1000, 0.0, 2.0**-1001, 3 * 2.0**-1002],
+]
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("vals", OUT_OF_RANGE)
+    @pytest.mark.parametrize("r", [2, 3, 4, 7])
+    def test_variation_matches_exact_oracle(self, vals, r):
+        rep = variation(np.array(vals), r)
+        want = exact_variation(vals, r)
+        assert want > 0
+        assert rep.value == pytest.approx(want, rel=1e-13, abs=0)
+        assert exact_chain([vals[t] for t in rep.witness], r) == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("vals", OUT_OF_RANGE)
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_oscillation_matches_exact_oracle(self, vals, r):
+        anchors = [0, 2, len(vals) - 1] if len(vals) > 4 else [0, len(vals) - 1]
+        got = oscillation(np.array(vals), anchors, r).value
+        want = exact_oscillation(vals, anchors, r)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("r", [2, 3, 7])
+    def test_batch_takes_units_per_column(self, r):
+        cols = OUT_OF_RANGE[:3] + [[0.3, -1.2, 2.5]]
+        size = max(map(len, cols))
+        cols = [c + [c[-1]] * (size - len(c)) for c in cols]  # repeats add no increment
+        a = np.array(cols).T
+        got = variation_values(a, r)
+        for c, col in enumerate(cols):
+            assert got[c] == pytest.approx(exact_variation(col, r), rel=1e-13, abs=0)
+        # the ordinary column keeps the bits it has on its own
+        assert got[-1] == variation_values(a[:, -1:], r)[0]
+
+    def test_complex_series(self):
+        vals = np.array([1e300, 1e300j, -1e300, 0.0])
+        # |1e300 - 1e300 j| = sqrt(2) 1e300 and so on: the variation of the
+        # unit-free sequence, times 1e300
+        want = variation(vals / 1e300, 2).value * 1e300
+        assert variation(vals, 2).value == pytest.approx(want, rel=1e-13, abs=0)
+        assert variation_values(vals[:, None], 2)[0] == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_ordinary_inputs_take_no_units(self):
+        a = substream(21).standard_normal((40, 30)) * 1e6
+        for r in (1.0, 1.5, 2.0, 3.0, 7.0, math.inf):
+            assert _Exponent(r, "variation").in_units(a).unit is None
+        extreme = np.array([1e300, -1e300, 1e300])
+        for r in (1.0, math.inf):  # no powers, so no units
+            assert _Exponent(r, "variation").in_units(extreme).unit is None
+        assert _Exponent(2.0, "variation").in_units(extreme).unit == 2.0**998
 
 
 class TestLacunary:
