@@ -1,7 +1,9 @@
-"""Seed splitting and worker-pool plumbing shared across the package."""
+"""Seed splitting, worker-pool plumbing and the scaled p-norm shared across
+the package."""
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,3 +62,32 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int | None =
         return [fn(x) for x in work]
     with ThreadPoolExecutor(max_workers=min(n, len(work))) as pool:
         return list(pool.map(fn, work))
+
+
+def range_units(top, p: float, count: int, slack: float = 0.0):
+    """Units u, one per entry of top, in which count p-th powers of values
+    up to 2^slack top sum to a finite float and the largest, of at least
+    top, is >= 2^-969 (smaller ones lost to underflow do not matter): u = 1
+    where top is in that range, so ordinary inputs keep their bits, else
+    2^k with 2^(k-1) <= top < 2^k, or past p = 969, where no power of two
+    keeps the largest power normal, top itself.  None if all u are 1."""
+    top = np.asarray(top, dtype=float)  # a float32 top cannot hold hi
+    lo, hi = 2.0 ** (-969 / p), 2.0 ** min((1023 - math.log2(count)) / p - slack, 1023)
+    out = (top > hi) | (top < lo) & (top > 0)
+    if not out.any():
+        return None
+    unit = top if p > 969 else np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023))
+    return np.where(out & np.isfinite(top), unit, 1.0)
+
+
+def pnorm(x, p: float, axis: int | None = None, mean: bool = False):
+    """(sum |x|^p)^(1/p) along axis, with the mean in place of the sum when
+    mean is set, counted in `range_units` of max |x|; p = inf gives max |x|."""
+    mags = np.abs(x)
+    if p == math.inf:
+        return mags.max(axis=axis)
+    top = mags.max(axis=axis, keepdims=True)
+    unit = range_units(top, p, mags.size // top.size)
+    powers = (mags if unit is None else mags / unit) ** p
+    total = (powers.mean(axis=axis) if mean else powers.sum(axis=axis)) ** (1.0 / p)
+    return total if unit is None else total * np.squeeze(unit, axis)

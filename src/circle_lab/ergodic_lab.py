@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._util import pnorm
 from .expsums import _phases, _reduce
 from .polyavg import IntPolynomial, Signal, _averages, riesz_split
 from .seminorms import LacunarySet, _block_oscillation, _Exponent, variation_values
@@ -133,11 +134,9 @@ def convergence_diagnostic(
 
     vr = variation_values(mat, r)
 
-    anchors = list(range(0, len(ns), 2))
+    anchors = list(range(0, len(ns), 2))  # at least two: the tail holds two indices
     if anchors[-1] != len(ns) - 1:
         anchors.append(len(ns) - 1)
-    if len(anchors) < 2:
-        anchors = [0, len(ns) - 1]
     osc, _ = _block_oscillation(mat, anchors, _Exponent(r, "diagnostic").in_units(mat))
     anchor_ns = [int(ns[i]) for i in anchors]
     doubling = all(b > 2 * a for a, b in zip(anchor_ns, anchor_ns[1:]))
@@ -147,7 +146,7 @@ def convergence_diagnostic(
     def aggregate(stat: np.ndarray) -> dict:
         out = {"max": float(stat.max())}
         for p in p_values:
-            out[f"l{p:g}"] = float((np.abs(stat) ** p).mean() ** (1.0 / p))
+            out[f"l{p:g}"] = float(pnorm(stat, p, mean=True))
         return out
 
     return {
@@ -236,7 +235,7 @@ def mean_ergodic_check(
     invariant = riesz_split(f, sys.shift).invariant
     series = average_series(sys, IntPolynomial((0, 1)), f, sorted(set(int(v) for v in n_values)))
     entries = [
-        (n, float(np.sqrt(np.mean(np.abs(row - invariant.values) ** 2))))
+        (n, float(pnorm(row - invariant.values, 2, mean=True)))
         for n, row in zip(series.indices, series.values)
     ]
     return {

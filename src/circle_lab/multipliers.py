@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import substream
+from ._util import pnorm, substream
 from .arcs import (
     ArcSystem,
     DyadicScale,
@@ -255,9 +255,6 @@ def lp_norm_probe(
     def apply(vec: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         return np.fft.fft(symbol * np.fft.ifft(vec))
 
-    def lp(vec: np.ndarray) -> float:
-        return float((np.abs(vec) ** p).sum() ** (1.0 / p))
-
     def signed_power(vec: np.ndarray, exponent: float) -> np.ndarray:
         mags = np.abs(vec)
         phases = np.where(mags > 0, vec / np.where(mags > 0, mags, 1.0), 0.0)
@@ -268,11 +265,11 @@ def lp_norm_probe(
         rng = substream(seed, t)
         f = rng.standard_normal(modulus) + 1j * rng.standard_normal(modulus)
         for _ in range(_ASCENT_STEPS):
-            nf = lp(f)
+            nf = float(pnorm(f, p))
             if nf == 0.0:
                 break
             tf = apply(f, sym)
-            best = max(best, lp(tf) / nf)
+            best = max(best, float(pnorm(tf, p)) / nf)
             g = signed_power(tf, p - 1.0)
             h = apply(g, conj_sym)
             if not np.any(h):

@@ -16,6 +16,8 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from ._util import pnorm
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -152,10 +154,7 @@ class Signal:
 
     def norm(self, p: float = 2) -> float:
         """Counting-measure norm on Z/QZ; p may be math.inf."""
-        mags = np.abs(self.values)
-        if p == math.inf:
-            return float(mags.max())
-        return float((mags**p).sum() ** (1.0 / p))
+        return float(pnorm(self.values, p))
 
     def mean(self) -> complex:
         return complex(self.values.mean())

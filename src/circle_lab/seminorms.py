@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import parallel_map, substream
-from .polyavg import Signal
+from ._util import parallel_map, pnorm, range_units, substream
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,7 @@ class RealSequence:
     labels: np.ndarray
 
     def __init__(self, values, labels=None):
-        vals = np.asarray(values, dtype=np.complex128).copy()
+        vals = np.array(values, dtype=np.complex128)  # a copy
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("sequence needs at least one value")
         if not np.isfinite(vals).all():
@@ -36,11 +35,11 @@ class RealSequence:
         if labels is None:
             labs = np.arange(vals.size)
         else:
-            labs = np.asarray(labels, dtype=np.int64).copy()
-        if labs.shape != vals.shape:
-            raise ValueError("labels and values must have equal length")
-        if vals.size > 1 and not np.all(np.diff(labs) > 0):
-            raise ValueError("labels must be strictly increasing")
+            labs = np.array(labels, dtype=np.int64)
+            if labs.shape != vals.shape:
+                raise ValueError("labels and values must have equal length")
+            if vals.size > 1 and not np.all(np.diff(labs) > 0):
+                raise ValueError("labels must be strictly increasing")
         vals.flags.writeable = False
         labs.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -78,7 +77,7 @@ def variation(seq, r: float) -> SeminormReport:
     single increment |a_t - a_s| over s < t."""
     s = RealSequence.of(seq)
     rule = _Exponent(r, "variation").in_units(s.values)
-    val, top, witness = _chain(s, rule.weigh)
+    val, top, witness = _variation_dp(s.values, rule.step, rule.folds, s.labels)
     return SeminormReport("variation", float(rule.root(val)[top]), witness, {"r": r})
 
 
@@ -87,45 +86,12 @@ def jump_count(seq, lam: float) -> SeminormReport:
     modulus >= lambda; the value is J."""
     if not lam > 0:
         raise ValueError("jump threshold must be positive")
-
-    def weigh(mags: np.ndarray, prior: np.ndarray, scratch: np.ndarray) -> bool:
-        # a jump extends the chain ending at j to prior + 1; -1 rules j out
-        jumps = np.greater_equal(mags, lam, out=scratch)
-        np.add(prior, 2.0, out=mags)
-        mags *= jumps
-        mags -= 1.0
-        return True
-
-    val, top, witness = _chain(seq, weigh)
-    return SeminormReport("jump", float(val[top]), witness, {"lambda": lam})
-
-
-def _chain(seq, weigh) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """Best chain t_0 < ... < t_J through seq.  weigh turns the increments
-    |a_i - a_j|, j < i, in place into chain values from those at j, given a
-    float scratch buffer of their size, and says whether it folded them in;
-    value(i) is the first largest if > 0, else 0.  Returns the values, the
-    best chain's end and its labels (the witness)."""
     s = RealSequence.of(seq)
-    a = s.values
-    n = a.size
-    val, scratch = np.zeros(n), np.empty(n)
-    back = np.full(n, -1, dtype=np.int64)
-    folds = True
-    for i in range(1, n):
-        cand = np.abs(a[i] - a[:i])
-        folds = weigh(cand, val[:i], scratch[:i])
-        j = int(cand.argmax())
-        if cand[j] > 0.0:
-            val[i] = cand[j]
-            back[i] = j
-    top = int(np.argmax(val))
-    path = [top]
-    while back[path[0]] >= 0:
-        path.insert(0, int(back[path[0]]))
-        if not folds:  # an unfolded chain is worth its last increment alone
-            break
-    return val, top, tuple(int(s.labels[i]) for i in path)
+    # a jump adds 1 to the chain ending at j; -inf rules j out
+    val, top, witness = _variation_dp(
+        s.values, lambda m, _: np.copyto(m, np.where(m >= lam, 1.0, -np.inf)), True, s.labels
+    )
+    return SeminormReport("jump", float(val[top]), witness, {"lambda": lam})
 
 
 def oscillation(seq, anchors: Sequence[int], r: float) -> SeminormReport:
@@ -144,9 +110,7 @@ def oscillation(seq, anchors: Sequence[int], r: float) -> SeminormReport:
     for t in anchor_list:
         if t not in label_pos:
             raise ValueError(f"anchor {t} is not a sequence label")
-    value, peaks = _block_oscillation(
-        s.values[:, None], [label_pos[t] for t in anchor_list], rule
-    )
+    value, peaks = _block_oscillation(s.values[:, None], [label_pos[t] for t in anchor_list], rule)
     doubling = all(t1 > 2 * t0 for t0, t1 in zip(anchor_list, anchor_list[1:]))
     return SeminormReport(
         "oscillation",
@@ -162,16 +126,16 @@ class _Exponent:
     r = inf callers' max over chain ends already gives the sup increment,
     so each increment stands alone and no chain value is folded in.
 
-    After `in_units(a)`, increments are counted in units u = 2^k, one per
-    trailing slice of the samples a, wherever their r-th powers could leave
-    the normal float range; u = 1 elsewhere, so such slices keep their bits.
-    Only 1 < r < inf needs units: at r = 1 and r = inf a sum or increment
-    that overflows has a true value past the float range too."""
+    After `in_units(a)`, increments are counted in `range_units`, one per
+    trailing slice of the samples a.  Only 1 < r < inf needs units: at
+    r = 1 and r = inf a sum or increment that overflows has a true value
+    past the float range too."""
 
     def __init__(self, r: float, what: str):
         if not r >= 1:  # also rejects NaN
             raise ValueError(f"{what} exponent must satisfy r >= 1")
         self.r = r
+        self.folds = r != math.inf
         self.unit = None
 
     def in_units(self, a: np.ndarray) -> "_Exponent":
@@ -179,29 +143,23 @@ class _Exponent:
         r, t = self.r, a.shape[0]
         if not 1 < r < math.inf or t < 2:
             return self
-        # each increment of a slice lies in [0, sqrt(2) w] for its span w (the
-        # larger of the real and imaginary spans) and the largest is >= w, so
-        # for w in [lo, hi] the largest r-th power is >= 2^-969 (smaller ones
-        # lost to underflow do not matter) and a chain of t - 1 stays finite
-        span = a.real.max(axis=0) - a.real.min(axis=0)
-        if a.dtype.kind == "c":
-            span = np.maximum(span, a.imag.max(axis=0) - a.imag.min(axis=0))
-        lo, hi = 2.0 ** (-969 / r), 2.0 ** ((1023 - math.log2(t - 1)) / r - 0.5)
-        out = (span > hi) | (span < lo) & (span > 0)
-        if out.any():
-            k = np.minimum(np.frexp(span)[1], 1023)  # 2^(k-1) <= w < 2^k
-            self.unit = np.where(out & np.isfinite(span), np.ldexp(1.0, k), 1.0)
+        if r > 969:  # units of the largest increment itself
+            top, slack = _variation_dp(a, lambda mags, scratch: None, False), 0.0
+        else:  # each increment of a slice lies in [0, sqrt(2) w] for its span w
+            # (the larger of the real and imaginary spans), and the largest is >= w
+            top, slack = np.maximum(np.ptp(a.real, axis=0), np.ptp(a.imag, axis=0)), 0.5
+        self.unit = range_units(top, r, t - 1, slack)
         return self
 
-    def weigh(self, mags: np.ndarray, prior, scratch: np.ndarray) -> bool:
-        """In place, increments |d| become chain values |d|^r + prior, with
-        scratch a float buffer shaped like mags.  Returns whether prior was
-        folded in (False at r = inf)."""
+    def step(self, mags: np.ndarray, scratch: np.ndarray) -> None:
+        """In place, increments |d| become |d|^r (left alone at r = inf),
+        with scratch a float buffer shaped like mags.  The variation DP
+        gives mags a trailing axis that the units do not have."""
         r = self.r
         if r == math.inf:
-            return False
-        if self.unit is not None:  # exact: u is a power of two
-            mags /= self.unit.reshape(self.unit.shape + (1,) * (mags.ndim - self.unit.ndim))
+            return
+        if self.unit is not None:
+            mags /= self.unit if mags.ndim == self.unit.ndim else self.unit[..., None]
         # integer exponents by multiplication; float powers are far slower
         if r == 2.0:
             np.multiply(mags, mags, out=mags)
@@ -213,8 +171,6 @@ class _Exponent:
             np.multiply(mags, mags, out=mags)
         elif r != 1.0:
             np.power(mags, r, out=mags)
-        mags += prior
-        return True
 
     def root(self, total: np.ndarray) -> np.ndarray:
         """Seminorm from a chain value array: total^(1/r), or total at r = inf."""
@@ -233,53 +189,96 @@ def _block_oscillation(a: np.ndarray, cuts: Sequence[int], rule: _Exponent):
         devs = np.abs(a[c0:c1] - a[c0])
         peaks.append(c0 + devs.argmax(axis=0))
         dev = devs.max(axis=0)
-        rule.weigh(dev, total, scratch)
-        total = np.maximum(total, dev)
+        rule.step(dev, scratch)
+        total = total + dev if rule.folds else np.maximum(total, dev)
     return rule.root(total), peaks
 
 
-def _level_variation(levels: list[np.ndarray], rule: _Exponent) -> np.ndarray:
-    """Pointwise r-variation along levels whose last axes refine (each length
-    divides the next: a plain stack keeps it, dyadic martingale levels
-    double it), shaped like the last level.  DP states stay at their own
-    level's resolution; level i, viewed as level_j.shape + (-1,),
-    broadcasts against level j and its state, updated in place."""
-    heads, vals = [], []  # earlier levels and DP states, each with a unit last axis
-    for a_i in levels:
-        v_i = np.zeros(a_i.shape)
-        diff, mag = np.empty_like(a_i), np.empty(a_i.shape)
-        # the rule's scratch; a float diff is dead once mag holds |diff|
-        spare = diff if diff.dtype == mag.dtype else np.empty(a_i.shape)
-        lead = None
-        for a_j, v_j in zip(heads, vals):
-            if a_j.shape[:-1] != lead:  # a plain stack keeps one view per level
-                lead = a_j.shape[:-1]
-                a, d, m, w, v = (x.reshape(lead + (-1,)) for x in (a_i, diff, mag, spare, v_i))
-            np.subtract(a, a_j, out=d)
-            np.abs(d, out=m)
-            rule.weigh(m, v_j, w)
-            np.maximum(v, m, out=v)
-        heads.append(a_i[..., None])
-        vals.append(v_i[..., None])
-    out = vals[-1][..., 0]
-    for v_j in vals[:-1]:
-        view = out.reshape(v_j.shape[:-1] + (-1,))
-        np.maximum(view, v_j, out=view)
-    return rule.root(out)
+# Increments one block of the variation DP holds at most (pairs times
+# cells): a chain of up to 2^15 levels takes all earlier ones in one block,
+# a slice of 2^15 cells or more one pair per block.
+_BLOCK_CELLS = 1 << 15
+
+
+def _variation_dp(levels, step, folds: bool, labels=None):
+    """The one variation DP: value(i) = max(0, max over j < i of
+    step(|a_i - a_j|) + value(j)) per cell, value(j) added only when the
+    rule folds; step(mags, scratch) works in place.  The levels a_i are the
+    rows of a (T, ...) stack, or a list of levels whose last axes refine
+    (each length divides the next), level i viewed as level_j.shape + (-1,).
+
+    Rows [i0, i1) of a stack meet all rows j < i1 in one block while those
+    pairs fit _BLOCK_CELLS, else one row meets them in blocks of the budget;
+    a refining level is its own block.  Steps are weighed per block, then
+    folded row by row; blocks merge by a strict >, so the first largest j
+    wins.  Returns the largest value over the levels, shaped like the last,
+    or with labels (one chain) the values, the best end and the witness."""
+    stacks = [levels] if isinstance(levels, np.ndarray) else [lev[None] for lev in levels]
+    done = []  # stacks, DP states (both with a unit last axis), level_j.shape + (-1,)
+    bufs, shape = None, None  # increment buffers and the block shape of their views
+    for a in stacks:
+        n, cell = a.shape[0], max(a[0].size, 1)
+        v = np.zeros(a.shape)
+        done.append((a[..., None], v[..., None], a.shape[1:] + (-1,)))
+        back = None if labels is None else [-1] * n
+        i0 = 0
+        while i0 < n:  # the most rows with rows * (i0 + rows) pairs in the budget
+            i1 = min(n, i0 + max(1, (math.isqrt(i0 * i0 + 4 * (_BLOCK_CELLS // cell)) - i0) // 2))
+            for h, w, lead in done:
+                own = w is done[-1][1]
+                stop = i1 - 1 if own else len(h)
+                a_rows = a[i0:i1].reshape((i1 - i0, 1) + lead)
+                cols = max(1, min(stop, _BLOCK_CELLS // ((i1 - i0) * cell)))
+                for j0 in range(0, stop, cols):
+                    j1 = min(stop, j0 + cols)
+                    if (blk := (i1 - i0, j1 - j0) + a_rows.shape[2:]) != shape:
+                        shape, size = blk, math.prod(blk)
+                        if bufs is None or bufs[1].size < size:  # sized to the blocks in use
+                            bufs = (np.empty(size, a.dtype), np.empty(size))
+                            # the step's scratch: a float difference is dead once abs'd
+                            bufs += (bufs[0] if a.dtype == float else np.empty(size),)
+                        d, m, spare = (x[:size].reshape(blk) for x in bufs)
+                    np.subtract(a_rows, h[j0:j1], out=d)
+                    np.abs(d, out=m)
+                    step(m, spare)
+                    for i in range(i0, i1):
+                        if (c := (min(j1, i) if own else j1) - j0) <= 0:
+                            continue
+                        cand = m[i - i0, :c]
+                        if folds:
+                            cand += w[j0 : j0 + c]
+                        if back is not None:  # one chain: cand is (c, 1)
+                            j = int(cand.argmax())
+                            if cand.item(j) > v.item(i):
+                                v[i], back[i] = cand.item(j), j0 + j
+                        else:
+                            v_i = w[i] if own else v[i].reshape(lead)
+                            np.maximum(v_i, cand[0] if c == 1 else cand.max(axis=0), out=v_i)
+            i0 = i1
+    if back is not None:  # an unfolded chain is worth its last increment alone
+        path = [int(np.argmax(v))]
+        while back[path[-1]] >= 0 and (folds or len(path) == 1):
+            path.append(back[path[-1]])
+        return v, path[0], tuple(int(labels[i]) for i in reversed(path))
+    out = None  # the largest value so far, coarse to fine: each level's cells once
+    for _, w, _ in done:
+        top = w[0, ..., 0] if len(w) == 1 else w[..., 0].max(axis=0)
+        if out is not None:
+            view = top.reshape(out.shape + (-1,))
+            np.maximum(view, out[..., None], out=view)
+        out = top
+    return out
 
 
 def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
     """Batched r-variation without witnesses: samples has shape (T, ...) and
-    each trailing slice is one sequence of length T.
-
-    Pairwise in-place updates keep the working set at one trailing slice,
-    which matters when the batch is large.
-    """
+    each trailing slice is one sequence of length T."""
     rule = _Exponent(r, "variation")
     a = np.asarray(samples)
     if a.ndim == 0 or a.shape[0] < 1:
         raise ValueError("variation needs at least one sample")
-    return _level_variation(list(a), rule.in_units(a))
+    rule.in_units(a)
+    return rule.root(_variation_dp(a, rule.step, rule.folds))
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +320,6 @@ def lacunary(tau: float, bound: int) -> LacunarySet:
 # ---------------------------------------------------------------------------
 # Dyadic martingales
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DyadicMartingale:
-    """Levels 0..K of block averages of a signal on Z/2^K; level n is
-    constant on dyadic blocks of length 2^(K-n) and level K is the signal."""
-
-    depth: int
-    levels: tuple[Signal, ...]
-
-
-def martingale(g: Signal) -> DyadicMartingale:
-    """Dyadic filtration of g; each level is the pairwise block mean of the
-    next, so the tower property holds exactly."""
-    q = g.modulus
-    depth = q.bit_length() - 1
-    if 2**depth != q:
-        raise ValueError(f"martingale needs a power-of-two modulus, got {q}")
-    levels = tuple(
-        Signal(q, np.repeat(vals[0], q // vals.shape[1]))
-        for vals in _block_levels(g.values[None])
-    )
-    return DyadicMartingale(depth, levels)
 
 
 def _block_levels(g_values: np.ndarray) -> list[np.ndarray]:
@@ -397,12 +373,9 @@ def lepingle_stat(
         for t, row in enumerate(gs, start):
             substream(seed, t).standard_normal(out=row)
         levels = _block_levels(gs)
-        vr = _level_variation(levels, rule)  # (B, Q)
-        num = (np.abs(vr) ** p).mean(axis=1) ** (1.0 / p)
-        den = np.stack(
-            [(np.abs(lev) ** p).mean(axis=1) ** (1.0 / p) for lev in levels]
-        ).max(axis=0)
-        return num / den
+        vr = rule.root(_variation_dp(levels, rule.step, rule.folds))  # (B, Q)
+        den = np.stack([pnorm(lev, p, axis=1, mean=True) for lev in levels]).max(axis=0)
+        return pnorm(vr, p, axis=1, mean=True) / den
 
     ratios = np.concatenate(parallel_map(chunk, range(0, trials, step), threads))
     qs = np.quantile(ratios, [0.5, 0.9, 1.0])

@@ -37,11 +37,18 @@ def brute_variation(values, r: float) -> float:
 
 def exact_root(total: Fraction, r: int) -> float:
     """total^(1/r) for a Fraction total >= 0 and an integer r, at any size:
-    the float root of total / 2^(r e), near 1, scaled back by 2^e."""
+    the root of x = total / 2^(r e), within a factor 2^r of 1, scaled back
+    by 2^e."""
     if total == 0:
         return 0.0
     e = (total.numerator.bit_length() - total.denominator.bit_length()) // r
-    return math.ldexp(float(total / Fraction(2) ** (r * e)) ** (1.0 / r), e)
+    x = total / Fraction(2) ** (r * e)  # 2^-1 <= x < 2^(r + 1)
+    if r < 1000:
+        return math.ldexp(float(x) ** (1.0 / r), e)
+    # x may be past the float range: take its root through log x, read off
+    # an integer of 64 more bits so that no cancellation loses digits
+    log_x = math.log((x.numerator << 64) // x.denominator) - 64 * math.log(2)
+    return math.ldexp(math.exp(log_x / r), e)
 
 
 def exact_chain(values, r: int) -> float:
@@ -52,14 +59,27 @@ def exact_chain(values, r: int) -> float:
 
 def exact_variation(values, r: int) -> float:
     """r-variation of a real float sequence over all increasing
-    subsequences, with the r-th powers summed exactly in Fractions, so no
-    float range bounds them."""
+    subsequences, with the r-th powers summed exactly, so no float range
+    bounds them: in integers, the values times their common power-of-two
+    denominator."""
     vals = [Fraction(v) for v in values]
-    best = Fraction(0)
-    for size in range(2, len(vals) + 1):
-        for idx in itertools.combinations(range(len(vals)), size):
-            best = max(best, sum(abs(vals[b] - vals[a]) ** r for a, b in zip(idx, idx[1:])))
-    return exact_root(best, r)
+    den = max(v.denominator for v in vals)
+    ints = [int(v * den) for v in vals]
+    n = len(ints)
+    power = {(i, j): abs(ints[j] - ints[i]) ** r for i, j in itertools.combinations(range(n), 2)}
+    best = 0
+    for size in range(2, n + 1):
+        for idx in itertools.combinations(range(n), size):
+            best = max(best, sum(power[a, b] for a, b in zip(idx, idx[1:])))
+    return exact_root(Fraction(best, den**r), r)
+
+
+def exact_pnorm(values, p: int, mean: bool = False) -> float:
+    """(sum |x|^p)^(1/p), or the root of the mean with mean set, of the float
+    moduli |x|, with the p-th powers summed exactly in Fractions."""
+    mags = [Fraction(float(abs(v))) for v in values]
+    total = sum((m**p for m in mags), Fraction(0))
+    return exact_root(total / len(mags) if mean else total, p)
 
 
 def exact_oscillation(values, anchors, r: int) -> float:

@@ -19,8 +19,10 @@ from circle_lab.ergodic_lab import (
     star_discrepancy,
     vdc_correlation,
 )
-from circle_lab.polyavg import IntPolynomial, Signal, average_linear
-from circle_lab.seminorms import lacunary
+from circle_lab.polyavg import IntPolynomial, Signal, average_linear, riesz_split
+from circle_lab.seminorms import lacunary, variation_values
+
+from oracles import exact_pnorm
 
 SQUARE = IntPolynomial((0, 0, 1))
 LINEAR = IntPolynomial((0, 1))
@@ -228,6 +230,19 @@ class TestConvergenceDiagnostic:
         gap = np.abs(series.signals[1].values - series.signals[0].values).max()
         assert diag["tail_width"]["max"] == pytest.approx(gap)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_aggregates_match_exact_sums(self, scale):
+        # (1e200)^2 overflows and (1e-200)^2 underflows without units
+        vals = substream(23).standard_normal((6, 16)) * scale
+        series = AverageSeries((1, 2, 4, 8, 16, 32), vals, FiniteSystem(16, 3), LINEAR)
+        diag = convergence_diagnostic(series, 2.0, tail_start=8, p_values=(1.0, 2.0, 3.0))
+        stats = {"variation": variation_values(vals, 2.0), "tail_width": variation_values(vals[3:], math.inf)}
+        for name, stat in stats.items():
+            assert diag[name]["max"] == stat.max()
+            for p in (1, 2, 3):
+                want = exact_pnorm(stat, p, mean=True)
+                assert diag[name][f"l{p}"] == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_needs_tail_points(self):
         sys = FiniteSystem(8, 1)
         series = average_series(sys, LINEAR, Signal.delta(8), [2, 4])
@@ -327,6 +342,17 @@ class TestMeanErgodicCheck:
             rep = mean_ergodic_check(sys, cob, [n])
             bound = 2 * np.abs(g.values).max() / n
             assert rep["entries"][0][1] <= bound + 1e-12
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_deviation_matches_exact_sum(self, scale):
+        # squares of 1e200 overflow and squares of 1e-200 underflow without units
+        sys = FiniteSystem(16, 3)
+        f = Signal(16, substream(24).standard_normal(16) * scale)
+        rep = mean_ergodic_check(sys, f, [5, 9])
+        series = average_series(sys, LINEAR, f, [5, 9])
+        invariant = riesz_split(f, 3).invariant.values
+        for (n, dev), row in zip(rep["entries"], series.values):
+            assert dev == pytest.approx(exact_pnorm(row - invariant, 2, mean=True), rel=1e-13, abs=0)
 
     def test_nonergodic_reports_flag(self):
         rep = mean_ergodic_check(FiniteSystem(12, 4), Signal.delta(12), [6])

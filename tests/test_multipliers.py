@@ -35,7 +35,7 @@ from circle_lab.polyavg import (
     signal_from_spectrum,
     spectrum,
 )
-from oracles import planted_symbol
+from oracles import exact_pnorm, planted_symbol
 
 SQUARE = IntPolynomial((0, 0, 1))
 
@@ -217,6 +217,20 @@ class TestOperatorNorms:
 
     def test_probe_identity(self):
         assert lp_norm_probe(identity_op(), 4.0, 64, 2, 0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_probe_of_small_operator(self):
+        # T = 1e-100 I: the fourth powers of Tf (about 1e-400) underflow
+        # unless counted in units; the next ascent step underflows to 0
+        op = MultiplierOp(np.zeros(1), 1e-100, lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        sym = op.symbol_on_grid(64)
+        want = 0.0
+        for t in range(2):
+            rng = substream(0, t)
+            f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+            tf = np.fft.fft(sym * np.fft.ifft(f))
+            want = max(want, exact_pnorm(tf, 4) / exact_pnorm(f, 4))
+        assert want > 0
+        assert lp_norm_probe(op, 4.0, 64, 2, 0) == pytest.approx(want, rel=1e-13)
 
     def test_probe_consistent_with_l2(self):
         op = projection_op(3, 2**-6)

@@ -23,7 +23,7 @@ from circle_lab.polyavg import (
 from circle_lab._util import substream
 from circle_lab.ergodic_lab import FiniteSystem, average_series
 
-from oracles import grouped_average, naive_average
+from oracles import exact_pnorm, grouped_average, naive_average
 
 SQUARE = IntPolynomial((0, 0, 1))
 LINEAR = IntPolynomial((0, 1))
@@ -317,6 +317,23 @@ class TestSignal:
         f = Signal(2, np.array([3.0, 4.0]))
         assert abs(f.norm(2) - 5.0) < 1e-12
         assert f.norm(math.inf) == 4.0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, 1e150, 1.0])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 7])
+    def test_norm_matches_exact_sum(self, scale, p):
+        rng = substream(19)
+        vals = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) * scale
+        assert Signal(16, vals).norm(p) == pytest.approx(exact_pnorm(vals, p), rel=1e-13, abs=0)
+
+    def test_norm_of_extreme_spikes(self):
+        # the square of 1e200 overflows, the fourth power of 1e-200 underflows
+        assert Signal(4, [1e200, 0, 0, 0]).norm(2) == pytest.approx(1e200, rel=1e-15)
+        assert Signal(4, [1e-200, 0, 0, 0]).norm(4) == pytest.approx(1e-200, rel=1e-15)
+
+    def test_ordinary_norm_keeps_its_bits(self):
+        vals = random_signal(32, 20).values
+        for p in (1, 2, 2.5, 3, 4):
+            assert Signal(32, vals).norm(p) == float((np.abs(vals) ** p).sum() ** (1.0 / p))
 
     def test_values_frozen(self):
         f = Signal.delta(4)

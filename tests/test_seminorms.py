@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circle_lab import seminorms
-from circle_lab._util import substream
+from circle_lab._util import pnorm, substream
 from circle_lab.polyavg import Signal
 from circle_lab.seminorms import (
     RealSequence,
     _block_levels,
     _Exponent,
-    _level_variation,
+    _variation_dp,
     jump_count,
     lacunary,
     lepingle_stat,
-    martingale,
     oscillation,
     variation,
     variation_values,
@@ -27,6 +26,7 @@ from oracles import (
     brute_variation,
     exact_chain,
     exact_oscillation,
+    exact_pnorm,
     exact_variation,
     martingale_levels,
     martingale_variation,
@@ -305,6 +305,14 @@ class TestFloatRange:
         assert variation(vals, 2).value == pytest.approx(want, rel=1e-13, abs=0)
         assert variation_values(vals[:, None], 2)[0] == pytest.approx(want, rel=1e-13, abs=0)
 
+    def test_float32_samples(self):
+        # float32 spans are compared with range bounds beyond float32
+        a = substream(22).standard_normal((10, 4))
+        for r in (2.0, 3.0):
+            got = variation_values(a.astype(np.float32), r)
+            want = variation_values(a.astype(np.float32).astype(float), r)
+            assert got == pytest.approx(want, rel=1e-6)
+
     def test_ordinary_inputs_take_no_units(self):
         a = substream(21).standard_normal((40, 30)) * 1e6
         for r in (1.0, 1.5, 2.0, 3.0, 7.0, math.inf):
@@ -313,6 +321,71 @@ class TestFloatRange:
         for r in (1.0, math.inf):  # no powers, so no units
             assert _Exponent(r, "variation").in_units(extreme).unit is None
         assert _Exponent(2.0, "variation").in_units(extreme).unit == 2.0**998
+
+
+# past r = 969 no power-of-two unit keeps the largest r-th power normal
+LARGE_EXPONENT = [[0.0, 0.5], [0.3, -1.2, 2.5, 0.7, -0.4], [1e-3, 0.0, 2e-3]]
+
+
+class TestLargeExponent:
+    @pytest.mark.parametrize("vals", LARGE_EXPONENT)
+    @pytest.mark.parametrize("r", [2000, 10**4])
+    def test_matches_exact_oracle(self, vals, r):
+        want = exact_variation(vals, r)
+        rep = variation(np.array(vals), r)
+        assert rep.value == pytest.approx(want, rel=1e-13, abs=0)
+        assert exact_chain([vals[t] for t in rep.witness], r) == pytest.approx(want, rel=1e-13, abs=0)
+        got = variation_values(np.array(vals)[:, None], r)[0]
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_batch_takes_units_per_column(self):
+        r = 2000
+        cols = [[0.0, 0.5, 0.5], [1e-3, 0.0, 2e-3], [3.0, 1.0, 3.0]]
+        got = variation_values(np.array(cols).T, r)
+        for c, col in enumerate(cols):
+            assert got[c] == pytest.approx(exact_variation(col, r), rel=1e-13, abs=0)
+
+
+class TestBlocks:
+    """The one variation DP folds blocks of levels; no layout may move a bit."""
+
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 4),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_columns_match_chains_bit_for_bit(self, t, cols, complex_, data):
+        ties = st.lists(st.integers(-2, 2).map(float), min_size=t * cols, max_size=t * cols)
+        a = np.array(data.draw(ties)).reshape(t, cols)
+        if complex_:
+            a = a + 1j * np.array(data.draw(ties)).reshape(t, cols)
+        for r in (1.0, 2.0, 2.5, 3.0, math.inf):
+            got = variation_values(a, r)
+            for c in range(cols):
+                assert got[c] == variation(a[:, c], r).value
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 7, 40])
+    def test_block_budget_moves_no_bit(self, monkeypatch, budget):
+        rng = substream(31)
+        chains = [
+            rng.integers(-2, 3, 41).astype(float),
+            rng.integers(-2, 3, 38) + 1j * rng.integers(-2, 3, 38),
+        ]
+        batch = rng.integers(-2, 3, (12, 5)).astype(float)
+
+        def run():
+            reports = [variation(ch, r) for ch in chains for r in (1.0, 2.0, 2.5, 3.0, math.inf)]
+            reports += [jump_count(ch, lam) for ch in chains for lam in (0.5, 1.0, 2.0, 3.0)]
+            return reports, [variation_values(batch, r) for r in (1.0, 2.0, 3.0, math.inf)]
+
+        want_reports, want_values = run()
+        monkeypatch.setattr(seminorms, "_BLOCK_CELLS", budget)
+        got_reports, got_values = run()
+        assert got_reports == want_reports
+        for got, want in zip(got_values, want_values):
+            assert np.array_equal(got, want)
 
 
 class TestLacunary:
@@ -335,41 +408,46 @@ class TestLacunary:
             lacunary(tau, 64)
 
 
+def full_resolution(levels) -> list[np.ndarray]:
+    """Martingale levels of one signal, each repeated out to every point."""
+    q = levels[-1].shape[1]
+    return [np.repeat(lev[0], q // lev.shape[1]) for lev in levels]
+
+
 class TestMartingale:
     def test_delta_levels(self):
-        mart = martingale(Signal.delta(8, weight=8.0))
-        for n, level in enumerate(mart.levels):
-            expect = np.zeros(8)
-            expect[: 2 ** (3 - n)] = 2.0**n
-            assert np.allclose(level.values.real, expect)
+        levels = _block_levels(Signal.delta(8, weight=8.0).values[None])
+        assert len(levels) == 4
+        for n, level in enumerate(levels):
+            expect = np.zeros(2**n)
+            expect[0] = 2.0**n
+            assert level.shape == (1, 2**n)
+            assert np.allclose(level[0].real, expect)
 
     def test_constant(self):
-        mart = martingale(Signal.constant(16, 2.0))
-        stack = np.stack([lev.values for lev in mart.levels])
+        levels = _block_levels(Signal.constant(16, 2.0).values[None])
+        stack = np.stack(full_resolution(levels))
         assert np.allclose(variation_values(stack, 2.0), 0.0)
+        rule = _Exponent(2.0, "variation")
+        assert np.allclose(rule.root(_variation_dp(levels, rule.step, rule.folds)), 0.0)
 
     def test_tower_property_exact(self):
         rng = substream(7)
         q = 32
-        mart = martingale(Signal(q, rng.standard_normal(q)))
-        depth = mart.depth
-        for n in range(depth):
-            finer_blocks = mart.levels[n + 1].values[:: q // 2 ** (n + 1)]
-            pairwise = (finer_blocks[0::2] + finer_blocks[1::2]) / 2.0
-            expect = np.repeat(pairwise, q // 2**n)
-            assert np.array_equal(mart.levels[n].values, expect)
+        levels = _block_levels(rng.standard_normal((1, q)))
+        assert len(levels) == 6  # depth 5
+        for n in range(5):
+            finer = levels[n + 1]
+            pairwise = (finer[:, 0::2] + finer[:, 1::2]) / 2.0
+            assert np.array_equal(levels[n], pairwise)
 
     def test_level_norm_contraction(self):
         rng = substream(8)
         g = Signal(64, rng.standard_normal(64))
-        mart = martingale(g)
+        levels = full_resolution(_block_levels(g.values[None]))
         for p in (1.0, 2.0, 4.0):
-            norms = [lev.norm(p) for lev in mart.levels]
+            norms = [Signal(64, lev).norm(p) for lev in levels]
             assert all(n <= g.norm(p) + 1e-12 for n in norms)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power-of-two"):
-            martingale(Signal.constant(12))
 
 
 class TestLevelKernel:
@@ -386,16 +464,16 @@ class TestLevelKernel:
             st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=batch * q, max_size=batch * q)
         )
         g = np.array(flat).reshape(batch, q)
-        got = _level_variation(_block_levels(g), _Exponent(r, "variation"))
+        rule = _Exponent(r, "variation")
+        got = rule.root(_variation_dp(_block_levels(g), rule.step, rule.folds))
         want = np.stack([martingale_variation(row, r) for row in g])
         assert got.shape == (batch, q)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_martingale_levels_share_block_levels(self):
         g = substream(9).standard_normal(16)
-        mart = martingale(Signal(16, g))
-        for lev, want in zip(mart.levels, martingale_levels(g)):
-            assert np.allclose(lev.values.real, want, rtol=0, atol=1e-15)
+        for lev, want in zip(full_resolution(_block_levels(g[None])), martingale_levels(g)):
+            assert np.allclose(lev, want, rtol=0, atol=1e-15)
 
 
 class TestLepingle:
@@ -427,6 +505,17 @@ class TestLepingle:
             lepingle_stat(2, 3, 4, 2, seed)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             substream(seed, 0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_row_norms_match_exact_sums(self, p):
+        # lepingle_stat's norms: the mean over each row, in units where the
+        # p-th powers would overflow or underflow
+        rows = substream(12).standard_normal((4, 32)) * np.array([[1e200], [1e-200], [1.0], [1e-170]])
+        got = pnorm(rows, p, axis=1, mean=True)
+        for row, value in zip(rows, got):
+            assert value == pytest.approx(exact_pnorm(row, p, mean=True), rel=1e-13, abs=0)
+        ordinary = rows[2:3]
+        assert got[2] == ((np.abs(ordinary) ** p).mean(axis=1) ** (1.0 / p))[0]
 
     def test_deterministic(self):
         a = lepingle_stat(2, 3, 6, 25, 11)
