@@ -1,5 +1,5 @@
-"""Seed splitting, worker-pool plumbing and the scaled p-norm shared across
-the package."""
+"""The integer check, seed splitting, worker-pool plumbing and the scaled
+p-norm shared across the package."""
 
 from __future__ import annotations
 
@@ -15,6 +15,30 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+def integer(value, name: str, low: int | None = None) -> int:
+    """`value` as a Python int: the library's one integer check.  It takes
+    what `operator.index` takes (a Python or numpy integer, not a float or a
+    string); anything else, or a value below `low`, raises ValueError naming
+    `name`."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or low is not None and out < low:
+        kind = {None: "an integer", 0: "a non-negative integer"}.get(low, f"an integer >= {low}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return out
+
+
+def scales(values) -> list[int]:
+    """The distinct scales N of `values`, each an integer >= 1, sorted; at
+    least one."""
+    out = sorted({integer(n, "N", 1) for n in values})
+    if not out:
+        raise ValueError("need at least one N")
+    return out
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Child generator for task `key` under the global `seed`.
 
@@ -23,13 +47,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     parallel scans reproduce serial runs bit for bit.  A seed that is not
     a non-negative integer raises ValueError.
     """
-    try:
-        valid = operator.index(seed) >= 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
+    ss = np.random.SeedSequence(entropy=integer(seed, "seed", 0), spawn_key=tuple(key))
     return np.random.default_rng(ss)
 
 
@@ -39,18 +57,19 @@ def resolve_threads(requested: int | None = None) -> int:
     platform reports one).  A count that is not an integer >= 1 raises
     ValueError naming where it came from."""
     env = os.environ.get("CIRCLE_LAB_THREADS")
-    if not env and requested is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0)) or 1
-        return os.cpu_count() or 1
-    name, value = ("CIRCLE_LAB_THREADS", env) if env else ("threads", requested)
-    try:
-        count = int(value) if env else operator.index(value)
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
+    if env:
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"CIRCLE_LAB_THREADS must be an integer >= 1, got {env!r}")
+        return count
+    if requested is not None:
+        return integer(requested, "threads", 1)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int | None = None) -> list[R]:

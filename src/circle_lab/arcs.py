@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import substream
+from ._util import integer, substream
 
 
 def wrap_signed(x):
@@ -31,7 +31,9 @@ def torus_distance(x, y=0.0):
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A point of R/Z stored as its representative in [0, 1)."""
+    """A point of R/Z stored as its representative in [0, 1), as
+    `minor_sample` returns them; TorusPoint(x).value reads any finite x,
+    or a TorusPoint, as a torus point."""
 
     value: float
 
@@ -41,25 +43,8 @@ class TorusPoint:
             raise ValueError(f"torus point must be finite, got {value}")
         object.__setattr__(self, "value", value % 1.0)
 
-    @classmethod
-    def of(cls, x: "TorusPoint | float") -> "TorusPoint":
-        return x if isinstance(x, TorusPoint) else cls(x)
-
-    def distance(self, other: "TorusPoint | float") -> float:
-        o = other.value if isinstance(other, TorusPoint) else float(other)
-        return float(torus_distance(self.value, o))
-
     def __float__(self) -> float:
         return self.value
-
-
-def _integer(value, name: str) -> int:
-    """`value` as a Python int; anything that is not an integer raises
-    ValueError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, order=False)
@@ -71,7 +56,7 @@ class ReducedFraction:
     denominator: int
 
     def __post_init__(self):
-        a, q = _integer(self.numerator, "numerator"), _integer(self.denominator, "denominator")
+        a, q = integer(self.numerator, "numerator"), integer(self.denominator, "denominator")
         if q < 1:
             raise ValueError("denominator must be positive")
         if not 0 <= a < q:
@@ -84,7 +69,7 @@ class ReducedFraction:
     @classmethod
     def reduce(cls, a: int, q: int) -> "ReducedFraction":
         """Canonical representative of a/q on the torus."""
-        a, q = _integer(a, "numerator"), _integer(q, "denominator")
+        a, q = integer(a, "numerator"), integer(q, "denominator")
         if q == 0:
             raise ValueError("denominator must be nonzero")
         if q < 0:
@@ -128,7 +113,7 @@ def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _level(level, name: str) -> int:
     """`level` as an int >= 0 whose 2^level is within the Farey table limit."""
-    level = _integer(level, name)
+    level = integer(level, name)
     if level < 0:
         raise ValueError(f"{name} must be >= 0, got {level}")
     if level >= FAREY_MAX_DENOMINATOR.bit_length():
@@ -164,7 +149,7 @@ class FareyTable(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return FareyTable(self.numerators[i], self.denominators[i], self.values[i])
-        i = operator.index(i)
+        i = range(len(self))[i]  # an int in range, or IndexError or TypeError
         return _entry(int(self.numerators[i]), int(self.denominators[i]))
 
     def __iter__(self):
@@ -353,7 +338,7 @@ class ArcSystem:
     def classify(self, point: TorusPoint | float) -> ClassifyResult:
         """Membership test; nearest-center ties go to the smaller
         denominator, then the smaller numerator."""
-        dist, index = self._nearest(np.array([TorusPoint.of(point).value]))
+        dist, index = self._nearest(np.array([TorusPoint(point).value]))
         best = float(dist[0])
         return ClassifyResult(best <= self.halfwidth, self.centers[index[0]], best)
 
@@ -400,8 +385,7 @@ def minor_sample(
     Rejection sampling; aborts when the arcs cover 99% or more of the torus.
     `seed` may be an integer or an already-split Generator.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count = integer(count, "count", 0)
     coverage = arcs.coverage
     if coverage >= 0.99:
         raise ValueError(

@@ -61,7 +61,7 @@ from . import (
     weyl_decay_scan,
     weyl_sum,
 )
-from ._util import substream
+from ._util import integer, substream
 from .expsums import scan_arcs
 
 SCHEMA = "circle-lab/1"
@@ -138,10 +138,11 @@ def _read_signal(path: str | None, modulus: int | None, seed: int | None) -> Sig
         return Signal.from_csv(io.StringIO(text))
     if modulus is None:
         raise ValueError("need either --in or --q to build a signal")
+    q = integer(modulus, "modulus", 1)
     if seed is None:
-        return Signal.delta(modulus)
+        return Signal.delta(q)
     rng = substream(seed)
-    return Signal(modulus, rng.standard_normal(modulus) + 1j * rng.standard_normal(modulus))
+    return Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
 
 
 def _read_sequence(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +303,7 @@ def _cmd_weyl_scan(cfg: RunConfig) -> None:
 def _cmd_gauss(cfg: RunConfig) -> None:
     p = cfg.params
     poly = IntPolynomial.parse(p["poly"])
-    q = p["den"]
+    q = integer(p["den"], "--den", 1)
     nums = [p["num"]] if p.get("num") is not None else [
         a for a in range(q) if math.gcd(a, q) == 1 or (a == 0 and q == 1)
     ]

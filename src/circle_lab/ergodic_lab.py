@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import pnorm
+from ._util import integer, pnorm, scales
 from .expsums import _phases, _reduce
 from .polyavg import IntPolynomial, Signal, _averages, riesz_split
-from .seminorms import LacunarySet, _block_oscillation, _Exponent, variation_values
+from .seminorms import _block_oscillation, _Exponent, variation_values
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class FiniteSystem:
     shift: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
+        object.__setattr__(self, "modulus", integer(self.modulus, "modulus", 1))
+        object.__setattr__(self, "shift", integer(self.shift, "shift"))
 
     @property
     def is_ergodic(self) -> bool:
@@ -87,21 +87,20 @@ def average_series(
     sys: FiniteSystem,
     poly: IntPolynomial,
     f: Signal,
-    n_values: "LacunarySet | Sequence[int]",
+    n_values: Sequence[int],
     uniform_from: int = 0,
 ) -> AverageSeries:
-    """A_N f for each N, via the convolution operators on Z/QZ.
+    """A_N f for each distinct N of n_values, in increasing order, via the
+    convolution operators on Z/QZ.
 
     uniform_from = M > 0 averages over n in (M, N] instead of [1, N]
     (reported as-is; nothing is asserted about that variant).
     """
     if f.modulus != sys.modulus:
         raise ValueError("signal modulus must match the system")
-    ns = tuple(int(n) for n in n_values)
-    m = int(uniform_from)
-    if m < 0:
-        raise ValueError(f"uniform_from must be >= 0, got {uniform_from}")
-    if any(n <= m for n in ns):
+    ns = tuple(scales(n_values))
+    m = integer(uniform_from, "uniform_from", 0)
+    if ns[0] <= m:
         raise ValueError("uniform averages need N > M")
     vals = np.empty((len(ns), sys.modulus), dtype=np.complex128)
     for row, avg in zip(vals, _averages(orbit_polynomial(sys, poly), f, ns, start=m)):
@@ -127,6 +126,7 @@ def convergence_diagnostic(
     if not (1 <= r < math.inf):
         raise ValueError("diagnostic exponent must satisfy 1 <= r < inf")
     ns = series.indices
+    tail_start = integer(tail_start, "tail_start")
     tail = bisect.bisect_left(ns, tail_start)  # indices increase: the tail is a suffix
     if len(ns) - tail < 2:
         raise ValueError("need at least two indices >= tail_start")
@@ -151,7 +151,7 @@ def convergence_diagnostic(
 
     return {
         "r": r,
-        "tail_start": int(tail_start),
+        "tail_start": tail_start,
         "indices": [int(n) for n in ns],
         "variation": aggregate(vr),
         "oscillation": {**aggregate(osc), "anchors": anchor_ns, "doubling": doubling},
@@ -210,10 +210,8 @@ def star_discrepancy(points: np.ndarray) -> float:
 def discrepancy(
     poly: IntPolynomial, theta: float, n_values: Sequence[int]
 ) -> DiscrepancyReport:
-    """Star discrepancy of {P(n) * theta mod 1 : n <= N} for each N."""
-    ns = sorted(set(int(n) for n in n_values))
-    if not ns or ns[0] < 1:
-        raise ValueError("discrepancy needs N values >= 1")
+    """Star discrepancy of {P(n) * theta mod 1 : n <= N} for each distinct N."""
+    ns = scales(n_values)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     pts = _orbit_fractions(poly, theta, ns[-1])
@@ -233,7 +231,7 @@ def mean_ergodic_check(
     if f.modulus != sys.modulus:
         raise ValueError("signal modulus must match the system")
     invariant = riesz_split(f, sys.shift).invariant
-    series = average_series(sys, IntPolynomial((0, 1)), f, sorted(set(int(v) for v in n_values)))
+    series = average_series(sys, IntPolynomial((0, 1)), f, n_values)
     entries = [
         (n, float(pnorm(row - invariant.values, 2, mean=True)))
         for n, row in zip(series.indices, series.values)

@@ -25,9 +25,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import parallel_map, substream
+from ._util import integer, parallel_map, scales, substream
 from .arcs import ArcSystem, ReducedFraction, TorusPoint, minor_sample, wrap_signed
-from .polyavg import IndexRange, IntPolynomial, _residues, kernel, spectrum
+from .polyavg import IntPolynomial, _residues, kernel, spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def _scratch(shape: tuple[int, ...]) -> list[np.ndarray]:
 
 def weyl_sum(
     poly: IntPolynomial,
-    n_range: IndexRange | int,
+    n_range: int,
     xi: "TorusPoint | ReducedFraction | Fraction | float",
 ) -> complex:
     """Normalized exponential sum m_N(xi); |m_N| <= 1 always.
@@ -132,7 +132,7 @@ def weyl_sum(
     same phase only n = 1..min(N, q) are visited, each weighted by how
     often its residue class occurs in [1, N].  A real xi must be finite.
     """
-    n = int(IndexRange.of(n_range))
+    n = integer(n_range, "N", 1)
     if isinstance(xi, (ReducedFraction, Fraction)):
         a, q = xi.numerator % xi.denominator, xi.denominator
         m = min(n, q)
@@ -141,8 +141,7 @@ def weyl_sum(
         weights = np.full(m, n // q)
         weights[: n % q] += 1
         return complex(np.dot(weights, np.exp(2j * math.pi * phases)) / n)
-    x = TorusPoint.of(xi).value if isinstance(xi, TorusPoint) else float(xi)
-    return complex(_weyl_many(poly, n, np.array([x]))[0])
+    return complex(_weyl_many(poly, n, np.array([float(xi)]))[0])
 
 
 @lru_cache(maxsize=4096)
@@ -152,13 +151,13 @@ def complete_sum(poly: IntPolynomial, theta: ReducedFraction) -> complex:
     return weyl_sum(poly, theta.denominator, theta)
 
 
-def weyl_multiplier_grid(poly: IntPolynomial, n_range: IndexRange | int, grid_q: int) -> np.ndarray:
+def weyl_multiplier_grid(poly: IntPolynomial, n_range: int, grid_q: int) -> np.ndarray:
     """m_N at every grid frequency j/grid_q, via one FFT of the kernel."""
     return spectrum(kernel(poly, n_range, grid_q))
 
 
 def minor_sup_grid(
-    poly: IntPolynomial, n_range: IndexRange | int, arcs: ArcSystem, grid_q: int
+    poly: IntPolynomial, n_range: int, arcs: ArcSystem, grid_q: int
 ) -> float:
     """Full-grid oracle: sup of |m_N| over grid frequencies outside the arcs."""
     vals = np.abs(weyl_multiplier_grid(poly, n_range, grid_q))
@@ -299,11 +298,10 @@ def _mm_many(poly: IntPolynomial, n: int, xs: np.ndarray) -> np.ndarray:
     return turn * out
 
 
-def continuous_multiplier(poly: IntPolynomial, n_range: IndexRange | int, xi: float) -> complex:
+def continuous_multiplier(poly: IntPolynomial, n_range: int, xi: float) -> complex:
     """mm_N(xi) = integral of e(xi * P(N t)) over t in [0, 1]: the one-point
     case of `_mm_many`."""
-    n = int(IndexRange.of(n_range))
-    return complex(_mm_many(poly, n, np.array([float(xi)]))[0])
+    return complex(_mm_many(poly, integer(n_range, "N", 1), np.array([float(xi)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +362,8 @@ def weyl_decay_scan(
     worker count.  `halfwidth` freezes the arc width instead of the
     N^(-d)*delta^(-C) rule (useful for the degree-one closed-form check).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    ns = sorted(set(int(n) for n in n_values))
-    if not ns or ns[0] < 1:
-        raise ValueError("decay scan needs N values >= 1")
+    samples = integer(samples, "samples", 1)
+    ns = scales(n_values)
     degree = poly.degree
 
     # sample and evaluate per N; substream key is the position in the scan
@@ -464,7 +459,7 @@ def _lemma1_cell(
 
 def lemma1_residual(
     poly: IntPolynomial,
-    n_range: IndexRange | int,
+    n_range: int,
     theta: ReducedFraction,
     xi: TorusPoint | float,
     big_m: float,
@@ -477,9 +472,8 @@ def lemma1_residual(
     """
     if not 0 < big_m < math.inf:  # also rejects NaN
         raise ValueError(f"M must be finite and > 0, got {big_m}")
-    n = int(IndexRange.of(n_range))
-    x = TorusPoint.of(xi).value
-    residual, bound = _lemma1_cell(poly, n, [theta], np.array([x]), big_m)
+    n = integer(n_range, "N", 1)
+    residual, bound = _lemma1_cell(poly, n, [theta], np.array([TorusPoint(xi).value]), big_m)
     return Lemma1Result(float(residual[0]), float(bound[0]), float(residual[0] / bound[0]))
 
 
@@ -494,13 +488,13 @@ def lemma1_grid_sweep(
     M = N^d * 2^(-l) and seeded admissible (theta, xi) pairs per cell."""
     from .arcs import dyadic_shell
 
-    if samples_per_cell < 1:
-        raise ValueError("samples per cell must be >= 1")
+    samples_per_cell = integer(samples_per_cell, "samples_per_cell", 1)
+    levels = range(integer(l_max, "l_max", 0) + 1)
     degree = poly.degree
     cells = {}
     per_n: dict[int, float] = {}
-    for i, n in enumerate(sorted(set(int(v) for v in n_values))):
-        for level in range(l_max + 1):
+    for i, n in enumerate(scales(n_values)):
+        for level in levels:
             shell = dyadic_shell(level)
             big_m = float(n) ** degree * 2.0**-level
             rng = substream(seed, i, level)

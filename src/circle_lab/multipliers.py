@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import pnorm, substream
+from ._util import integer, pnorm, range_units, substream
 from .arcs import (
     ArcSystem,
     DyadicScale,
@@ -27,7 +27,6 @@ from .arcs import (
     wrap_signed,
 )
 from .polyavg import (
-    IndexRange,
     IntPolynomial,
     Signal,
     average_linear,
@@ -95,8 +94,7 @@ def projection_property_report(q: int, l: int, m: int, seed: int) -> dict:
     """Deviations for the four structural projection properties at (l, m):
     self-adjointness, l2 contraction, spectral support containment, and
     reproduction of deeply supported signals."""
-    rng = substream(seed)
-    scale = DyadicScale(l, m)
+    q, rng, scale = integer(q, "modulus", 1), substream(seed), DyadicScale(l, m)
     f = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
     g = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
     pf, pg = project_dyadic(f, scale), project_dyadic(g, scale)
@@ -175,6 +173,7 @@ class MultiplierOp:
     def symbol_on_grid(self, modulus: int) -> np.ndarray:
         """Exact symbol at j/Q from one base_symbol call per batch of center
         windows, summed in center order (bit-identical to a full-grid sum)."""
+        modulus = integer(modulus, "modulus", 1)
         h, centers = self.support_halfwidth, self.centers
         weights = np.broadcast_to(np.asarray(self.weights, dtype=np.complex128), centers.shape)
         width, starts = modulus, np.zeros(centers.size, dtype=np.int64)
@@ -243,20 +242,29 @@ def lp_norm_probe(
     linear maps (apply, take the dual-exponent signed power, apply the
     adjoint, repeat).  Every iterate's ratio ||Tf||_p / ||f||_p is achieved
     by an explicit vector, so the maximum over trials is a true lower bound.
+    That ratio is scale free, so an iterate whose powers, or their image
+    under the operator, would leave the float range is raised in
+    `range_units`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = integer(trials, "trials", 1)
     if p <= 1:
         raise ValueError("probe needs p > 1")
     sym = op.symbol_on_grid(modulus)
     conj_sym = np.conj(sym)
     p_dual = p / (p - 1.0)
+    top = float(np.abs(sym).max())
+    gain = math.log2(top) if top > 1.0 else 0.0  # the most the operator scales by, in bits
 
     def apply(vec: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         return np.fft.fft(symbol * np.fft.ifft(vec))
 
     def signed_power(vec: np.ndarray, exponent: float) -> np.ndarray:
         mags = np.abs(vec)
+        # below 1, the range for p = 1: it keeps the entries, so their phases, normal
+        unit = range_units(mags.max(), max(exponent, 1.0), mags.size, gain / exponent)
+        if unit is not None:
+            vec = vec / unit
+            mags = np.abs(vec)
         phases = np.where(mags > 0, vec / np.where(mags > 0, mags, 1.0), 0.0)
         return (mags**exponent) * phases
 
@@ -299,15 +307,15 @@ class PipelineConfig:
     degree: int
 
     def __post_init__(self):
+        for name, low in (("c0", 1), ("p0", 2), ("degree", 1)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
+        if self.p0 % 2:
+            raise ValueError("p0 must be an even integer >= 2")
         limit = 1.0 / (1_000_000 * self.degree * self.p0)
         if not 0.0 < self.alpha < limit:
             raise ValueError(
                 f"alpha must lie in (0, {limit:.3e}) for degree {self.degree}, p0 {self.p0}"
             )
-        if self.p0 < 2 or self.p0 % 2:
-            raise ValueError("p0 must be an even integer >= 2")
-        if self.c0 < 1:
-            raise ValueError("c0 must be a positive integer")
 
     @classmethod
     def desk(cls, degree: int, p0: int = 4, c0: int = 64) -> "PipelineConfig":
@@ -318,6 +326,7 @@ class PipelineConfig:
         can touch; c0 = 64 keeps the same pipeline shape at reachable sizes,
         and the split identity holds for every N >= c0 regardless.
         """
+        degree, p0 = integer(degree, "degree", 1), integer(p0, "p0", 2)
         return cls(alpha=0.5e-7 / (degree * p0), c0=c0, p0=p0, degree=degree)
 
     def low_scale(self, n: int) -> int:
@@ -333,7 +342,7 @@ class PipelineConfig:
 def arc_split(
     f: Signal,
     poly: IntPolynomial,
-    n_range: IndexRange | int,
+    n_range: int,
     cfg: PipelineConfig,
     p_values: Sequence[float] = (2.0,),
 ) -> tuple[Signal, Signal, dict]:
@@ -342,7 +351,7 @@ def arc_split(
     major = A_N (Pi f), minor = A_N (f - Pi f); the two add back to A_N f
     by linearity.  The report carries the minor/input norm ratios.
     """
-    n = int(IndexRange.of(n_range))
+    n = integer(n_range, "N", 1)
     if n < cfg.c0:
         raise ValueError(f"scale N={n} is below the pipeline floor c0={cfg.c0}")
     if poly.degree != cfg.degree:
@@ -383,7 +392,7 @@ def gauss_coefficients(
 
 def approx_average_op(
     poly: IntPolynomial,
-    n_range: IndexRange | int,
+    n_range: int,
     level: int,
     high_scale: int,
     shell_only: bool = False,
@@ -394,7 +403,7 @@ def approx_average_op(
     from .expsums import _mm_many
 
     level = _level(level, "level")
-    n = int(IndexRange.of(n_range))
+    n = integer(n_range, "N", 1)
     degree = poly.degree
     cut = eta_at_scale(-degree * high_scale)
     table = dyadic_shell(level) if shell_only else canonical_fractions(2**level)
@@ -412,7 +421,7 @@ def approx_average_op(
 def factorization_gap(
     f: Signal,
     poly: IntPolynomial,
-    n_range: IndexRange | int,
+    n_range: int,
     level: int,
     high_scale: int,
     narrow_scale: int,
@@ -426,8 +435,7 @@ def factorization_gap(
     and distinct shell centers stay out of each other's cutoffs; callers
     pick scales satisfying that support geometry.
     """
-    n = int(IndexRange.of(n_range))
-    one_step = approx_average_op(poly, n, level, high_scale, shell_only=True)
+    one_step = approx_average_op(poly, n_range, level, high_scale, shell_only=True)
     narrow = replace(
         one_step,
         base_symbol=eta_at_scale(-narrow_scale),

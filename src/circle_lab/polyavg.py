@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import pnorm
+from ._util import integer, pnorm
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class IntPolynomial:
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: Iterable[int]):
-        coeffs = [int(c) for c in coefficients]
+        coeffs = [integer(c, "coefficient") for c in coefficients]
         if not coeffs:
             coeffs = [0]
         while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -74,28 +74,6 @@ class IntPolynomial:
 
 
 @dataclass(frozen=True)
-class IndexRange:
-    """The summation range n = 1..N."""
-
-    n: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"index range needs an integer N >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-
-    @classmethod
-    def of(cls, value: "IndexRange | int") -> "IndexRange":
-        return value if isinstance(value, IndexRange) else cls(value)
-
-    def __int__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(1, self.n + 1))
-
-
-@dataclass(frozen=True)
 class Signal:
     """Complex-valued function on Z/QZ, indexed by residues 0..Q-1."""
 
@@ -103,8 +81,7 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
+        object.__setattr__(self, "modulus", integer(self.modulus, "modulus", 1))
         vals = np.asarray(self.values, dtype=np.complex128).copy()
         if vals.shape != (self.modulus,):
             raise ValueError(
@@ -125,13 +102,15 @@ class Signal:
 
     @classmethod
     def constant(cls, modulus: int, value: complex = 1.0) -> "Signal":
-        return cls(modulus, np.full(modulus, value, dtype=np.complex128))
+        q = integer(modulus, "modulus", 1)
+        return cls(q, np.full(q, value, dtype=np.complex128))
 
     @classmethod
     def delta(cls, modulus: int, at: int = 0, weight: complex = 1.0) -> "Signal":
-        vals = np.zeros(modulus, dtype=np.complex128)
-        vals[at % modulus] = weight
-        return cls(modulus, vals)
+        q = integer(modulus, "modulus", 1)
+        vals = np.zeros(q, dtype=np.complex128)
+        vals[integer(at, "at") % q] = weight
+        return cls(q, vals)
 
     def __add__(self, other: "Signal") -> "Signal":
         self._check_modulus(other)
@@ -170,7 +149,7 @@ class Signal:
     def from_dict(cls, data: dict) -> "Signal":
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-        return cls(int(data["modulus"]), re + 1j * im)
+        return cls(data["modulus"], re + 1j * im)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -242,17 +221,15 @@ def _residues(poly: IntPolynomial, n_max: int, modulus: int) -> np.ndarray:
     return acc.astype(np.int64, copy=False) if modulus <= 2**63 else acc
 
 
-def kernel(poly: IntPolynomial, n_range: IndexRange | int, modulus: int) -> Signal:
+def kernel(poly: IntPolynomial, n_range: int, modulus: int) -> Signal:
     """Averaging kernel on Z/QZ: K(x) = #{n in [N] : P(n) = x mod Q} / N."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    n = int(IndexRange.of(n_range))
-    counts = np.bincount(_residues(poly, n, modulus), minlength=modulus)
-    return Signal(modulus, counts.astype(np.complex128) / n)
+    n, q = integer(n_range, "N", 1), integer(modulus, "modulus", 1)
+    counts = np.bincount(_residues(poly, n, q), minlength=q)
+    return Signal(q, counts.astype(np.complex128) / n)
 
 
 def _averages(
-    poly: IntPolynomial, f: Signal, ns: Iterable[IndexRange | int], start: int = 0
+    poly: IntPolynomial, f: Signal, ns: Iterable[int], start: int = 0
 ) -> Iterator[np.ndarray]:
     """Values of the mean of f(x - P(n)) over n in (start, N] for each N in
     ns: the one averaging path, with one residue table and one FFT
@@ -264,7 +241,7 @@ def _averages(
     every shift fixes comes back bit for bit.
     """
     q = f.modulus
-    ns = [int(IndexRange.of(n)) for n in ns]
+    ns = [integer(n, "N", 1) for n in ns]
     residues = _residues(poly, max(ns, default=start), q)
     anchor_d = 0
     for n in ns:
@@ -280,7 +257,7 @@ def _averages(
 
 def average_linear(
     poly: IntPolynomial,
-    n_range: IndexRange | int,
+    n_range: int,
     f: Signal,
 ) -> Signal:
     """A_N f(x) = mean of f(x - P(n)) over n = 1..N, a cyclic convolution."""
@@ -289,13 +266,13 @@ def average_linear(
 
 def average_bilinear(
     poly: IntPolynomial,
-    n_range: IndexRange | int,
+    n_range: int,
     f1: Signal,
     f2: Signal,
 ) -> Signal:
     """Mean over n = 1..N of f1(x - n) * f2(x - P(n)) on a shared Z/QZ."""
     f1._check_modulus(f2)
-    n = int(IndexRange.of(n_range))
+    n = integer(n_range, "N", 1)
     q = f1.modulus
     residues = _residues(poly, n, q)
     out = np.zeros(q, dtype=np.complex128)
@@ -307,7 +284,7 @@ def average_bilinear(
 def maximal_function(
     poly: IntPolynomial,
     f: Signal,
-    n_ranges: Sequence[IndexRange | int],
+    n_ranges: Sequence[int],
 ) -> Signal:
     """Pointwise sup of |A_N f| over the given N values."""
     if not n_ranges:
@@ -341,9 +318,9 @@ def riesz_split(f: Signal, shift: int) -> RieszSplit:
 
 
 def aliasing_safe_modulus(
-    poly: IntPolynomial, n_range: IndexRange | int, support_diameter: int
+    poly: IntPolynomial, n_range: int, support_diameter: int
 ) -> int:
     """Smallest Q guaranteeing no wraparound when a finitely supported
     function on Z is modelled on Z/QZ and averaged along P over [1, N]."""
-    n = int(IndexRange.of(n_range))
-    return 2 * int(support_diameter) + poly.abs_bound(n) + 1
+    diameter = integer(support_diameter, "support_diameter", 0)
+    return 2 * diameter + poly.abs_bound(integer(n_range, "N", 1)) + 1

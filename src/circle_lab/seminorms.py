@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from ._util import parallel_map, pnorm, range_units, substream
+from ._util import integer, parallel_map, pnorm, range_units, substream
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def oscillation(seq, anchors: Sequence[int], r: float) -> SeminormReport:
     r = inf)."""
     s = RealSequence.of(seq)
     rule = _Exponent(r, "oscillation").in_units(s.values)
-    anchor_list = [int(t) for t in anchors]
+    anchor_list = [integer(t, "anchor") for t in anchors]
     if len(anchor_list) < 2:
         raise ValueError("need at least two anchors (J >= 1)")
     if anchor_list != sorted(set(anchor_list)):
@@ -286,26 +285,11 @@ def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LacunarySet:
-    """Integer parts of tau^n, deduplicated and capped."""
-
-    tau: float
-    bound: int
-    elements: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def lacunary(tau: float, bound: int) -> LacunarySet:
+def lacunary(tau: float, bound: int) -> tuple[int, ...]:
+    """The distinct integer parts of tau^n up to `bound`, sorted."""
     if not 1 < tau < math.inf:
         raise ValueError(f"lacunary ratio must satisfy 1 < tau < inf, got tau = {tau}")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    bound = integer(bound, "bound", 1)
     out = set()
     n = 0
     while True:
@@ -314,7 +298,7 @@ def lacunary(tau: float, bound: int) -> LacunarySet:
             break
         out.add(v)
         n += 1
-    return LacunarySet(tau, bound, tuple(sorted(out)))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +325,27 @@ _TILE_CELLS = 1 << 17
 _MAX_TRIALS = 10**6
 
 
+def _pointwise_variation(levels: list[np.ndarray], rule: _Exponent) -> np.ndarray:
+    """Pointwise r-variation, shape (B, Q), of the martingale levels of a
+    batch.  A leaf's chain of levels spans at least |leaf - mean| and at
+    most its trial's span; unless both are in range for the r-th powers,
+    the levels go at full resolution through `variation_values`, which
+    counts in units per leaf, in runs of leaves of about _TILE_CELLS cells."""
+    leaves, depth = levels[-1], len(levels) - 1
+    if 1 < rule.r < math.inf:
+        near = leaves - levels[0]
+        spans = np.concatenate((np.ptp(leaves, axis=1), np.abs(near, out=near).min(axis=1)))
+        if range_units(spans, rule.r, max(depth, 1)) is not None or not spans.all():
+            out, cols = np.empty(leaves.shape), np.arange(leaves.shape[1])
+            step = max(1, _TILE_CELLS // leaves.shape[0] // (depth + 1))
+            for c in range(0, cols.size, step):
+                idx = cols[c : c + step]  # the cell of level i over leaf x is x >> (depth - i)
+                full = np.stack([lev[:, idx >> (depth - i)] for i, lev in enumerate(levels)])
+                out[:, c : c + step] = variation_values(full, rule.r)
+            return out
+    return rule.root(_variation_dp(levels, rule.step, rule.folds))
+
+
 def lepingle_stat(
     p: float, r: float, depth: int, trials: int, seed: int, threads: int | None = None
 ) -> dict:
@@ -350,6 +355,8 @@ def lepingle_stat(
     Norms use the uniform probability measure; the ratio is scale free.  For
     r <= 2 the same statistic is computed but flagged, since no uniform bound
     is claimed there.  r = inf gives the largest increment between levels.
+    Where a leaf's r-th powers might leave the float range, its work item
+    runs at full resolution through `variation_values`, in units per leaf.
 
     Trial t draws from ``substream(seed, t)``.  Work items (runs of
     consecutive trials with at most _TILE_CELLS leaf cells in all, or one
@@ -359,11 +366,12 @@ def lepingle_stat(
     rule = _Exponent(r, "variation")
     if not 0 < p < math.inf:  # also rejects NaN
         raise ValueError(f"norm exponent p must be finite and > 0, got {p}")
-    if not isinstance(depth, Integral) or not 0 <= depth <= 20:
+    depth, trials = integer(depth, "depth"), integer(trials, "trials")
+    if not 0 <= depth <= 20:
         raise ValueError(
             f"depth must be an integer in 0..20 to keep the run desk-sized, got {depth!r}"
         )
-    if not isinstance(trials, Integral) or not 1 <= trials <= _MAX_TRIALS:
+    if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an integer in 1..{_MAX_TRIALS}, got {trials!r}")
     q = 1 << depth
     step = max(1, _TILE_CELLS >> depth)  # trials per work item
@@ -373,7 +381,7 @@ def lepingle_stat(
         for t, row in enumerate(gs, start):
             substream(seed, t).standard_normal(out=row)
         levels = _block_levels(gs)
-        vr = rule.root(_variation_dp(levels, rule.step, rule.folds))  # (B, Q)
+        vr = _pointwise_variation(levels, rule)
         den = np.stack([pnorm(lev, p, axis=1, mean=True) for lev in levels]).max(axis=0)
         return pnorm(vr, p, axis=1, mean=True) / den
 

@@ -58,6 +58,9 @@ class TestReducedFraction:
         assert ReducedFraction.reduce(7, 3) == ReducedFraction(1, 3)
         assert ReducedFraction.reduce(-1, 3) == ReducedFraction(2, 3)
         assert ReducedFraction.reduce(5, 5) == ReducedFraction(0, 1)
+        assert ReducedFraction.reduce(1, -3) == ReducedFraction(2, 3)  # the sign moves up
+        with pytest.raises(ValueError, match="denominator must be nonzero"):
+            ReducedFraction.reduce(1, 0)
 
     def test_value(self):
         fr = ReducedFraction(2, 5)
@@ -160,6 +163,13 @@ class TestClassify:
         assert not res.is_major
         assert str(res.nearest) == "0/1"
         assert res.distance == pytest.approx(0.25)
+
+    def test_reads_torus_points(self):
+        arcs = ArcSystem(5, 1e-3)
+        assert arcs.classify(TorusPoint(0.3)) == arcs.classify(0.3)
+        assert arcs.classify(TorusPoint(1.375)) == arcs.classify(0.375)
+        with pytest.raises(ValueError, match="finite"):
+            arcs.classify(math.nan)
 
     def test_stable_under_lift(self):
         arcs = ArcSystem(5, 1e-3)
@@ -364,6 +374,11 @@ class TestMinorSample:
         with pytest.raises(ValueError, match="coverage"):
             minor_sample(ArcSystem(8, 0.3), 10, 0)
 
+    @pytest.mark.parametrize("count", [-1, 2.0])
+    def test_rejects_bad_count(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"count must be a non-negative integer, got {count!r}")):
+            minor_sample(ArcSystem(2, 0.01), count, 5)
+
 
 class TestTorusPoint:
     def test_normalization(self):
@@ -376,7 +391,7 @@ class TestTorusPoint:
             TorusPoint(value)
 
     def test_distance(self):
-        assert TorusPoint(0.9).distance(TorusPoint(0.1)) == pytest.approx(0.2)
+        assert torus_distance(0.9, 0.1) == pytest.approx(0.2)
 
 
 class TestFareyTables:

@@ -429,6 +429,25 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and word in err
 
+    @pytest.mark.parametrize("argv, name", [
+        # a traceback and exit 1 (ZeroDivisionError)
+        (("project", "--q", "0", "--n1", "4", "--n2", "0.01"), "modulus"),
+        (("probe-lp", "--q", "0", "--l", "2", "--m", "-6", "--p", "4"), "modulus"),
+        # exit 0 with "values": []
+        (("gauss", "--poly", "0,0,1", "--den", "0"), "--den"),
+        (("gauss", "--poly", "0,0,1", "--den", "-5"), "--den"),
+        # numpy's "negative dimensions are not allowed"
+        (("project", "--q", "-4", "--n1", "4", "--n2", "0.01", "--symbol-only"), "modulus"),
+        (("project", "--q", "-4", "--n1", "4", "--n2", "0.01", "--seed", "1"), "modulus"),
+        (("remark2", "--q", "-4", "--l", "2", "--m", "-6"), "modulus"),
+        # a constant polynomial: a traceback and exit 1 (ZeroDivisionError)
+        (("split", "--q", "64", "--poly", "5", "--n", "64"), "degree"),
+    ])
+    def test_integer_out_of_range_exits_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {name} must be ")
+
     @pytest.mark.parametrize("argv", [
         ("variation", "--r", "2"),
         ("jumps", "--lam", "1"),
@@ -508,6 +527,12 @@ class TestThreads:
         two = run_json(capsys, *LEPINGLE, "--threads", "2")
         assert one["config"]["threads"] == 1 and two["config"]["threads"] == 2
         assert one["result"] == two["result"]
+
+    @pytest.mark.parametrize("value", [2.5, "2", 0])
+    def test_thread_argument_is_an_integer(self, monkeypatch, value):
+        monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
+        with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {value!r}"):
+            resolve_threads(value)
 
     def test_default_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)

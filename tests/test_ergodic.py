@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -130,6 +131,32 @@ class TestAverageSeries:
         with pytest.raises(ValueError, match="uniform_from"):
             average_series(sys, LINEAR, Signal.delta(7), [3], uniform_from=m)
 
+    def test_scales_are_sorted_distinct_integers(self):
+        sys = FiniteSystem(7, 1)
+        f = random_signal(7, 6)
+        series = average_series(sys, LINEAR, f, [9, 3, np.int64(9), 5])
+        assert series.indices == (3, 5, 9) and all(type(n) is int for n in series.indices)
+        assert np.array_equal(series.values, average_series(sys, LINEAR, f, [3, 5, 9]).values)
+
+    @pytest.mark.parametrize("ns, m, message", [
+        ([2.5, 4], 0, "N must be an integer >= 1, got 2.5"),  # was read as N = 2
+        ([0, 4], 0, "N must be an integer >= 1, got 0"),
+        ([], 0, "need at least one N"),
+        ([4], 1.0, "uniform_from must be a non-negative integer, got 1.0"),
+    ])
+    def test_rejects_bad_scales(self, ns, m, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            average_series(FiniteSystem(7, 1), LINEAR, Signal.delta(7), ns, uniform_from=m)
+
+    @pytest.mark.parametrize("modulus, shift, message", [
+        (2.5, 1, "modulus must be an integer >= 1, got 2.5"),  # failed later with a TypeError
+        (0, 1, "modulus must be an integer >= 1, got 0"),
+        (8, 1.0, "shift must be an integer, got 1.0"),
+    ])
+    def test_system_rejects_non_integers(self, modulus, shift, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FiniteSystem(modulus, shift)
+
     def test_ergodic_flag(self):
         assert FiniteSystem(10, 3).is_ergodic
         assert not FiniteSystem(10, 4).is_ergodic
@@ -178,6 +205,11 @@ class TestSeriesLayout:
     def test_constructor_checks_values(self, vals, message):
         with pytest.raises(ValueError, match=message):
             AverageSeries((1, 2), vals, FiniteSystem(4, 1), LINEAR)
+
+    @pytest.mark.parametrize("indices", [(2, 1), (1, 1)])
+    def test_constructor_needs_increasing_indices(self, indices):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AverageSeries(indices, np.zeros((2, 4)), FiniteSystem(4, 1), LINEAR)
 
     def test_diagnostic_holds_less_than_one_copy_of_the_series(self):
         sys = FiniteSystem(4096, 3)
@@ -243,6 +275,17 @@ class TestConvergenceDiagnostic:
                 want = exact_pnorm(stat, p, mean=True)
                 assert diag[name][f"l{p}"] == pytest.approx(want, rel=1e-13, abs=0)
 
+    def test_rejects_infinite_exponent(self):
+        series = average_series(FiniteSystem(8, 1), LINEAR, Signal.delta(8), [2, 4])
+        with pytest.raises(ValueError, match="1 <= r < inf"):
+            convergence_diagnostic(series, math.inf, tail_start=1)
+
+    def test_tail_start_is_an_integer(self):
+        series = average_series(FiniteSystem(8, 1), LINEAR, Signal.delta(8), [2, 4, 8])
+        with pytest.raises(ValueError, match=re.escape("tail_start must be an integer, got 2.5")):
+            convergence_diagnostic(series, 2.0, tail_start=2.5)
+        assert convergence_diagnostic(series, 2.0, tail_start=np.int64(2))["tail_start"] == 2
+
     def test_needs_tail_points(self):
         sys = FiniteSystem(8, 1)
         series = average_series(sys, LINEAR, Signal.delta(8), [2, 4])
@@ -282,6 +325,14 @@ class TestDiscrepancy:
         d = dict(rep.entries)
         assert d[10000] <= 0.01
         assert d[10000] <= d[100] / 5
+
+    @pytest.mark.parametrize("ns, message", [
+        ([], "need at least one N"),
+        ([2.5, 10], "N must be an integer >= 1, got 2.5"),  # was read as N = 2
+    ])
+    def test_rejects_bad_scales(self, ns, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            discrepancy(LINEAR, math.sqrt(2), ns)
 
     def test_square_orbit_trend_recorded(self):
         rep = discrepancy(SQUARE, math.sqrt(2), [100, 1000, 10000])
@@ -353,6 +404,15 @@ class TestMeanErgodicCheck:
         invariant = riesz_split(f, 3).invariant.values
         for (n, dev), row in zip(rep["entries"], series.values):
             assert dev == pytest.approx(exact_pnorm(row - invariant, 2, mean=True), rel=1e-13, abs=0)
+
+    def test_modulus_checked(self):
+        with pytest.raises(ValueError, match="signal modulus must match the system"):
+            mean_ergodic_check(FiniteSystem(8, 1), Signal.delta(4), [2])
+
+    def test_rejects_non_integer_scales(self):
+        # [2.5, 4] was read as N = 2 and 4
+        with pytest.raises(ValueError, match=re.escape("N must be an integer >= 1, got 2.5")):
+            mean_ergodic_check(FiniteSystem(8, 1), Signal.delta(8), [2.5, 4])
 
     def test_nonergodic_reports_flag(self):
         rep = mean_ergodic_check(FiniteSystem(12, 4), Signal.delta(12), [6])

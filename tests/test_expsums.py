@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circle_lab._util import substream
-from circle_lab.arcs import ReducedFraction, minor_sample
+from circle_lab.arcs import ArcSystem, ReducedFraction, TorusPoint, minor_sample
 from circle_lab.expsums import (
     _TILE_CELLS,
     _expi,
@@ -54,6 +55,19 @@ class TestWeylSum:
 
     def test_alternating_linear(self):
         assert abs(weyl_sum(LINEAR, 4, 0.5)) < 1e-14
+
+    def test_reads_torus_points(self):
+        assert weyl_sum(SQUARE, 40, TorusPoint(0.137)) == weyl_sum(SQUARE, 40, 0.137)
+        with pytest.raises(ValueError, match="finite"):
+            weyl_sum(SQUARE, 40, math.nan)
+
+    @pytest.mark.parametrize("n", [0, 2.5, 64.0, "8"])
+    def test_rejects_non_integer_scales(self, n):
+        for xi in (0.3, ReducedFraction(1, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"N must be an integer >= 1, got {n!r}")):
+                weyl_sum(SQUARE, n, xi)
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            continuous_multiplier(SQUARE, n, 0.3)
 
     def test_matches_naive(self):
         for xi in (0.137, 0.61803, 0.25):
@@ -456,6 +470,23 @@ class TestDecayScan:
         with pytest.raises(ValueError, match=">= 1"):
             weyl_decay_scan(SQUARE, ns, 0.125, 1.0, 5, 0)
 
+    @pytest.mark.parametrize("ns, message", [
+        ([2.5, 64], "N must be an integer >= 1, got 2.5"),  # was read as N = 2
+        ([], "need at least one N"),
+    ])
+    def test_rejects_bad_scale_lists(self, ns, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            weyl_decay_scan(SQUARE, ns, 0.125, 1.0, 5, 0)
+
+    @pytest.mark.parametrize("samples", [0, 2.0])
+    def test_rejects_bad_sample_count(self, samples):
+        with pytest.raises(ValueError, match=re.escape(f"samples must be an integer >= 1, got {samples!r}")):
+            weyl_decay_scan(SQUARE, [64], 0.125, 1.0, samples, 0)
+
+    def test_grid_oracle_needs_a_minor_point(self):
+        with pytest.raises(ValueError, match="arcs cover every grid frequency"):
+            minor_sup_grid(SQUARE, 64, ArcSystem(2, 0.3), 8)
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             DecayScanReport(points=((64, 0.5), (32, 0.4)), exponent=1.0, fit_residual=0.0, params={})
@@ -496,6 +527,33 @@ class TestLemma1:
             residual = abs(exact_weyl(SQUARE, n, xi) - fine_mm(SQUARE, n, xi - round(xi)))
             ratios.append(residual / (n / big_m + 1.0 / n))
         assert sweep["cells"][(n, 0)] == pytest.approx(max(ratios), rel=1e-11, abs=0)
+
+    def test_reads_torus_points(self):
+        theta = ReducedFraction(1, 3)
+        got = lemma1_residual(SQUARE, 64, theta, TorusPoint(0.3334), 4096.0)
+        assert got == lemma1_residual(SQUARE, 64, theta, 0.3334, 4096.0)
+        lifted = lemma1_residual(SQUARE, 64, ReducedFraction(3, 8), TorusPoint(1.375), 4096.0)
+        assert lifted == lemma1_residual(SQUARE, 64, ReducedFraction(3, 8), 0.375, 4096.0)
+        with pytest.raises(ValueError, match="finite"):
+            lemma1_residual(SQUARE, 64, theta, math.nan, 4096.0)
+
+    @pytest.mark.parametrize("ns, message", [
+        ([0], "N must be an integer >= 1, got 0"),  # was a ZeroDivisionError
+        ([], "need at least one N"),  # was "max() arg is an empty sequence"
+        ([2.5, 4], "N must be an integer >= 1, got 2.5"),  # was read as N = 2
+    ])
+    def test_sweep_rejects_bad_scales(self, ns, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lemma1_grid_sweep(SQUARE, ns, 1, 2, 3)
+
+    @pytest.mark.parametrize("l_max, samples, message", [
+        (1, 0, "samples_per_cell must be an integer >= 1, got 0"),
+        (1.0, 2, "l_max must be a non-negative integer, got 1.0"),
+        (-1, 2, "l_max must be a non-negative integer, got -1"),
+    ])
+    def test_sweep_rejects_bad_counts(self, l_max, samples, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lemma1_grid_sweep(SQUARE, [64], l_max, samples, 3)
 
     def test_sweep_stability(self):
         sweep = lemma1_grid_sweep(SQUARE, [64, 128], 2, 20, 3)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,12 @@ class TestMultiplierOp:
         op = MultiplierOp(np.zeros(1), np.array([2.0]), lambda x: eta(np.asarray(x) / 0.25))
         assert l2_operator_norm(op, 64) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("modulus", [0, -4, 64.0])
+    def test_symbol_grid_needs_a_modulus(self, modulus):
+        # 0 divided by zero and -4 asked numpy for a negative dimension
+        with pytest.raises(ValueError, match=re.escape(f"modulus must be an integer >= 1, got {modulus!r}")):
+            identity_op().symbol_on_grid(modulus)
+
     def test_needs_frequencies(self):
         with pytest.raises(ValueError):
             MultiplierOp(np.zeros(0), 1.0, lambda x: x)
@@ -232,6 +239,14 @@ class TestOperatorNorms:
         assert want > 0
         assert lp_norm_probe(op, 4.0, 64, 2, 0) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("size", [1e100, 1e-100])
+    @pytest.mark.parametrize("p", [4.0, 1.5])
+    def test_probe_of_extreme_operators(self, size, p):
+        # T = size * I: the ascent's powers, or their image under T, left the
+        # float range ("overflow encountered in multiply" at 1e100, p = 4)
+        op = MultiplierOp(np.zeros(1), size, lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        assert lp_norm_probe(op, p, 64, 2, 0) == pytest.approx(size, rel=1e-12, abs=0)
+
     def test_probe_consistent_with_l2(self):
         op = projection_op(3, 2**-6)
         probe = lp_norm_probe(op, 2.0, 128, 4, 1)
@@ -267,6 +282,16 @@ class TestPipelineConfig:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError, match="alpha"):
             PipelineConfig(alpha=1e-3, c0=64, p0=4, degree=2)
+
+    @pytest.mark.parametrize("c0", [0, 2.5])
+    def test_c0_must_be_a_positive_integer(self, c0):
+        with pytest.raises(ValueError, match=re.escape(f"c0 must be an integer >= 1, got {c0!r}")):
+            PipelineConfig(alpha=1e-9, c0=c0, p0=4, degree=2)
+
+    def test_constant_polynomial_has_no_desk_config(self):
+        # degree 0 divided by zero in the alpha rule
+        with pytest.raises(ValueError, match=re.escape("degree must be an integer >= 1, got 0")):
+            PipelineConfig.desk(degree=0)
 
     def test_p0_must_be_even(self):
         with pytest.raises(ValueError, match="p0"):

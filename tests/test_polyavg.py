@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circle_lab.polyavg import (
-    IndexRange,
     IntPolynomial,
     Signal,
     aliasing_safe_modulus,
@@ -20,7 +20,7 @@ from circle_lab.polyavg import (
     signal_from_spectrum,
     spectrum,
 )
-from circle_lab._util import substream
+from circle_lab._util import integer, substream
 from circle_lab.ergodic_lab import FiniteSystem, average_series
 
 from oracles import exact_pnorm, grouped_average, naive_average
@@ -53,6 +53,12 @@ class TestIntPolynomial:
         assert IntPolynomial(()).coefficients == (0,)
         assert IntPolynomial((0, 0)).degree == 0
         assert IntPolynomial((0, 1, 5)).degree == 2
+
+    @pytest.mark.parametrize("coefficients", [(0, 0.5), (0, 1.0), ("1",)])
+    def test_coefficients_are_integers(self, coefficients):
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            IntPolynomial(coefficients)
+        assert IntPolynomial((np.int64(2), 3)) == IntPolynomial((2, 3))
 
     def test_parse_and_str(self):
         assert IntPolynomial.parse("0,0,1") == SQUARE
@@ -93,6 +99,12 @@ class TestKernel:
         expect = np.zeros(10)
         expect[poly(1) % 10] = 1.0
         assert np.allclose(k.values.real, expect)
+
+    @pytest.mark.parametrize("modulus", [8.0, 0, -2])
+    def test_rejects_bad_modulus(self, modulus):
+        # 8.0 raised numpy's UFuncTypeError
+        with pytest.raises(ValueError, match=re.escape(f"modulus must be an integer >= 1, got {modulus!r}")):
+            kernel(SQUARE, 4, modulus)
 
     def test_mass_one(self):
         for q in (7, 64, 257):
@@ -225,7 +237,7 @@ class TestMaximalFunction:
 
     def test_delta_reciprocal(self):
         out = maximal_function(
-            LINEAR, Signal.delta(1024), [IndexRange(n) for n in range(1, 513)]
+            LINEAR, Signal.delta(1024), list(range(1, 513))
         )
         xs = np.arange(1, 513)
         assert np.allclose(out.values.real[1:513], 1.0 / xs, atol=1e-12)
@@ -279,6 +291,22 @@ class TestSignal:
         f = random_signal(6, 16)
         g = Signal.from_json(f.to_json())
         assert g.modulus == 6 and np.allclose(g.values, f.values)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Signal(2.5, np.zeros(2)),
+        lambda: Signal(0, np.zeros(0)),
+        lambda: Signal.delta(0),  # was a ZeroDivisionError
+        lambda: Signal.constant(-1),
+        lambda: Signal.from_dict({"modulus": 2.0, "re": [0, 0], "im": [0, 0]}),
+    ])
+    def test_modulus_is_a_positive_integer(self, build):
+        with pytest.raises(ValueError, match="modulus must be an integer >= 1"):
+            build()
+
+    def test_delta_position_is_an_integer(self):
+        with pytest.raises(ValueError, match=re.escape("at must be an integer, got 1.5")):
+            Signal.delta(4, 1.5)
+        assert Signal.delta(np.int64(4), np.int32(-1)).values[3] == 1.0
 
     def test_json_shape(self):
         d = json.loads(Signal.delta(3).to_json())
@@ -376,10 +404,38 @@ class TestAliasingSafeModulus:
             assert abs(out.values[pos % q] - val) < 1e-12
 
 
+    @pytest.mark.parametrize("diameter", [2.5, -1])
+    def test_diameter_is_a_non_negative_integer(self, diameter):
+        with pytest.raises(ValueError, match="support_diameter must be a non-negative integer"):
+            aliasing_safe_modulus(SQUARE, 6, diameter)
+
+
 class TestIndexRange:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            IndexRange(0)
-        assert int(IndexRange(5)) == 5
-        assert list(IndexRange(3)) == [1, 2, 3]
-        assert IndexRange.of(IndexRange(2)).n == 2
+        # N is a Python or numpy integer >= 1: nothing else is read as one
+        for n in (0, -3, 2.5, 64.0, "8"):
+            with pytest.raises(ValueError, match=re.escape(f"N must be an integer >= 1, got {n!r}")):
+                kernel(SQUARE, n, 16)
+        assert np.array_equal(kernel(SQUARE, np.int64(5), 16).values, kernel(SQUARE, 5, 16).values)
+
+
+class TestIntegerCheck:
+    @pytest.mark.parametrize("value, low, message", [
+        (2.0, None, "q must be an integer, got 2.0"),
+        ("3", None, "q must be an integer, got '3'"),
+        (None, 0, "q must be a non-negative integer, got None"),
+        (-1, 0, "q must be a non-negative integer, got -1"),
+        (1, 2, "q must be an integer >= 2, got 1"),
+        (np.float64(4), 1, f"q must be an integer >= 1, got {np.float64(4)!r}"),
+    ])
+    def test_message_names_the_value(self, value, low, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integer(value, "q", low)
+
+    @pytest.mark.parametrize("value", [5, np.int64(5), np.uint8(5), np.int32(5)])
+    def test_python_and_numpy_integers_pass(self, value):
+        out = integer(value, "q", 5)
+        assert out == 5 and type(out) is int
+
+    def test_bool_is_an_integer(self):
+        assert integer(True, "q") == 1

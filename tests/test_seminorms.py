@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from circle_lab.seminorms import (
     RealSequence,
     _block_levels,
     _Exponent,
+    _pointwise_variation,
     _variation_dp,
     jump_count,
     lacunary,
@@ -102,6 +104,10 @@ class TestVariation:
     def test_complex_modulus(self):
         rep = variation(np.array([0.0, 1j, 1.0 + 1j]), 1)
         assert rep.value == pytest.approx(2.0)
+
+    def test_batch_needs_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            variation_values(np.zeros((0, 3)), 2)
 
     def test_custom_labels(self):
         seq = RealSequence([0.0, 1.0, 0.0], labels=[3, 10, 20])
@@ -225,6 +231,12 @@ class TestOscillation:
             oscillation([1.0, 2.0, 3.0], [2, 0], 2)
         with pytest.raises(ValueError, match="anchors"):
             oscillation([1.0, 2.0], [0], 2)
+
+
+    @pytest.mark.parametrize("anchor", [2.0, "2"])
+    def test_anchors_are_integers(self, anchor):
+        with pytest.raises(ValueError, match=re.escape(f"anchor must be an integer, got {anchor!r}")):
+            oscillation([1.0, 2.0, 3.0], [0, anchor], 2)
 
 
 class TestInequalities:
@@ -390,13 +402,13 @@ class TestBlocks:
 
 class TestLacunary:
     def test_powers_of_two(self):
-        assert lacunary(2.0, 10).elements == (1, 2, 4, 8)
+        assert lacunary(2.0, 10) == (1, 2, 4, 8)
 
     def test_three_halves(self):
-        assert lacunary(1.5, 12).elements == (1, 2, 3, 5, 7, 11)
+        assert lacunary(1.5, 12) == (1, 2, 3, 5, 7, 11)
 
     def test_bound_one(self):
-        assert lacunary(3.0, 1).elements == (1,)
+        assert lacunary(3.0, 1) == (1,)
 
     def test_rejects_tau(self):
         with pytest.raises(ValueError):
@@ -406,6 +418,11 @@ class TestLacunary:
     def test_rejects_nonfinite_tau(self, tau):
         with pytest.raises(ValueError, match="tau"):
             lacunary(tau, 64)
+
+    @pytest.mark.parametrize("bound", [0, 64.0])
+    def test_rejects_bad_bound(self, bound):
+        with pytest.raises(ValueError, match=re.escape(f"bound must be an integer >= 1, got {bound!r}")):
+            lacunary(2, bound)
 
 
 def full_resolution(levels) -> list[np.ndarray]:
@@ -564,6 +581,34 @@ class TestLepingle:
 
     def test_numpy_integer_counts(self):
         assert lepingle_stat(2, 3, np.int64(4), np.int32(3), 1) == lepingle_stat(2, 3, 4, 3, 1)
+
+    @pytest.mark.parametrize("r", [700, 1000, 3000])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_large_exponents_match_exact_sums(self, r, depth):
+        # per-trial units overflowed to inf, and leaves far below their
+        # trial's span underflowed to 0: each leaf counts in its own units
+        seed, trials, p = 3, 5, 2
+        ratios = []
+        for t in range(trials):
+            levels = martingale_levels(substream(seed, t).standard_normal(2**depth))
+            vr = [exact_variation([lev[x] for lev in levels], r) for x in range(2**depth)]
+            den = max(exact_pnorm(lev, p, mean=True) for lev in levels)
+            ratios.append(exact_pnorm(vr, p, mean=True) / den)
+        stat = lepingle_stat(p, r, depth, trials, seed)
+        assert stat["max"] == pytest.approx(max(ratios), rel=1e-12, abs=0)
+        assert stat["mean"] == pytest.approx(np.mean(ratios), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 4.0, 50.0])
+    def test_leaf_units_keep_in_range_bits(self, r):
+        # an ordinary trial keeps its bits next to one far out of range
+        g = substream(4).standard_normal((2, 64))
+        g[1] *= 1e300
+        rule = _Exponent(r, "variation")
+        got = _pointwise_variation(_block_levels(g), rule)
+        alone = rule.root(_variation_dp(_block_levels(g[:1]), rule.step, rule.folds))
+        assert np.array_equal(got[0], alone[0])
+        down = rule.root(_variation_dp(_block_levels(g[1:] / 1e300), rule.step, rule.folds))
+        assert got[1] == pytest.approx(down[0] * 1e300, rel=1e-12, abs=0)
 
     def test_sqrt_depth_ceiling(self):
         stat = lepingle_stat(2, 3, 10, 50, 11)
