@@ -52,19 +52,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """Worker count: CIRCLE_LAB_THREADS env var wins, then `requested`,
-    then the CPUs this process may run on (its affinity set, where the
-    platform reports one).  A count that is not an integer >= 1 raises
-    ValueError naming where it came from."""
-    env = os.environ.get("CIRCLE_LAB_THREADS")
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ValueError(f"CIRCLE_LAB_THREADS must be an integer >= 1, got {env!r}")
-        return count
+    """Worker count: `requested`, else the CPUs this process may run on
+    (its affinity set, where the platform reports one).  A requested count
+    that is not an integer >= 1 raises ValueError naming `threads`."""
     if requested is not None:
         return integer(requested, "threads", 1)
     if hasattr(os, "sched_getaffinity"):
@@ -102,6 +92,8 @@ def range_units(top, p: float, count: int, slack: float = 0.0):
 def pnorm(x, p: float, axis: int | None = None, mean: bool = False):
     """(sum |x|^p)^(1/p) along axis, with the mean in place of the sum when
     mean is set, counted in `range_units` of max |x|; p = inf gives max |x|."""
+    if not p > 0:  # also rejects NaN
+        raise ValueError(f"norm exponent p must be > 0, got {p}")
     mags = np.abs(x)
     if p == math.inf:
         return mags.max(axis=axis)

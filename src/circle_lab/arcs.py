@@ -41,7 +41,8 @@ class TorusPoint:
         value = float(self.value)
         if not math.isfinite(value):
             raise ValueError(f"torus point must be finite, got {value}")
-        object.__setattr__(self, "value", value % 1.0)
+        # a tiny negative value % 1.0 rounds up to 1.0, the torus point 0.0
+        object.__setattr__(self, "value", value % 1.0 % 1.0)
 
     def __float__(self) -> float:
         return self.value
@@ -225,6 +226,8 @@ class TorusIntervalSet:
 
     @classmethod
     def from_arcs(cls, centers: Sequence[float], halfwidth: float) -> "TorusIntervalSet":
+        if not 0 <= halfwidth < math.inf:  # also rejects NaN
+            raise ValueError(f"arc halfwidth must be finite and >= 0, got {halfwidth}")
         c = np.asarray(centers, dtype=float)
         return cls(np.column_stack((c - halfwidth, c + halfwidth)))
 
@@ -352,7 +355,8 @@ class DyadicScale:
 
     def __post_init__(self):
         object.__setattr__(self, "l", _level(self.l, "shell level l"))
-        if not self.m < 1024:  # 2.0**m overflows; also rejects NaN
+        object.__setattr__(self, "m", integer(self.m, "halfwidth exponent m"))
+        if not self.m < 1024:  # 2.0**m overflows
             raise ValueError(f"halfwidth exponent m must be < 1024, got {self.m}")
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every subcommand resolves its parameters into a RunConfig, runs one library
-call, and emits a JSON report (or CSV where that is the natural shape).
+call, and emits a JSON report (or, with --format csv, the table it built).
 Reports embed the resolved config and a schema tag; reruns with the same
 arguments are byte-identical unless --timestamp is requested.
 
@@ -100,7 +100,9 @@ def _strict(obj):
 
 
 def _emit(config: RunConfig, result: dict, csv_text: str | None = None) -> None:
-    if config.out_format == "csv" and csv_text is not None:
+    if config.out_format == "csv":
+        if csv_text is None:
+            raise ValueError(f"--format csv: this {config.subcommand} run builds no table")
         _write(csv_text, config.out_path)
         return
     envelope = {
@@ -130,14 +132,12 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _read_signal(path: str | None, modulus: int | None, seed: int | None) -> Signal:
+def _read_signal(path: str | None, modulus: int, seed: int | None) -> Signal:
     if path:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
         if text.lstrip().startswith("{"):
             return Signal.from_json(text)
         return Signal.from_csv(io.StringIO(text))
-    if modulus is None:
-        raise ValueError("need either --in or --q to build a signal")
     q = integer(modulus, "modulus", 1)
     if seed is None:
         return Signal.delta(q)
@@ -198,9 +198,10 @@ def _arg(*names: str, **kw) -> tuple:
 # every subcommand takes these, after its own flags
 _COMMON = (
     _arg("--out", default="-", help="output path, - for stdout"),
-    _arg("--format", choices=("json", "csv"), default="json"),
     _arg("--timestamp", action="store_true", help="embed a wall-clock stamp"),
 )
+# only the subcommands that build a table take this
+_FORMAT = _arg("--format", choices=("json", "csv"), default="json")
 # resolved by _scale_pair
 _SCALES = (
     _arg("--n1", type=float),
@@ -221,7 +222,8 @@ def _command(name: str, help: str, *flags: tuple):
 
 
 @_command("fractions", "canonical fractions up to a denominator bound",
-          _arg("--n1", type=float, required=True))
+          _arg("--n1", type=float, required=True),
+          _FORMAT)
 def _cmd_fractions(cfg: RunConfig) -> None:
     fracs = canonical_fractions(cfg.params["n1"])
     cols = (fracs.numerators.tolist(), fracs.denominators.tolist(), fracs.values.tolist())
@@ -266,7 +268,8 @@ def _cmd_arcs(cfg: RunConfig) -> None:
           _arg("--fixed-halfwidth", type=float),
           _arg("--grid-oracle", type=int),
           _arg("--csv", help="also write the (N, sup_abs) table here"),
-          _arg("--threads", type=int))
+          _arg("--threads", type=int),
+          _FORMAT)
 def _cmd_weyl_scan(cfg: RunConfig) -> None:
     p = cfg.params
     poly = IntPolynomial.parse(p["poly"])
@@ -363,7 +366,8 @@ def _cmd_lemma1(cfg: RunConfig) -> None:
           *_SCALES,
           _arg("--in", dest="infile"),
           _arg("--seed", type=int),
-          _arg("--symbol-only", action="store_true"))
+          _arg("--symbol-only", action="store_true"),
+          _FORMAT)
 def _cmd_project(cfg: RunConfig) -> None:
     p = cfg.params
     q = p["q"]
@@ -405,12 +409,10 @@ def _cmd_remark2(cfg: RunConfig) -> None:
 def _cmd_split(cfg: RunConfig) -> None:
     p = cfg.params
     poly = IntPolynomial.parse(p["poly"])
-    pipeline = PipelineConfig(
-        alpha=p["alpha"] if p.get("alpha") is not None else PipelineConfig.desk(poly.degree).alpha,
-        c0=p["c0"],
-        p0=p["p0"],
-        degree=poly.degree,
-    )
+    if p.get("alpha") is None:
+        pipeline = PipelineConfig.desk(poly.degree, p["p0"], p["c0"])
+    else:
+        pipeline = PipelineConfig(alpha=p["alpha"], c0=p["c0"], p0=p["p0"], degree=poly.degree)
     f = _read_signal(p.get("infile"), p["q"], p.get("seed"))
     major, minor, report = arc_split(f, poly, p["n"], pipeline, p_values=p["p_values"])
     if p.get("save_prefix"):
@@ -488,7 +490,8 @@ def _cmd_lepingle(cfg: RunConfig) -> None:
           _arg("--point", type=int, help="emit the label,re,im series at this x"),
           _arg("--in", dest="infile"),
           _arg("--seed", type=int),
-          _arg("--csv"))
+          _arg("--csv"),
+          _FORMAT)
 def _cmd_ergodic(cfg: RunConfig) -> None:
     p = cfg.params
     sys_ = FiniteSystem(p["mod"], p["shift"])
@@ -526,7 +529,8 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
 @_command("discrepancy", "star discrepancy of polynomial orbits",
           _arg("--poly", required=True),
           _arg("--theta", type=_theta, required=True),
-          _arg("--ns", type=_int_list, required=True))
+          _arg("--ns", type=_int_list, required=True),
+          _FORMAT)
 def _cmd_discrepancy(cfg: RunConfig) -> None:
     p = cfg.params
     rep = discrepancy(IntPolynomial.parse(p["poly"]), p["theta"], p["ns"])
@@ -664,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
     config = RunConfig(
         subcommand=args.pop("command"),
-        out_format=args.pop("format"),
+        out_format=args.pop("format", "json"),
         out_path=args.pop("out"),
         timestamp=args.pop("timestamp"),
         params={k: v for k, v in args.items() if v is not None},

@@ -41,6 +41,7 @@ class FiniteSystem:
 
     def compose(self, f: Signal, power: int = 1) -> Signal:
         """f after T^power, i.e. x -> f(x - power * s)."""
+        power = integer(power, "power")
         return Signal(self.modulus, np.roll(f.values, (power * self.shift) % self.modulus))
 
 
@@ -165,7 +166,7 @@ def vdc_correlation(vectors, max_lag: int) -> np.ndarray:
     u = np.asarray(vectors, dtype=np.complex128)
     if u.ndim == 1:
         u = u[:, None]
-    n = u.shape[0]
+    n, max_lag = u.shape[0], integer(max_lag, "max_lag")
     if not 1 <= max_lag < n:
         raise ValueError("need 1 <= max_lag < number of vectors")
     out = np.empty(max_lag)

@@ -431,7 +431,7 @@ class Lemma1Result(NamedTuple):
 
 def shell_index(q: int) -> int:
     """Dyadic shell of a denominator: smallest l with q <= 2^l."""
-    return (q - 1).bit_length()
+    return (integer(q, "denominator", 1) - 1).bit_length()
 
 
 def _lemma1_cell(

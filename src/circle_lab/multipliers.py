@@ -201,6 +201,8 @@ def identity_op() -> MultiplierOp:
 
 def projection_op(n1: float, n2: float) -> MultiplierOp:
     """The major-arc projection as a MultiplierOp (weights 1, bump base)."""
+    if not 0 < n2 < math.inf:  # also rejects NaN
+        raise ValueError(f"projection halfwidth n2 must satisfy 0 < n2 < inf, got {n2}")
     return MultiplierOp(
         canonical_fractions(n1).values,
         1.0,
@@ -247,8 +249,8 @@ def lp_norm_probe(
     `range_units`.
     """
     trials = integer(trials, "trials", 1)
-    if p <= 1:
-        raise ValueError("probe needs p > 1")
+    if not 1 < p < math.inf:  # also rejects NaN
+        raise ValueError(f"probe exponent p must satisfy 1 < p < inf, got {p}")
     sym = op.symbol_on_grid(modulus)
     conj_sym = np.conj(sym)
     p_dual = p / (p - 1.0)

@@ -196,6 +196,7 @@ def signal_from_spectrum(modulus: int, coeffs: np.ndarray) -> Signal:
 
 def grid_frequencies(modulus: int) -> np.ndarray:
     """Torus points j/Q for j = 0..Q-1."""
+    modulus = integer(modulus, "modulus", 1)
     return np.arange(modulus) / modulus
 
 
@@ -307,7 +308,7 @@ def riesz_split(f: Signal, shift: int) -> RieszSplit:
     parts are orthogonal and sum back to f.
     """
     q = f.modulus
-    g = math.gcd(shift % q, q)
+    g = math.gcd(integer(shift, "shift") % q, q)
     if g == q:
         # shift acts trivially; everything is invariant
         return RieszSplit(f, Signal(q, np.zeros(q, dtype=np.complex128)))

@@ -34,9 +34,12 @@ class RealSequence:
         if labels is None:
             labs = np.arange(vals.size)
         else:
-            labs = np.array(labels, dtype=np.int64)
+            labs = np.asarray(labels)
             if labs.shape != vals.shape:
                 raise ValueError("labels and values must have equal length")
+            if not np.can_cast(labs.dtype, np.int64):  # a float label would be truncated
+                raise ValueError(f"labels must be integers within int64, got {labs.dtype} labels")
+            labs = labs.astype(np.int64)  # a copy
             if vals.size > 1 and not np.all(np.diff(labs) > 0):
                 raise ValueError("labels must be strictly increasing")
         vals.flags.writeable = False
@@ -88,7 +91,7 @@ def jump_count(seq, lam: float) -> SeminormReport:
     s = RealSequence.of(seq)
     # a jump adds 1 to the chain ending at j; -inf rules j out
     val, top, witness = _variation_dp(
-        s.values, lambda m, _: np.copyto(m, np.where(m >= lam, 1.0, -np.inf)), True, s.labels
+        s.values, lambda m: np.copyto(m, np.where(m >= lam, 1.0, -np.inf)), True, s.labels
     )
     return SeminormReport("jump", float(val[top]), witness, {"lambda": lam})
 
@@ -143,17 +146,17 @@ class _Exponent:
         if not 1 < r < math.inf or t < 2:
             return self
         if r > 969:  # units of the largest increment itself
-            top, slack = _variation_dp(a, lambda mags, scratch: None, False), 0.0
+            top, slack = _variation_dp(a, lambda mags: None, False), 0.0
         else:  # each increment of a slice lies in [0, sqrt(2) w] for its span w
             # (the larger of the real and imaginary spans), and the largest is >= w
             top, slack = np.maximum(np.ptp(a.real, axis=0), np.ptp(a.imag, axis=0)), 0.5
         self.unit = range_units(top, r, t - 1, slack)
         return self
 
-    def step(self, mags: np.ndarray, scratch: np.ndarray) -> None:
-        """In place, increments |d| become |d|^r (left alone at r = inf),
-        with scratch a float buffer shaped like mags.  The variation DP
-        gives mags a trailing axis that the units do not have."""
+    def step(self, mags: np.ndarray) -> None:
+        """In place, float increments |d| become |d|^r (left alone at
+        r = inf).  The variation DP gives mags a trailing axis that the
+        units do not have."""
         r = self.r
         if r == math.inf:
             return
@@ -163,8 +166,7 @@ class _Exponent:
         if r == 2.0:
             np.multiply(mags, mags, out=mags)
         elif r == 3.0:
-            np.multiply(mags, mags, out=scratch)
-            np.multiply(scratch, mags, out=mags)
+            mags *= mags * mags
         elif r == 4.0:
             np.multiply(mags, mags, out=mags)
             np.multiply(mags, mags, out=mags)
@@ -182,13 +184,13 @@ def _block_oscillation(a: np.ndarray, cuts: Sequence[int], rule: _Exponent):
     c_0 < ... < c_J cut [c_0, c_J) into blocks [c_j, c_(j+1)), and each
     block adds its sup deviation from a[c_j].  Returns the values and, per
     block, the positions where those sups are reached."""
-    total, scratch = np.zeros(a.shape[1:]), np.empty(a.shape[1:])
+    total = np.zeros(a.shape[1:])
     peaks = []
     for c0, c1 in zip(cuts, cuts[1:]):
         devs = np.abs(a[c0:c1] - a[c0])
         peaks.append(c0 + devs.argmax(axis=0))
         dev = devs.max(axis=0)
-        rule.step(dev, scratch)
+        rule.step(dev)
         total = total + dev if rule.folds else np.maximum(total, dev)
     return rule.root(total), peaks
 
@@ -202,7 +204,7 @@ _BLOCK_CELLS = 1 << 15
 def _variation_dp(levels, step, folds: bool, labels=None):
     """The one variation DP: value(i) = max(0, max over j < i of
     step(|a_i - a_j|) + value(j)) per cell, value(j) added only when the
-    rule folds; step(mags, scratch) works in place.  The levels a_i are the
+    rule folds; step(mags) works in place.  The levels a_i are the
     rows of a (T, ...) stack, or a list of levels whose last axes refine
     (each length divides the next), level i viewed as level_j.shape + (-1,).
 
@@ -214,7 +216,6 @@ def _variation_dp(levels, step, folds: bool, labels=None):
     or with labels (one chain) the values, the best end and the witness."""
     stacks = [levels] if isinstance(levels, np.ndarray) else [lev[None] for lev in levels]
     done = []  # stacks, DP states (both with a unit last axis), level_j.shape + (-1,)
-    bufs, shape = None, None  # increment buffers and the block shape of their views
     for a in stacks:
         n, cell = a.shape[0], max(a[0].size, 1)
         v = np.zeros(a.shape)
@@ -230,16 +231,8 @@ def _variation_dp(levels, step, folds: bool, labels=None):
                 cols = max(1, min(stop, _BLOCK_CELLS // ((i1 - i0) * cell)))
                 for j0 in range(0, stop, cols):
                     j1 = min(stop, j0 + cols)
-                    if (blk := (i1 - i0, j1 - j0) + a_rows.shape[2:]) != shape:
-                        shape, size = blk, math.prod(blk)
-                        if bufs is None or bufs[1].size < size:  # sized to the blocks in use
-                            bufs = (np.empty(size, a.dtype), np.empty(size))
-                            # the step's scratch: a float difference is dead once abs'd
-                            bufs += (bufs[0] if a.dtype == float else np.empty(size),)
-                        d, m, spare = (x[:size].reshape(blk) for x in bufs)
-                    np.subtract(a_rows, h[j0:j1], out=d)
-                    np.abs(d, out=m)
-                    step(m, spare)
+                    m = np.abs(a_rows - h[j0:j1]).astype(float, copy=False)
+                    step(m)
                     for i in range(i0, i1):
                         if (c := (min(j1, i) if own else j1) - j0) <= 0:
                             continue
@@ -360,8 +353,8 @@ def lepingle_stat(
 
     Trial t draws from ``substream(seed, t)``.  Work items (runs of
     consecutive trials with at most _TILE_CELLS leaf cells in all, or one
-    deeper trial) go through ``parallel_map`` on `threads` workers
-    (CIRCLE_LAB_THREADS wins); the result never depends on either.
+    deeper trial) go through ``parallel_map`` on `threads` workers; the
+    result never depends on either.
     """
     rule = _Exponent(r, "variation")
     if not 0 < p < math.inf:  # also rejects NaN

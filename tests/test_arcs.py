@@ -214,6 +214,16 @@ class TestDyadicShells:
         scale = DyadicScale(np.int64(3), -8)
         assert type(scale.l) is int and scale == DyadicScale(3, -8)
 
+    @pytest.mark.parametrize("m", [2.5, -6.0, math.nan, "2"])
+    def test_halfwidth_exponent_is_an_integer(self, m):
+        # 2.5 was accepted and 2.0**2.5 used as the halfwidth
+        with pytest.raises(ValueError, match=re.escape(f"halfwidth exponent m must be an integer, got {m!r}")):
+            DyadicScale(2, m)
+
+    def test_halfwidth_exponent_is_stored_as_python_int(self):
+        scale = DyadicScale(3, np.int64(-8))
+        assert type(scale.m) is int and scale == DyadicScale(3, -8)
+
     def test_partition(self):
         for level in range(0, 11):
             union = []
@@ -294,6 +304,15 @@ class TestIntervalSet:
         both = a.intersect(b)
         assert both.measure == pytest.approx(0.05)
         assert bool(both.contains(0.07))
+
+    def test_zero_halfwidth_arcs_are_points(self):
+        assert TorusIntervalSet.from_arcs([0.25, 0.5], 0.0).intervals == ((0.25, 0.25), (0.5, 0.5))
+
+    @pytest.mark.parametrize("halfwidth", [math.nan, -0.1, math.inf])
+    def test_arc_halfwidth_is_checked(self, halfwidth):
+        # nan and -0.1 gave the empty set, and so a zero overlap
+        with pytest.raises(ValueError, match=re.escape(f"arc halfwidth must be finite and >= 0, got {halfwidth}")):
+            TorusIntervalSet.from_arcs([0.25, 0.5], halfwidth)
 
 
 class TestIntervalAlgebraOracle:
@@ -384,6 +403,13 @@ class TestTorusPoint:
     def test_normalization(self):
         assert TorusPoint(1.25).value == 0.25
         assert TorusPoint(-0.25).value == 0.75
+
+    @pytest.mark.parametrize("value", [-1e-20, -5e-324, -0.0, -3.0])
+    def test_tiny_negative_value_is_zero(self, value):
+        # -1e-20 % 1.0 rounds to 1.0, outside [0, 1)
+        point = TorusPoint(value)
+        assert point.value == 0.0 and math.copysign(1.0, point.value) == 1.0
+        assert ArcSystem(4, 0.01).classify(value).nearest == ReducedFraction(0, 1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite(self, value):

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from circle_lab._util import resolve_threads
+from circle_lab import PipelineConfig, arc_split, cli, project
+from circle_lab._util import resolve_threads, substream
 from circle_lab.cli import RunConfig, _emit, build_parser, main, run
 from circle_lab.polyavg import IntPolynomial, Signal
 
@@ -271,6 +274,58 @@ class TestSubcommands:
         assert code == 0
         assert out.count("PASS") >= 7 and "FAIL" not in out
 
+    def test_selftest_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_SELFTEST", [("always-fails", lambda: False)])
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        assert out.startswith("FAIL always-fails\n")
+        assert json.loads(out.split("\n", 1)[1])["result"] == {
+            "failures": ["always-fails"], "passed": False,
+        }
+
+    def test_split_save_prefix_feeds_project(self, capsys, tmp_path):
+        prefix = str(tmp_path / "run")
+        doc = run_json(
+            capsys, "split", "--q", "256", "--poly", "0,0,1", "--n", "64", "--seed", "3",
+            "--save-prefix", prefix,
+        )
+        major = Signal.from_json(Path(prefix + ".major.json").read_text())
+        minor = Signal.from_json(Path(prefix + ".minor.json").read_text())
+        rng = substream(3)
+        f = Signal(256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+        want = arc_split(f, IntPolynomial((0, 0, 1)), 64, PipelineConfig.desk(2))
+        assert np.array_equal(major.values, want[0].values)
+        assert np.array_equal(minor.values, want[1].values)
+        assert doc["result"]["l2_ratio"] == want[2]["l2_ratio"]
+        back = run_json(capsys, "project", "--q", "256", "--n1", "2", "--n2", "0.01",
+                        "--in", prefix + ".major.json")
+        assert back["result"]["l2_in"] == major.norm(2)
+        assert Signal.from_dict(back["result"]["signal"]).modulus == 256
+
+    def test_split_alpha_follows_p0(self, capsys):
+        # the default alpha is PipelineConfig.desk(degree, p0, c0).alpha, not p0 = 4's
+        doc = run_json(capsys, "split", "--q", "1024", "--poly", "0,0,1", "--n", "64",
+                       "--seed", "1", "--p0", "100")
+        assert doc["config"]["p0"] == 100 and "alpha" not in doc["config"]
+        assert doc["result"]["low_scale"] == 0
+
+    def test_ergodic_csv_side_file(self, capsys, tmp_path):
+        path = tmp_path / "series.csv"
+        argv = ("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "2",
+                "--nmax", "64", "--seed", "1")
+        code, table, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        doc = run_json(capsys, *argv, "--csv", str(path))
+        assert path.read_text() == table
+        assert table.splitlines()[0] == "n,max_abs,mean_re,mean_im"
+        assert doc["result"]["ergodic"] is True
+
+    def test_project_without_input_is_the_delta(self, capsys):
+        doc = run_json(capsys, "project", "--q", "64", "--n1", "2", "--n2", "0.01")
+        want = project(Signal.delta(64), 2, 0.01)
+        assert np.array_equal(Signal.from_dict(doc["result"]["signal"]).values, want.values)
+        assert doc["result"]["l2_in"] == 1.0
+
 
 class TestSequenceCommands:
     def test_variation_from_file(self, capsys, tmp_path):
@@ -363,6 +418,41 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code != 0
+
+    def test_unknown_subcommand_config_exits_2(self, capsys):
+        assert run(RunConfig("nope", {})) == 2
+        assert capsys.readouterr().err == "error: unknown subcommand 'nope'\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("lemma1", "--poly", "0,0,1", "--n", "64"), "lemma1 needs --frac, --xi, --bigm (or --sweep)"),
+        (("lemma1", "--poly", "0,0,1"), "lemma1 needs --n, --frac, --xi, --bigm (or --sweep)"),
+        (("arcs",), "arcs needs either --n1 and --n2 or --dyadic l,m"),
+        (("arcs", "--n1", "4"), "arcs needs either --n1 and --n2 or --dyadic l,m"),
+    ])
+    def test_missing_flags_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        # exit 0 with an all-zero symbol
+        (("project", "--q", "64", "--n1", "4", "--n2", "-0.01", "--symbol-only"), "n2"),
+        (("project", "--q", "64", "--n1", "4", "--n2", "nan", "--symbol-only"), "n2"),
+        # "invalid value encountered in divide"
+        (("project", "--q", "64", "--n1", "4", "--n2", "0", "--symbol-only"), "n2"),
+        (("project", "--q", "64", "--n1", "4", "--n2", "inf", "--seed", "1"), "n2"),
+        # 2^-2000 is 0.0
+        (("project", "--q", "64", "--dyadic", "2,-2000", "--symbol-only"), "n2"),
+        # exit 2 only because the echoed p is NaN
+        (("probe-lp", "--q", "64", "--l", "2", "--m", "-6", "--p", "nan"), "probe exponent p"),
+        (("probe-lp", "--q", "64", "--l", "2", "--m", "-6", "--p", "inf"), "probe exponent p"),
+        (("split", "--q", "64", "--poly", "0,0,1", "--n", "64", "--p-values", "0"),
+         "norm exponent p"),
+    ])
+    def test_real_out_of_range_exits_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and name in err
+
 
     def test_violated_precondition_names_parameter(self, capsys):
         code, _, err = run_cli(capsys, "fractions", "--n1", "0.5")
@@ -491,51 +581,89 @@ class TestErrors:
         assert json.loads(path.read_text())["result"]["count"] == 4
 
 
+TABLE_COMMANDS = ("fractions", "weyl-scan", "project", "ergodic", "discrepancy")
+
+
+class TestFormat:
+    def test_format_only_where_a_table_exists(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        takes = [name for name, p in sub.choices.items()
+                 if any("--format" in a.option_strings for a in p._actions)]
+        assert tuple(takes) == TABLE_COMMANDS
+
+    @pytest.mark.parametrize("argv", [
+        ("mfrak", "--poly", "0,0,1", "--n", "64", "--xi", "0.1"),
+        ("lepingle", "--depth", "2", "--trials", "2"),
+        ("selftest",),
+    ])
+    def test_format_elsewhere_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    def test_project_csv_needs_symbol_only(self, capsys):
+        code, out, err = run_cli(capsys, "project", "--q", "64", "--n1", "4", "--n2", "0.01",
+                                 "--seed", "1", "--format", "csv")
+        assert code == 2 and out == ""
+        assert err == "error: --format csv: this project run builds no table\n"
+
+    def test_csv_without_a_table_is_refused(self, capsys):
+        code = run(RunConfig("mfrak", {"poly": "0,0,1", "n": 64, "xi": 0.1}, out_format="csv"))
+        assert code == 2 and capsys.readouterr().out == ""
+
+
 WEYL_SCAN = ("weyl-scan", "--poly", "0,0,1", "--ns", "64,128", "--samples", "5", "--seed", "0")
 LEPINGLE = ("lepingle", "--p", "2", "--r", "3", "--depth", "10", "--trials", "500", "--seed", "11")
+
+
+def bad_threads_err(capsys, argv, value):
+    try:
+        code, out, err = run_cli(capsys, *argv, "--threads", value)
+    except SystemExit as exc:  # argparse: not an int
+        code, (out, err) = exc.code, capsys.readouterr()
+        assert f"argument --threads: invalid int value: '{value}'" in err
+    else:
+        assert f"threads must be an integer >= 1, got {value}" in err
+    assert code == 2 and out == ""
+    return err
 
 
 class TestThreads:
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
     def test_bad_thread_variable_exits_2(self, capsys, monkeypatch, argv, value):
+        """The retired CIRCLE_LAB_THREADS is not read, even when it is bad:
+        the bad --threads alone decides the exit, and no message names the
+        variable."""
         monkeypatch.setenv("CIRCLE_LAB_THREADS", value)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert f"CIRCLE_LAB_THREADS must be an integer >= 1, got '{value}'" in err
+        assert "CIRCLE_LAB_THREADS" not in bad_threads_err(capsys, argv, value)
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
-    def test_bad_thread_option_exits_2(self, capsys, monkeypatch, argv, value):
-        monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
-        code, out, err = run_cli(capsys, *argv, "--threads", value)
-        assert code == 2 and out == ""
-        assert f"threads must be an integer >= 1, got {value}" in err
+    def test_bad_thread_option_exits_2(self, capsys, argv, value):
+        bad_threads_err(capsys, argv, value)
 
-    def test_lepingle_bytes_do_not_depend_on_threads(self, capsys, monkeypatch):
+    def test_lepingle_bytes_do_not_depend_on_threads(self, capsys):
         outs = []
         for value in ("1", "2"):
-            monkeypatch.setenv("CIRCLE_LAB_THREADS", value)
-            code, out, err = run_cli(capsys, *LEPINGLE)
+            code, out, err = run_cli(capsys, *LEPINGLE, "--threads", value)
             assert code == 0, err
-            outs.append(out)
+            outs.append(out.replace(f'"threads": {value}', '"threads": N'))
         assert outs[0] == outs[1]
 
-    def test_lepingle_thread_option(self, capsys, monkeypatch):
-        monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
+    def test_lepingle_thread_option(self, capsys):
         one = run_json(capsys, *LEPINGLE, "--threads", "1")
         two = run_json(capsys, *LEPINGLE, "--threads", "2")
         assert one["config"]["threads"] == 1 and two["config"]["threads"] == 2
         assert one["result"] == two["result"]
 
     @pytest.mark.parametrize("value", [2.5, "2", 0])
-    def test_thread_argument_is_an_integer(self, monkeypatch, value):
-        monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
+    def test_thread_argument_is_an_integer(self, value):
         with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {value!r}"):
             resolve_threads(value)
 
     def test_default_count_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         assert resolve_threads() == 3

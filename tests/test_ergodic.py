@@ -309,6 +309,11 @@ class TestVdcCorrelation:
         with pytest.raises(ValueError):
             vdc_correlation(np.eye(3), 3)
 
+    def test_lag_is_an_integer(self):
+        # 2.5 raised TypeError from range
+        with pytest.raises(ValueError, match=re.escape("max_lag must be an integer, got 2.5")):
+            vdc_correlation(np.eye(5), 2.5)
+
 
 class TestDiscrepancy:
     def test_total_concentration(self):
@@ -417,3 +422,17 @@ class TestMeanErgodicCheck:
     def test_nonergodic_reports_flag(self):
         rep = mean_ergodic_check(FiniteSystem(12, 4), Signal.delta(12), [6])
         assert not rep["ergodic"]
+
+
+class TestFiniteSystem:
+    def test_compose_power(self):
+        sys = FiniteSystem(8, 3)
+        f = Signal.delta(8)
+        assert np.array_equal(sys.compose(f, np.int64(2)).values, Signal.delta(8, 6).values)
+        assert np.array_equal(sys.compose(f, -1).values, Signal.delta(8, 5).values)
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, "2"])
+    def test_compose_power_is_an_integer(self, power):
+        # 1.5 rolled the signal by int(4.5) = 4 without a word
+        with pytest.raises(ValueError, match=re.escape(f"power must be an integer, got {power!r}")):
+            FiniteSystem(8, 3).compose(Signal.delta(8), power)

@@ -514,6 +514,12 @@ class TestLemma1:
     def test_shell_index(self):
         assert [shell_index(q) for q in (1, 2, 3, 4, 5, 8, 9, 16)] == [0, 1, 2, 2, 3, 3, 4, 4]
 
+    @pytest.mark.parametrize("q", [2.5, 0, -4])
+    def test_shell_index_needs_a_denominator(self, q):
+        # 2.5 raised AttributeError, and 0 gave shell 1
+        with pytest.raises(ValueError, match=re.escape(f"denominator must be an integer >= 1, got {q!r}")):
+            shell_index(q)
+
     def test_square_cell_1024_0_matches_exact_phases(self):
         # cell "1024,0" of the README sweep (seed 3, 100 samples); with float
         # Horner phases its ratio was 2.85e-10 relative off

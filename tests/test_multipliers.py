@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -204,6 +205,14 @@ class TestMultiplierOp:
         op = projection_op(30, 1e-3)
         assert np.shares_memory(op.centers, canonical_fractions(30).values)
 
+    @pytest.mark.parametrize("n2", [-0.01, 0.0, math.nan, math.inf, -math.inf])
+    def test_projection_halfwidth_must_be_positive_and_finite(self, n2):
+        # -0.01 and nan gave an all-zero symbol; 0 divided by zero
+        with pytest.raises(ValueError, match=re.escape(f"halfwidth n2 must satisfy 0 < n2 < inf, got {n2}")):
+            projection_op(4, n2)
+        with pytest.raises(ValueError, match="n2"):
+            projection_symbol(16, 2, n2)
+
     def test_projection_build_does_not_copy_the_table(self):
         projection_op(1024, 1e-7)  # the Farey table is built outside the window
         tracemalloc.start()
@@ -271,6 +280,18 @@ class TestOperatorNorms:
             lp_norm_probe(identity_op(), 4.0, 16, 0, 0)
         with pytest.raises(ValueError):
             lp_norm_probe(identity_op(), 1.0, 16, 1, 0)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0, 0.5, -2.0])
+    def test_probe_exponent_is_checked(self, p):
+        # NaN slipped past `p <= 1` and came back as a "certified" 0.0
+        with pytest.raises(ValueError, match=re.escape(f"probe exponent p must satisfy 1 < p < inf, got {p}")):
+            lp_norm_probe(identity_op(), p, 8, 1, 0)
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_probe_of_zero_operator(self, p):
+        # Tf = 0: every ratio is 0, and the ascent stops at the zero adjoint image
+        op = MultiplierOp(np.zeros(1), 0.0, lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        assert lp_norm_probe(op, p, 16, 3, 0) == 0.0
 
 
 class TestPipelineConfig:
@@ -349,6 +370,12 @@ class TestArcSplit:
         with pytest.raises(ValueError, match="degree"):
             arc_split(random_signal(64, 14), SQUARE, 64, cfg)
 
+    @pytest.mark.parametrize("p", [math.nan, 0.0, -1.0])
+    def test_ratio_exponent_is_checked(self, p):
+        # p = nan reported {"nan": 0.0}
+        with pytest.raises(ValueError, match="norm exponent p must be > 0"):
+            arc_split(random_signal(64, 14), SQUARE, 64, PipelineConfig.desk(2), p_values=[p])
+
 
 class TestShellVanishing:
     def test_disjoint_when_cuts_are_narrow(self):
@@ -365,6 +392,13 @@ class TestShellVanishing:
         from circle_lab.multipliers import shell_vanishing_overlap
 
         assert shell_vanishing_overlap(2, -9, 2, -9) > 0.0
+
+    def test_nan_cut_is_no_certificate(self):
+        from circle_lab.multipliers import shell_vanishing_overlap
+
+        # a NaN halfwidth dropped every arc and "certified" a zero overlap
+        with pytest.raises(ValueError, match="arc halfwidth must be finite and >= 0, got nan"):
+            shell_vanishing_overlap(2, math.nan, 1, -3)
 
 
 class TestApproximationOperators:

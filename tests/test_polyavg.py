@@ -14,6 +14,7 @@ from circle_lab.polyavg import (
     aliasing_safe_modulus,
     average_bilinear,
     average_linear,
+    grid_frequencies,
     kernel,
     maximal_function,
     riesz_split,
@@ -285,6 +286,23 @@ class TestRieszSplit:
             shifted = np.roll(inv.values, s % 24)
             assert np.allclose(shifted, inv.values, atol=1e-12)
 
+    @pytest.mark.parametrize("shift", [1.5, 2.0, "2"])
+    def test_shift_is_an_integer(self, shift):
+        # 1.5 raised TypeError from math.gcd
+        with pytest.raises(ValueError, match=re.escape(f"shift must be an integer, got {shift!r}")):
+            riesz_split(random_signal(8, 16), shift)
+
+
+class TestGridFrequencies:
+    def test_points(self):
+        assert grid_frequencies(np.int64(4)).tolist() == [0.0, 0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("modulus", [2.5, 0, -3])
+    def test_modulus_is_a_positive_integer(self, modulus):
+        # 2.5 gave three points [0, 0.4, 0.8]
+        with pytest.raises(ValueError, match=re.escape(f"modulus must be an integer >= 1, got {modulus!r}")):
+            grid_frequencies(modulus)
+
 
 class TestSignal:
     def test_json_roundtrip(self):
@@ -345,6 +363,12 @@ class TestSignal:
         f = Signal(2, np.array([3.0, 4.0]))
         assert abs(f.norm(2) - 5.0) < 1e-12
         assert f.norm(math.inf) == 4.0
+
+    @pytest.mark.parametrize("p", [math.nan, -1.0, 0, 0.0, -math.inf])
+    def test_norm_exponent_must_be_positive(self, p):
+        # nan gave nan, -1 gave 0.48, and 0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match=re.escape(f"norm exponent p must be > 0, got {p}")):
+            Signal(4, [1, 2, 3, 4]).norm(p)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, 1e150, 1.0])
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7])

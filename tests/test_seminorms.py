@@ -399,6 +399,13 @@ class TestBlocks:
         for got, want in zip(got_values, want_values):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_integer_samples_match_their_floats(self, dtype):
+        # integer increments are taken exactly, then go the float64 way
+        a = substream(32).integers(-10**6, 10**6, (30, 7)).astype(dtype)
+        for r in (1.0, 2.0, 3.0, math.inf):
+            assert np.array_equal(variation_values(a, r), variation_values(a.astype(float), r))
+
 
 class TestLacunary:
     def test_powers_of_two(self):
@@ -545,20 +552,10 @@ class TestLepingle:
         # each, or into uneven runs at depths 0-3; none of it may move a bit
         default = seminorms._TILE_CELLS
         want = [lepingle_stat(2, r, depth, 3, 11, threads=1) for depth in range(10)]
-        for tile, threads, env in (
-            (1, 2, None),
-            (16, 1, None),
-            (16, 4, None),
-            (default, 2, None),
-            (16, 1, "2"),
-        ):
+        for tile, threads in ((1, 2), (16, 1), (16, 4), (default, 2), (16, 2)):
             monkeypatch.setattr(seminorms, "_TILE_CELLS", tile)
-            if env is None:
-                monkeypatch.delenv("CIRCLE_LAB_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("CIRCLE_LAB_THREADS", env)
             got = [lepingle_stat(2, r, depth, 3, 11, threads=threads) for depth in range(10)]
-            assert got == want, (tile, threads, env)
+            assert got == want, (tile, threads)
 
     def test_trial_chunks_invariant_under_threads(self):
         # depth 9 at the default tile: 600 trials make three work items
@@ -635,8 +632,24 @@ class TestRealSequence:
             RealSequence([1.0, 2.0], labels=[3, 3])
         with pytest.raises(ValueError, match="length"):
             RealSequence([1.0, 2.0], labels=[0])
+        with pytest.raises(ValueError, match="length"):
+            RealSequence([1.0], labels=5)
         with pytest.raises(ValueError):
             RealSequence([])
+
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.5], [0.0, 1.0], np.array([0.0, 1.0]), ["0", "1"], np.array([0, 1], dtype=object),
+        [2**63, 2**63 + 1],  # uint64, which int64 would wrap
+    ])
+    def test_labels_are_integers(self, labels):
+        # [0.5, 1.5] became [0, 1], so a witness named labels never given
+        with pytest.raises(ValueError, match="labels must be integers within int64, got "):
+            RealSequence([0.0, 1.0], labels=labels)
+
+    def test_integer_labels_of_any_width(self):
+        seq = RealSequence([0.0, 1.0], labels=np.array([3, 7], dtype=np.uint8))
+        assert seq.labels.dtype == np.int64 and seq.labels.tolist() == [3, 7]
+        assert variation(seq, 2).witness == (3, 7)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
     def test_rejects_nonfinite(self, bad):
