@@ -1,12 +1,14 @@
-"""The integer check, seed splitting, worker-pool plumbing and the scaled
-p-norm shared across the package."""
+"""The integer and real-number checks, seed splitting, worker-pool plumbing
+and the scaled p-norm shared across the package."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -15,19 +17,42 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def integer(value, name: str, low: int | None = None) -> int:
+def integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """`value` as a Python int: the library's one integer check.  It takes
     what `operator.index` takes (a Python or numpy integer, not a float or a
-    string); anything else, or a value below `low`, raises ValueError naming
-    `name`."""
+    string); anything else, or a value below `low` or above `high`, raises
+    ValueError naming `name`."""
     try:
         out = operator.index(value)
     except TypeError:
         out = None
-    if out is None or low is not None and out < low:
+    if out is None or low is not None and out < low or high is not None and out > high:
         kind = {None: "an integer", 0: "a non-negative integer"}.get(low, f"an integer >= {low}")
+        if high is not None:
+            kind = f"an integer <= {high}" if low is None else f"an integer in [{low}, {high}]"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return out
+
+
+@lru_cache(maxsize=64)
+def _interval(text: str) -> tuple[float, float, bool, bool]:
+    """The ends of an interval written like "(0, inf]", and whether each is in it."""
+    lo, hi = map(float, text[1:-1].split(","))
+    return lo, hi, text[0] == "[", text[-1] == "]"
+
+
+def real(value, name: str, interval: str):
+    """`value`, unchanged: the library's one check of a real parameter.  It
+    takes a Python or numpy real number (not a string, a complex or None)
+    in `interval`, written like "(0, inf)" or "[1, inf]", whose ends decide
+    whether +-inf passes; NaN never does.  Anything else raises ValueError
+    naming `name`."""
+    lo, hi, lo_in, hi_in = _interval(interval)
+    if not isinstance(value, numbers.Real) or not (
+        lo < value < hi or value == lo and lo_in or value == hi and hi_in
+    ):
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return value
 
 
 def scales(values) -> list[int]:
@@ -92,8 +117,7 @@ def range_units(top, p: float, count: int, slack: float = 0.0):
 def pnorm(x, p: float, axis: int | None = None, mean: bool = False):
     """(sum |x|^p)^(1/p) along axis, with the mean in place of the sum when
     mean is set, counted in `range_units` of max |x|; p = inf gives max |x|."""
-    if not p > 0:  # also rejects NaN
-        raise ValueError(f"norm exponent p must be > 0, got {p}")
+    real(p, "norm exponent p", "(0, inf]")
     mags = np.abs(x)
     if p == math.inf:
         return mags.max(axis=axis)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import integer, substream
+from ._util import integer, real, substream
 
 
 def wrap_signed(x):
@@ -57,11 +57,8 @@ class ReducedFraction:
     denominator: int
 
     def __post_init__(self):
-        a, q = integer(self.numerator, "numerator"), integer(self.denominator, "denominator")
-        if q < 1:
-            raise ValueError("denominator must be positive")
-        if not 0 <= a < q:
-            raise ValueError(f"numerator must satisfy 0 <= a < q, got {a}/{q}")
+        q = integer(self.denominator, "denominator", 1)
+        a = integer(self.numerator, "numerator", 0, q - 1)
         if math.gcd(a, q) != 1:
             raise ValueError(f"{a}/{q} is not reduced")
         object.__setattr__(self, "numerator", a)
@@ -92,17 +89,15 @@ class ReducedFraction:
 
 
 FAREY_MAX_DENOMINATOR = 2048  # 1.3e6 fractions; the table grows as q_max^2
+MAX_LEVEL = 11  # the deepest dyadic level: 2^11 = FAREY_MAX_DENOMINATOR
 
 
 @lru_cache(maxsize=32)
 def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted (num, den, num / den) of every reduced a/q in [0, 1) with
     q <= q_max, as int64, int64 and float64.  Distinct ones differ by
-    >= 1/q_max^2, so the float sort is exact."""
-    if q_max > FAREY_MAX_DENOMINATOR:
-        raise ValueError(
-            f"denominator bound {q_max} exceeds the Farey table limit {FAREY_MAX_DENOMINATOR}"
-        )
+    >= 1/q_max^2, so the float sort is exact.  Callers keep q_max within
+    FAREY_MAX_DENOMINATOR."""
     den = np.repeat(np.arange(1, q_max + 1, dtype=np.int64), np.arange(1, q_max + 1))
     num = np.arange(den.size, dtype=np.int64) - den * (den - 1) // 2
     keep = np.gcd(num, den) == 1  # drops a = 0 for every q > 1
@@ -110,18 +105,6 @@ def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     val = num / den
     order = np.argsort(val)
     return num[order], den[order], val[order]
-
-
-def _level(level, name: str) -> int:
-    """`level` as an int >= 0 whose 2^level is within the Farey table limit."""
-    level = integer(level, name)
-    if level < 0:
-        raise ValueError(f"{name} must be >= 0, got {level}")
-    if level >= FAREY_MAX_DENOMINATOR.bit_length():
-        raise ValueError(
-            f"denominator bound 2^{level} exceeds the Farey table limit {FAREY_MAX_DENOMINATOR}"
-        )
-    return level
 
 
 def _entry(a: int, q: int) -> ReducedFraction:
@@ -168,16 +151,16 @@ class FareyTable(Sequence):
 def canonical_fractions(n1: float) -> FareyTable:
     """All reduced fractions a/q on [0, 1) with q <= floor(n1), sorted.
 
-    Contains 0/1 (the torus representative of both 0 and 1).
+    Contains 0/1 (the torus representative of both 0 and 1).  floor(n1)
+    may be at most FAREY_MAX_DENOMINATOR.
     """
-    if not 1 <= n1 < math.inf:  # also rejects NaN
-        raise ValueError(f"denominator bound must be finite and >= 1, got {n1}")
+    real(n1, "denominator bound n1", f"[1, {FAREY_MAX_DENOMINATOR + 1})")
     return FareyTable(*_farey(math.floor(n1)))
 
 
 def dyadic_shell(level: int) -> FareyTable:
     """Fractions with denominator in (2^(level-1), 2^level]; level 0 is {0/1}."""
-    level = _level(level, "shell level")
+    level = integer(level, "shell level", 0, MAX_LEVEL)
     num, den, val = _farey(2**level)
     keep = den > 2**level // 2
     return FareyTable(num[keep], den[keep], val[keep])
@@ -226,10 +209,11 @@ class TorusIntervalSet:
 
     @classmethod
     def from_arcs(cls, centers: Sequence[float], halfwidth: float) -> "TorusIntervalSet":
-        if not 0 <= halfwidth < math.inf:  # also rejects NaN
-            raise ValueError(f"arc halfwidth must be finite and >= 0, got {halfwidth}")
+        # a halfwidth >= 1/2 covers the torus; the cap is 1, not 1/2, because
+        # (c + 1/2) - (c - 1/2) can round below 1 and miss the full-torus case
+        half = min(real(halfwidth, "arc halfwidth", "[0, inf)"), 1.0)
         c = np.asarray(centers, dtype=float)
-        return cls(np.column_stack((c - halfwidth, c + halfwidth)))
+        return cls(np.column_stack((c - half, c + half)))
 
     @property
     def measure(self) -> float:
@@ -293,8 +277,7 @@ class ArcSystem:
     halfwidth: float
 
     def __post_init__(self):
-        if not 0 <= self.halfwidth < math.inf:
-            raise ValueError(f"halfwidth must be finite and >= 0, got {self.halfwidth}")
+        real(self.halfwidth, "arc halfwidth", "[0, inf)")
         object.__setattr__(self, "centers", canonical_fractions(self.denominator_bound))
 
     @property
@@ -354,10 +337,9 @@ class DyadicScale:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "l", _level(self.l, "shell level l"))
-        object.__setattr__(self, "m", integer(self.m, "halfwidth exponent m"))
-        if not self.m < 1024:  # 2.0**m overflows
-            raise ValueError(f"halfwidth exponent m must be < 1024, got {self.m}")
+        object.__setattr__(self, "l", integer(self.l, "shell level l", 0, MAX_LEVEL))
+        # 2.0**m overflows past m = 1023
+        object.__setattr__(self, "m", integer(self.m, "halfwidth exponent m", high=1023))
 
 
 class DyadicArcs(NamedTuple):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import integer, pnorm, scales
+from ._util import integer, pnorm, real, scales
 from .expsums import _phases, _reduce
 from .polyavg import IntPolynomial, Signal, _averages, riesz_split
 from .seminorms import _block_oscillation, _Exponent, variation_values
@@ -100,9 +100,7 @@ def average_series(
     if f.modulus != sys.modulus:
         raise ValueError("signal modulus must match the system")
     ns = tuple(scales(n_values))
-    m = integer(uniform_from, "uniform_from", 0)
-    if ns[0] <= m:
-        raise ValueError("uniform averages need N > M")
+    m = integer(uniform_from, "uniform_from", 0, ns[0] - 1)  # uniform windows need N > M
     vals = np.empty((len(ns), sys.modulus), dtype=np.complex128)
     for row, avg in zip(vals, _averages(orbit_polynomial(sys, poly), f, ns, start=m)):
         row[...] = avg
@@ -124,8 +122,7 @@ def convergence_diagnostic(
     reported, not required.  Aggregates use the uniform probability measure
     on Z/QZ.
     """
-    if not (1 <= r < math.inf):
-        raise ValueError("diagnostic exponent must satisfy 1 <= r < inf")
+    real(r, "diagnostic exponent r", "[1, inf)")
     ns = series.indices
     tail_start = integer(tail_start, "tail_start")
     tail = bisect.bisect_left(ns, tail_start)  # indices increase: the tail is a suffix
@@ -166,9 +163,7 @@ def vdc_correlation(vectors, max_lag: int) -> np.ndarray:
     u = np.asarray(vectors, dtype=np.complex128)
     if u.ndim == 1:
         u = u[:, None]
-    n, max_lag = u.shape[0], integer(max_lag, "max_lag")
-    if not 1 <= max_lag < n:
-        raise ValueError("need 1 <= max_lag < number of vectors")
+    max_lag = integer(max_lag, "max_lag", 1, u.shape[0] - 1)  # below the number of vectors
     out = np.empty(max_lag)
     for h in range(1, max_lag + 1):
         inner = (u[h:] * np.conj(u[:-h])).sum(axis=1)
@@ -213,8 +208,7 @@ def discrepancy(
 ) -> DiscrepancyReport:
     """Star discrepancy of {P(n) * theta mod 1 : n <= N} for each distinct N."""
     ns = scales(n_values)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    real(theta, "theta", "(-inf, inf)")
     pts = _orbit_fractions(poly, theta, ns[-1])
     entries = tuple((n, star_discrepancy(pts[:n])) for n in ns)
     return DiscrepancyReport(entries)

@@ -25,8 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import integer, parallel_map, scales, substream
-from .arcs import ArcSystem, ReducedFraction, TorusPoint, minor_sample, wrap_signed
+from ._util import integer, parallel_map, real, scales, substream
+from .arcs import MAX_LEVEL, ArcSystem, ReducedFraction, TorusPoint, minor_sample, wrap_signed
 from .polyavg import IntPolynomial, _residues, kernel, spectrum
 
 
@@ -340,6 +340,8 @@ def scan_arcs(
 ) -> ArcSystem:
     """Arc system for scale N under the rule delta = N^(-eps): denominators
     up to delta^(-C), halfwidth N^(-d) * delta^(-C) unless overridden."""
+    real(eps, "eps", "(-inf, inf)")
+    real(big_c, "big_c", "(-inf, inf)")
     delta_pow = float(n) ** (eps * big_c)
     n2 = halfwidth if halfwidth is not None else float(n) ** (-degree) * delta_pow
     return ArcSystem(max(1.0, delta_pow), n2)
@@ -470,8 +472,7 @@ def lemma1_residual(
     where 2^(l-1) < q <= 2^l, and their ratio.  Requires the torus distance
     |xi - theta| <= 1/M.
     """
-    if not 0 < big_m < math.inf:  # also rejects NaN
-        raise ValueError(f"M must be finite and > 0, got {big_m}")
+    real(big_m, "M", "(0, inf)")
     n = integer(n_range, "N", 1)
     residual, bound = _lemma1_cell(poly, n, [theta], np.array([TorusPoint(xi).value]), big_m)
     return Lemma1Result(float(residual[0]), float(bound[0]), float(residual[0] / bound[0]))
@@ -489,7 +490,7 @@ def lemma1_grid_sweep(
     from .arcs import dyadic_shell
 
     samples_per_cell = integer(samples_per_cell, "samples_per_cell", 1)
-    levels = range(integer(l_max, "l_max", 0) + 1)
+    levels = range(integer(l_max, "l_max", 0, MAX_LEVEL) + 1)
     degree = poly.degree
     cells = {}
     per_n: dict[int, float] = {}

@@ -15,13 +15,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import integer, pnorm, range_units, substream
+from ._util import integer, pnorm, range_units, real, substream
 from .arcs import (
+    MAX_LEVEL,
     ArcSystem,
     DyadicScale,
     ReducedFraction,
     TorusIntervalSet,
-    _level,
     canonical_fractions,
     dyadic_shell,
     wrap_signed,
@@ -55,7 +55,7 @@ def eta(x):
 
 def eta_at_scale(log2_scale: float) -> Callable[[np.ndarray], np.ndarray]:
     """The dilated cutoff x -> eta(2^(-log2_scale) * x)."""
-    factor = 2.0**-log2_scale
+    factor = 2.0 ** -real(log2_scale, "log2_scale", "(-1024, inf)")  # 2.0**1024 overflows
     return lambda x: eta(np.asarray(x, dtype=float) * factor)
 
 
@@ -137,9 +137,10 @@ def shell_vanishing_overlap(
     real parameters, so width rules like -d*u + eps*(level-1) plug in
     without fixing eps.
     """
-    shell_set = TorusIntervalSet.from_arcs(
-        dyadic_shell(level).values, 2.0**cut_log2
-    )
+    lower_level = integer(lower_level, "lower_level", 0, MAX_LEVEL)
+    real(cut_log2, "cut_log2", "(-inf, 1024)")  # 2.0**1024 overflows
+    real(lower_cut_log2, "lower_cut_log2", "(-inf, 1024)")
+    shell_set = TorusIntervalSet.from_arcs(dyadic_shell(level).values, 2.0**cut_log2)
     lower_set = ArcSystem(2.0**lower_level, 2.0**lower_cut_log2).intervals
     return shell_set.intersect(lower_set).measure
 
@@ -167,8 +168,10 @@ class MultiplierOp:
     support_halfwidth: float | None = None
 
     def __post_init__(self):
-        if not np.size(self.centers):
-            raise ValueError("multiplier needs at least one center")
+        if not np.size(self.centers) or not np.isfinite(self.centers).all():
+            raise ValueError("multiplier needs at least one center, and finite ones")
+        if self.support_halfwidth is not None:
+            real(self.support_halfwidth, "support_halfwidth", "[0, inf)")
 
     def symbol_on_grid(self, modulus: int) -> np.ndarray:
         """Exact symbol at j/Q from one base_symbol call per batch of center
@@ -177,7 +180,7 @@ class MultiplierOp:
         h, centers = self.support_halfwidth, self.centers
         weights = np.broadcast_to(np.asarray(self.weights, dtype=np.complex128), centers.shape)
         width, starts = modulus, np.zeros(centers.size, dtype=np.int64)
-        if h is not None and 0 <= h < 0.5:
+        if h is not None and h < 0.5:
             width = min(modulus, math.floor(2 * h * modulus) + 5)
             starts = np.floor((centers - h) * modulus).astype(np.int64) - 1
         sym = np.zeros(modulus, dtype=np.complex128)
@@ -201,8 +204,7 @@ def identity_op() -> MultiplierOp:
 
 def projection_op(n1: float, n2: float) -> MultiplierOp:
     """The major-arc projection as a MultiplierOp (weights 1, bump base)."""
-    if not 0 < n2 < math.inf:  # also rejects NaN
-        raise ValueError(f"projection halfwidth n2 must satisfy 0 < n2 < inf, got {n2}")
+    real(n2, "projection halfwidth n2", "(0, inf)")
     return MultiplierOp(
         canonical_fractions(n1).values,
         1.0,
@@ -249,8 +251,7 @@ def lp_norm_probe(
     `range_units`.
     """
     trials = integer(trials, "trials", 1)
-    if not 1 < p < math.inf:  # also rejects NaN
-        raise ValueError(f"probe exponent p must satisfy 1 < p < inf, got {p}")
+    real(p, "probe exponent p", "(1, inf)")
     sym = op.symbol_on_grid(modulus)
     conj_sym = np.conj(sym)
     p_dual = p / (p - 1.0)
@@ -276,8 +277,6 @@ def lp_norm_probe(
         f = rng.standard_normal(modulus) + 1j * rng.standard_normal(modulus)
         for _ in range(_ASCENT_STEPS):
             nf = float(pnorm(f, p))
-            if nf == 0.0:
-                break
             tf = apply(f, sym)
             best = max(best, float(pnorm(tf, p)) / nf)
             g = signed_power(tf, p - 1.0)
@@ -314,10 +313,7 @@ class PipelineConfig:
         if self.p0 % 2:
             raise ValueError("p0 must be an even integer >= 2")
         limit = 1.0 / (1_000_000 * self.degree * self.p0)
-        if not 0.0 < self.alpha < limit:
-            raise ValueError(
-                f"alpha must lie in (0, {limit:.3e}) for degree {self.degree}, p0 {self.p0}"
-            )
+        real(self.alpha, f"alpha for degree {self.degree} and p0 {self.p0}", f"(0, {limit!r})")
 
     @classmethod
     def desk(cls, degree: int, p0: int = 4, c0: int = 64) -> "PipelineConfig":
@@ -353,9 +349,7 @@ def arc_split(
     major = A_N (Pi f), minor = A_N (f - Pi f); the two add back to A_N f
     by linearity.  The report carries the minor/input norm ratios.
     """
-    n = integer(n_range, "N", 1)
-    if n < cfg.c0:
-        raise ValueError(f"scale N={n} is below the pipeline floor c0={cfg.c0}")
+    n = integer(n_range, "N", cfg.c0)  # the pipeline floor
     if poly.degree != cfg.degree:
         raise ValueError(
             f"config degree {cfg.degree} does not match polynomial degree {poly.degree}"
@@ -404,9 +398,12 @@ def approx_average_op(
     2^(-degree * high_scale)."""
     from .expsums import _mm_many
 
-    level = _level(level, "level")
+    level = integer(level, "level", 0, MAX_LEVEL)
     n = integer(n_range, "N", 1)
     degree = poly.degree
+    # 2.0**(degree * high_scale) and 2.0**(-degree * high_scale - 1) stay finite
+    d = max(degree, 1)
+    high_scale = integer(high_scale, "high_scale", -(1024 // d), 1023 // d)
     cut = eta_at_scale(-degree * high_scale)
     table = dyadic_shell(level) if shell_only else canonical_fractions(2**level)
 
@@ -437,6 +434,8 @@ def factorization_gap(
     and distinct shell centers stay out of each other's cutoffs; callers
     pick scales satisfying that support geometry.
     """
+    # 2.0**narrow_scale and 2.0**(-narrow_scale - 1) stay finite
+    narrow_scale = integer(narrow_scale, "narrow_scale", -1024, 1023)
     one_step = approx_average_op(poly, n_range, level, high_scale, shell_only=True)
     narrow = replace(
         one_step,

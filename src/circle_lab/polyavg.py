@@ -309,9 +309,6 @@ def riesz_split(f: Signal, shift: int) -> RieszSplit:
     """
     q = f.modulus
     g = math.gcd(integer(shift, "shift") % q, q)
-    if g == q:
-        # shift acts trivially; everything is invariant
-        return RieszSplit(f, Signal(q, np.zeros(q, dtype=np.complex128)))
     # orbit of x under repeated shifts is the congruence class x mod g
     table = f.values.reshape(q // g, g).mean(axis=0)
     invariant = Signal(q, np.tile(table, q // g))

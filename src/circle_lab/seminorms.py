@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import integer, parallel_map, pnorm, range_units, substream
+from ._util import integer, parallel_map, pnorm, range_units, real, substream
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ def variation(seq, r: float) -> SeminormReport:
 def jump_count(seq, lam: float) -> SeminormReport:
     """Longest chain t_0 < ... < t_J with every consecutive difference of
     modulus >= lambda; the value is J."""
-    if not lam > 0:
-        raise ValueError("jump threshold must be positive")
+    real(lam, "jump threshold lam", "(0, inf]")
     s = RealSequence.of(seq)
     # a jump adds 1 to the chain ending at j; -inf rules j out
     val, top, witness = _variation_dp(
@@ -134,9 +133,7 @@ class _Exponent:
     past the float range too."""
 
     def __init__(self, r: float, what: str):
-        if not r >= 1:  # also rejects NaN
-            raise ValueError(f"{what} exponent must satisfy r >= 1")
-        self.r = r
+        self.r = real(r, f"{what} exponent r", "[1, inf]")
         self.folds = r != math.inf
         self.unit = None
 
@@ -280,8 +277,7 @@ def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
 
 def lacunary(tau: float, bound: int) -> tuple[int, ...]:
     """The distinct integer parts of tau^n up to `bound`, sorted."""
-    if not 1 < tau < math.inf:
-        raise ValueError(f"lacunary ratio must satisfy 1 < tau < inf, got tau = {tau}")
+    real(tau, "lacunary ratio tau", "(1, inf)")
     bound = integer(bound, "bound", 1)
     out = set()
     n = 0
@@ -314,8 +310,8 @@ def _block_levels(g_values: np.ndarray) -> list[np.ndarray]:
 # cells stay near the size of one core's L2 cache.  A deeper trial is one
 # work item on its own.
 _TILE_CELLS = 1 << 17
-# Largest trial count lepingle_stat accepts (the ratios alone are 8 MB).
-_MAX_TRIALS = 10**6
+# Largest depth and trial count lepingle_stat accepts (the ratios alone are 8 MB).
+_MAX_DEPTH, _MAX_TRIALS = 20, 10**6
 
 
 def _pointwise_variation(levels: list[np.ndarray], rule: _Exponent) -> np.ndarray:
@@ -357,15 +353,9 @@ def lepingle_stat(
     result never depends on either.
     """
     rule = _Exponent(r, "variation")
-    if not 0 < p < math.inf:  # also rejects NaN
-        raise ValueError(f"norm exponent p must be finite and > 0, got {p}")
-    depth, trials = integer(depth, "depth"), integer(trials, "trials")
-    if not 0 <= depth <= 20:
-        raise ValueError(
-            f"depth must be an integer in 0..20 to keep the run desk-sized, got {depth!r}"
-        )
-    if not 1 <= trials <= _MAX_TRIALS:
-        raise ValueError(f"trials must be an integer in 1..{_MAX_TRIALS}, got {trials!r}")
+    real(p, "norm exponent p", "(0, inf)")
+    depth = integer(depth, "depth", 0, _MAX_DEPTH)
+    trials = integer(trials, "trials", 1, _MAX_TRIALS)
     q = 1 << depth
     step = max(1, _TILE_CELLS >> depth)  # trials per work item
 

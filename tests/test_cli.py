@@ -447,6 +447,16 @@ class TestErrors:
         (("probe-lp", "--q", "64", "--l", "2", "--m", "-6", "--p", "inf"), "probe exponent p"),
         (("split", "--q", "64", "--poly", "0,0,1", "--n", "64", "--p-values", "0"),
          "norm exponent p"),
+        # the error named "halfwidth"
+        (("weyl-scan", "--poly", "0,0,1", "--ns", "64", "--samples", "10", "--eps", "nan"), "eps"),
+        # exit 0 on a one-fraction, zero-width arc system
+        (("weyl-scan", "--poly", "0,0,1", "--ns", "64", "--samples", "10", "--bigc=-inf"), "big_c"),
+        (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--nmax", "64", "--r", "inf"),
+         "diagnostic exponent r"),
+        (("discrepancy", "--poly", "0,1", "--theta", "nan", "--ns", "10"), "theta"),
+        (("split", "--q", "64", "--poly", "0,0,1", "--n", "64", "--alpha", "nan"), "alpha"),
+        # ran every level up to 11 before the error
+        (("lemma1", "--poly", "0,0,1", "--sweep", "--lmax", "12"), "l_max"),
     ])
     def test_real_out_of_range_exits_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -466,15 +476,17 @@ class TestErrors:
         )
         assert code == 2 and "coverage" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("mfrak", "--poly", "0,0,1", "--n", "64", "--xi", "inf"),
-        ("mfrak", "--poly", "0,0,1", "--n", "64", "--xi", "nan"),
-        ("discrepancy", "--poly", "0,1", "--theta", "inf", "--ns", "10"),
-    ])
-    def test_nonfinite_input_exits_2(self, capsys, argv):
+    @pytest.mark.parametrize("argv, word", [
+        (("mfrak", "--poly", "0,0,1", "--n", "64", "--xi", "inf"), "finite"),
+        (("mfrak", "--poly", "0,0,1", "--n", "64", "--xi", "nan"), "finite"),
+        (("discrepancy", "--poly", "0,1", "--theta", "inf", "--ns", "10"),
+         "theta must be a real number in (-inf, inf), got inf"),
+    ], ids=["argv0", "argv1", "argv2"])
+    def test_nonfinite_input_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and "finite" in err
+        assert code == 2 and out == "" and word in err
 
+    # an explicit id names the case; the word is what its message must hold
     @pytest.mark.parametrize("argv, word", [
         (("lemma1", "--poly", "0,0,1", "--n", "64", "--frac", "1/3", "--xi", "0.3333", "--bigm", "nan"), "M must"),
         (("lemma1", "--poly", "0,0,1", "--n", "64", "--frac", "1/3", "--xi", "0.3333", "--bigm", "0"), "M must"),
@@ -483,19 +495,26 @@ class TestErrors:
         (("fractions", "--n1", "nan"), "denominator bound"),
         (("arcs", "--n1", "inf", "--n2", "0.001"), "denominator bound"),
         (("weyl-scan", "--poly", "0,0,1", "--ns", "0,64", "--samples", "5", "--seed", "0"), ">= 1"),
-        (("lepingle", "--r", "0.5", "--depth", "4", "--trials", "2"), "r >= 1"),
-        (("lepingle", "--r", "nan", "--depth", "4", "--trials", "2"), "r >= 1"),
+        pytest.param(("lepingle", "--r", "0.5", "--depth", "4", "--trials", "2"), "variation exponent r must be a real number in [1, inf], got 0.5",
+                     id="argv7-r >= 1"),
+        pytest.param(("lepingle", "--r", "nan", "--depth", "4", "--trials", "2"), "variation exponent r must be a real number in [1, inf], got nan",
+                     id="argv8-r >= 1"),
         (("lepingle", "--p", "0", "--depth", "4", "--trials", "2"), "norm exponent p"),
         (("lepingle", "--p", "inf", "--depth", "4", "--trials", "2"), "norm exponent p"),
-        (("lepingle", "--depth", "-1", "--trials", "2"), "desk"),
+        pytest.param(("lepingle", "--depth", "-1", "--trials", "2"), "depth must be an integer in [0, 20], got -1",
+                     id="argv11-desk"),
         (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "inf", "--nmax", "64", "--seed", "1"), "tau"),
         (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "nan", "--nmax", "64", "--seed", "1"), "tau"),
-        (("fractions", "--n1", "100000"), "Farey table limit"),
-        (("arcs", "--n1", "100000", "--n2", "0.001"), "Farey table limit"),
+        pytest.param(("fractions", "--n1", "100000"), "denominator bound n1 must be a real number in [1, 2049), got 100000.0",
+                     id="argv14-Farey table limit"),
+        pytest.param(("arcs", "--n1", "100000", "--n2", "0.001"), "denominator bound n1 must be a real number in [1, 2049), got 100000.0",
+                     id="argv15-Farey table limit"),
         (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "2", "--nmax", "64", "--seed", "1", "--uniform-from", "32"), "--uniform-from 32"),
-        (("lepingle", "--depth", "2", "--trials", "10000000000000"), "trials must be an integer in 1..1000000"),
+        pytest.param(("lepingle", "--depth", "2", "--trials", "10000000000000"), "trials must be an integer in [1, 1000000], got 10000000000000",
+                     id="argv17-trials must be an integer in 1..1000000"),
         (("lepingle", "--depth", "2", "--trials", "0"), "trials must be an integer"),
-        (("lepingle", "--depth", "21", "--trials", "2"), "desk"),
+        pytest.param(("lepingle", "--depth", "21", "--trials", "2"), "depth must be an integer in [0, 20], got 21",
+                     id="argv19-desk"),
         (("lepingle", "--depth", "4", "--trials", "2", "--seed", "-1"), "seed must be a non-negative integer"),
         (("weyl-scan", "--poly", "0,0,1", "--ns", "64", "--samples", "5", "--seed", "-1"), "seed must be a non-negative integer"),
         (("project", "--q", "16", "--n1", "2", "--n2", "0.01", "--seed", "-1"), "seed must be a non-negative integer"),
@@ -508,12 +527,16 @@ class TestErrors:
         (("project", "--q", "16", "--dyadic", "1"), "--dyadic l,m needs exactly two integers"),
         (("weyl-scan", "--poly", "0,0,1", "--nmin", "100", "--nmax", "100", "--samples", "5"), "got --nmin 100 --nmax 100"),
         (("lemma1", "--poly", "0,0,1", "--sweep", "--nmin", "65", "--nmax", "127"), "got --nmin 65 --nmax 127"),
-        (("arcs", "--dyadic", "2000,-3"), "Farey table limit"),
+        pytest.param(("arcs", "--dyadic", "2000,-3"), "shell level l must be an integer in [0, 11], got 2000",
+                     id="argv32-Farey table limit"),
         (("arcs", "--dyadic", "1,2000"), "halfwidth exponent m"),
-        (("project", "--q", "64", "--dyadic", "2000,-3", "--symbol-only"), "Farey table limit"),
-        (("remark2", "--l", "2000", "--m", "-3"), "Farey table limit"),
+        pytest.param(("project", "--q", "64", "--dyadic", "2000,-3", "--symbol-only"), "shell level l must be an integer in [0, 11], got 2000",
+                     id="argv34-Farey table limit"),
+        pytest.param(("remark2", "--l", "2000", "--m", "-3"), "shell level l must be an integer in [0, 11], got 2000",
+                     id="argv35-Farey table limit"),
         (("remark2", "--l", "2", "--m", "2000"), "halfwidth exponent m"),
-        (("probe-lp", "--l", "2000", "--m", "-3", "--p", "4"), "Farey table limit"),
+        pytest.param(("probe-lp", "--l", "2000", "--m", "-3", "--p", "4"), "shell level l must be an integer in [0, 11], got 2000",
+                     id="argv37-Farey table limit"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)

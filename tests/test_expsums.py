@@ -508,7 +508,7 @@ class TestLemma1:
 
     @pytest.mark.parametrize("big_m", [math.nan, 0.0, -4.0, math.inf])
     def test_rejects_bad_big_m(self, big_m):
-        with pytest.raises(ValueError, match="M must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"M must be a real number in (0, inf), got {big_m!r}")):
             lemma1_residual(SQUARE, 64, ReducedFraction(1, 3), 0.3333, big_m)
 
     def test_shell_index(self):
@@ -554,8 +554,11 @@ class TestLemma1:
 
     @pytest.mark.parametrize("l_max, samples, message", [
         (1, 0, "samples_per_cell must be an integer >= 1, got 0"),
-        (1.0, 2, "l_max must be a non-negative integer, got 1.0"),
-        (-1, 2, "l_max must be a non-negative integer, got -1"),
+        # an explicit id names the case; the message is checked in full
+        pytest.param(1.0, 2, "l_max must be an integer in [0, 11], got 1.0",
+                     id="1.0-2-l_max must be a non-negative integer, got 1.0"),
+        pytest.param(-1, 2, "l_max must be an integer in [0, 11], got -1",
+                     id="-1-2-l_max must be a non-negative integer, got -1"),
     ])
     def test_sweep_rejects_bad_counts(self, l_max, samples, message):
         with pytest.raises(ValueError, match=re.escape(message)):

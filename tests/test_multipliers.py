@@ -208,7 +208,7 @@ class TestMultiplierOp:
     @pytest.mark.parametrize("n2", [-0.01, 0.0, math.nan, math.inf, -math.inf])
     def test_projection_halfwidth_must_be_positive_and_finite(self, n2):
         # -0.01 and nan gave an all-zero symbol; 0 divided by zero
-        with pytest.raises(ValueError, match=re.escape(f"halfwidth n2 must satisfy 0 < n2 < inf, got {n2}")):
+        with pytest.raises(ValueError, match=re.escape(f"halfwidth n2 must be a real number in (0, inf), got {n2!r}")):
             projection_op(4, n2)
         with pytest.raises(ValueError, match="n2"):
             projection_symbol(16, 2, n2)
@@ -284,7 +284,7 @@ class TestOperatorNorms:
     @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0, 0.5, -2.0])
     def test_probe_exponent_is_checked(self, p):
         # NaN slipped past `p <= 1` and came back as a "certified" 0.0
-        with pytest.raises(ValueError, match=re.escape(f"probe exponent p must satisfy 1 < p < inf, got {p}")):
+        with pytest.raises(ValueError, match=re.escape(f"probe exponent p must be a real number in (1, inf), got {p!r}")):
             lp_norm_probe(identity_op(), p, 8, 1, 0)
 
     @pytest.mark.parametrize("p", [1.5, 4.0])
@@ -362,7 +362,7 @@ class TestArcSplit:
 
     def test_floor_enforced(self):
         cfg = PipelineConfig.desk(degree=2, c0=128)
-        with pytest.raises(ValueError, match="c0"):
+        with pytest.raises(ValueError, match=re.escape("N must be an integer >= 128, got 64")):
             arc_split(random_signal(64, 13), SQUARE, 64, cfg)
 
     def test_degree_mismatch(self):
@@ -373,7 +373,7 @@ class TestArcSplit:
     @pytest.mark.parametrize("p", [math.nan, 0.0, -1.0])
     def test_ratio_exponent_is_checked(self, p):
         # p = nan reported {"nan": 0.0}
-        with pytest.raises(ValueError, match="norm exponent p must be > 0"):
+        with pytest.raises(ValueError, match=re.escape(f"norm exponent p must be a real number in (0, inf], got {p!r}")):
             arc_split(random_signal(64, 14), SQUARE, 64, PipelineConfig.desk(2), p_values=[p])
 
 
@@ -397,7 +397,7 @@ class TestShellVanishing:
         from circle_lab.multipliers import shell_vanishing_overlap
 
         # a NaN halfwidth dropped every arc and "certified" a zero overlap
-        with pytest.raises(ValueError, match="arc halfwidth must be finite and >= 0, got nan"):
+        with pytest.raises(ValueError, match=re.escape("cut_log2 must be a real number in (-inf, 1024), got nan")):
             shell_vanishing_overlap(2, math.nan, 1, -3)
 
 
@@ -504,14 +504,17 @@ class TestSymbolEngine:
         assert len(received) == 1
         assert 0 < received[0] <= op.centers.size * (2 * halfwidth * q + 4)
 
+    # an explicit id names the case; the message is checked in full
     @pytest.mark.parametrize("level, message", [
-        (2000, "Farey table limit"),  # 2.0**2000 overflows
-        (1.5, "level must be an integer, got 1.5"),
-        (-1, "level must be >= 0"),
+        # 2.0**2000 overflows
+        pytest.param(2000, "level must be an integer in [0, 11], got 2000", id="2000-Farey table limit"),
+        pytest.param(1.5, "level must be an integer in [0, 11], got 1.5",
+                     id="1.5-level must be an integer, got 1.5"),
+        pytest.param(-1, "level must be an integer in [0, 11], got -1", id="-1-level must be >= 0"),
     ])
     @pytest.mark.parametrize("shell", [False, True])
     def test_level_is_checked_first(self, level, message, shell):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             approx_average_op(SQUARE, 64, level, 2, shell_only=shell)
 
     def test_approx_mm_once_per_distinct_offset(self, monkeypatch):

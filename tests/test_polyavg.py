@@ -264,9 +264,11 @@ class TestMaximalFunction:
 class TestRieszSplit:
     def test_zero_shift(self):
         f = random_signal(10, 13)
-        inv, comp = riesz_split(f, 0)
-        assert np.allclose(inv.values, f.values)
-        assert np.allclose(comp.values, 0.0)
+        for shift in (0, 10, -20):  # every shift that acts trivially
+            inv, comp = riesz_split(f, shift)
+            assert np.array_equal(inv.values, f.values)
+            assert np.array_equal(comp.values, np.zeros(10))
+            assert not np.signbit(comp.values.view(float)).any()  # no negative zeros
 
     def test_coprime_shift_gives_mean(self):
         f = random_signal(12, 14)
@@ -367,7 +369,7 @@ class TestSignal:
     @pytest.mark.parametrize("p", [math.nan, -1.0, 0, 0.0, -math.inf])
     def test_norm_exponent_must_be_positive(self, p):
         # nan gave nan, -1 gave 0.48, and 0 raised ZeroDivisionError
-        with pytest.raises(ValueError, match=re.escape(f"norm exponent p must be > 0, got {p}")):
+        with pytest.raises(ValueError, match=re.escape(f"norm exponent p must be a real number in (0, inf], got {p!r}")):
             Signal(4, [1, 2, 3, 4]).norm(p)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, 1e150, 1.0])
