@@ -342,6 +342,9 @@ def scan_arcs(
     up to delta^(-C), halfwidth N^(-d) * delta^(-C) unless overridden."""
     real(eps, "eps", "(-inf, inf)")
     real(big_c, "big_c", "(-inf, inf)")
+    if eps * big_c * math.log2(n) >= math.log2(2**MAX_LEVEL + 1):  # before N^(eps*C) overflows
+        raise ValueError(f"eps * big_c must keep delta^(-C) = N^(eps * big_c) within the Farey "
+                         f"table bound {2**MAX_LEVEL}, got {eps * big_c!r} at N = {n}")
     delta_pow = float(n) ** (eps * big_c)
     n2 = halfwidth if halfwidth is not None else float(n) ** (-degree) * delta_pow
     return ArcSystem(max(1.0, delta_pow), n2)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import integer, parallel_map, pnorm, range_units, real, substream
+from ._util import integer, parallel_map, pnorm, range_units, real, resolve_threads, substream
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def jump_count(seq, lam: float) -> SeminormReport:
     s = RealSequence.of(seq)
     # a jump adds 1 to the chain ending at j; -inf rules j out
     val, top, witness = _variation_dp(
-        s.values, lambda m: np.copyto(m, np.where(m >= lam, 1.0, -np.inf)), True, s.labels
+        s.values, lambda m, _: np.copyto(m, np.where(m >= lam, 1.0, -np.inf)), True, s.labels
     )
     return SeminormReport("jump", float(val[top]), witness, {"lambda": lam})
 
@@ -143,17 +143,17 @@ class _Exponent:
         if not 1 < r < math.inf or t < 2:
             return self
         if r > 969:  # units of the largest increment itself
-            top, slack = _variation_dp(a, lambda mags: None, False), 0.0
+            top, slack = _variation_dp(a, lambda *_: None, False), 0.0
         else:  # each increment of a slice lies in [0, sqrt(2) w] for its span w
             # (the larger of the real and imaginary spans), and the largest is >= w
             top, slack = np.maximum(np.ptp(a.real, axis=0), np.ptp(a.imag, axis=0)), 0.5
         self.unit = range_units(top, r, t - 1, slack)
         return self
 
-    def step(self, mags: np.ndarray) -> None:
-        """In place, float increments |d| become |d|^r (left alone at
-        r = inf).  The variation DP gives mags a trailing axis that the
-        units do not have."""
+    def step(self, mags: np.ndarray, spare: np.ndarray | None = None) -> None:
+        """In place, float increments |d| become |d|^r (left alone at r = inf),
+        with r = 3's square in spare, a float buffer shaped like mags (or new).
+        The variation DP gives mags a trailing axis the units do not have."""
         r = self.r
         if r == math.inf:
             return
@@ -162,8 +162,8 @@ class _Exponent:
         # integer exponents by multiplication; float powers are far slower
         if r == 2.0:
             np.multiply(mags, mags, out=mags)
-        elif r == 3.0:
-            mags *= mags * mags
+        elif r == 3.0:  # m * (m*m): one product of the same operands as (m*m) * m
+            np.multiply(mags, np.multiply(mags, mags, out=spare), out=mags)
         elif r == 4.0:
             np.multiply(mags, mags, out=mags)
             np.multiply(mags, mags, out=mags)
@@ -199,19 +199,25 @@ _BLOCK_CELLS = 1 << 15
 
 
 def _variation_dp(levels, step, folds: bool, labels=None):
-    """The one variation DP: value(i) = max(0, max over j < i of
-    step(|a_i - a_j|) + value(j)) per cell, value(j) added only when the
-    rule folds; step(mags) works in place.  The levels a_i are the
-    rows of a (T, ...) stack, or a list of levels whose last axes refine
-    (each length divides the next), level i viewed as level_j.shape + (-1,).
+    """The one variation DP: value(i) = max(0, max over j < i of step(|a_i - a_j|)
+    + value(j)) per cell, value(j) added only when the rule folds; step(mags, spare)
+    works in place, with a float buffer of the same shape.  The levels a_i are the
+    rows of a (T, ...) stack, or a list of levels whose last axes refine (each
+    length divides the next), level i viewed as level_j.shape + (-1,).
 
-    Rows [i0, i1) of a stack meet all rows j < i1 in one block while those
-    pairs fit _BLOCK_CELLS, else one row meets them in blocks of the budget;
-    a refining level is its own block.  Steps are weighed per block, then
-    folded row by row; blocks merge by a strict >, so the first largest j
-    wins.  Returns the largest value over the levels, shaped like the last,
-    or with labels (one chain) the values, the best end and the witness."""
+    Rows [i0, i1) of a stack meet all rows j < i1 in one block while those pairs
+    fit _BLOCK_CELLS, else one row meets them in blocks of the budget; a refining
+    level is its own block.  Steps are weighed per block, in buffers made once per
+    call, then folded row by row; blocks merge by a strict >, so the first largest
+    j wins.  Returns the largest value over the levels, shaped like the last, or
+    with labels (one chain) the values, the best end and the witness."""
     stacks = [levels] if isinstance(levels, np.ndarray) else [lev[None] for lev in levels]
+    # the largest block: a stack's pairs up to the budget (one pair at least), or the finest level
+    n, cell = stacks[-1].shape[0], stacks[-1][0].size
+    size = min(max(cell, _BLOCK_CELLS), max(n * (n - 1), 1) * cell) if len(stacks) == 1 else cell
+    mags, spare = np.empty(size), np.empty(size)
+    diff = mags if stacks[0].dtype == float else np.empty(size, stacks[0].dtype)
+    fold = None if labels is not None else spare[:cell].reshape(stacks[-1].shape[1:] + (1,))
     done = []  # stacks, DP states (both with a unit last axis), level_j.shape + (-1,)
     for a in stacks:
         n, cell = a.shape[0], max(a[0].size, 1)
@@ -228,8 +234,10 @@ def _variation_dp(levels, step, folds: bool, labels=None):
                 cols = max(1, min(stop, _BLOCK_CELLS // ((i1 - i0) * cell)))
                 for j0 in range(0, stop, cols):
                     j1 = min(stop, j0 + cols)
-                    m = np.abs(a_rows - h[j0:j1]).astype(float, copy=False)
-                    step(m)
+                    shape = (i1 - i0, j1 - j0) + a_rows.shape[2:]
+                    m = mags[: math.prod(shape)].reshape(shape)
+                    np.abs(np.subtract(a_rows, h[j0:j1], out=diff[: m.size].reshape(shape)), out=m)
+                    step(m, spare[: m.size].reshape(shape))
                     for i in range(i0, i1):
                         if (c := (min(j1, i) if own else j1) - j0) <= 0:
                             continue
@@ -241,8 +249,8 @@ def _variation_dp(levels, step, folds: bool, labels=None):
                             if cand.item(j) > v.item(i):
                                 v[i], back[i] = cand.item(j), j0 + j
                         else:
-                            v_i = w[i] if own else v[i].reshape(lead)
-                            np.maximum(v_i, cand[0] if c == 1 else cand.max(axis=0), out=v_i)
+                            v_i = w[i] if own else v[i].reshape(lead)  # c == 1 for a level: no fold
+                            np.maximum(v_i, cand[0] if c == 1 else cand.max(0, out=fold), out=v_i)
             i0 = i1
     if back is not None:  # an unfolded chain is worth its last increment alone
         path = [int(np.argmax(v))]
@@ -259,15 +267,27 @@ def _variation_dp(levels, step, folds: bool, labels=None):
     return out
 
 
-def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
-    """Batched r-variation without witnesses: samples has shape (T, ...) and
-    each trailing slice is one sequence of length T."""
-    rule = _Exponent(r, "variation")
-    a = np.asarray(samples)
+_SPLIT_CELLS, _SPLIT_PAIRS = 1 << 11, 1 << 22  # to split: cells per worker, increments per stack
+
+
+def variation_values(samples: np.ndarray, r: float, threads: int | None = None) -> np.ndarray:
+    """Batched r-variation without witnesses: samples has shape (T, ...) and each trailing
+    slice is one sequence of length T.  A wide stack is split along its second axis into
+    views, each in its own units, on `threads` workers; the result never depends on them."""
+    r, a = _Exponent(r, "variation").r, np.asarray(samples)
     if a.ndim == 0 or a.shape[0] < 1:
         raise ValueError("variation needs at least one sample")
-    rule.in_units(a)
-    return rule.root(_variation_dp(a, rule.step, rule.folds))
+    workers, t, cells = resolve_threads(threads), a.shape[0], a[0].size
+    wide = a.ndim > 1 and t * (t - 1) // 2 * cells >= _SPLIT_PAIRS
+    parts = min(workers, cells // _SPLIT_CELLS, a.shape[1]) if wide else 1
+
+    def values(part: np.ndarray) -> np.ndarray:
+        rule = _Exponent(r, "variation").in_units(part)
+        return rule.root(_variation_dp(part, rule.step, rule.folds))
+
+    if parts <= 1:
+        return values(a)
+    return np.concatenate(parallel_map(values, np.array_split(a, parts, axis=1), parts))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +302,13 @@ def lacunary(tau: float, bound: int) -> tuple[int, ...]:
     out = set()
     n = 0
     while True:
-        v = math.floor(tau**n)
+        try:
+            v = math.floor(tau**n)
+        except OverflowError:  # a float tau^n past 2^1024 is past any smaller bound
+            if bound < 2**1024:
+                break
+            raise ValueError(f"bound must be below 2^1024 for a non-integer tau, "
+                             f"got a {bound.bit_length()}-bit bound") from None
         if v > bound:
             break
         out.add(v)
@@ -330,7 +356,7 @@ def _pointwise_variation(levels: list[np.ndarray], rule: _Exponent) -> np.ndarra
             for c in range(0, cols.size, step):
                 idx = cols[c : c + step]  # the cell of level i over leaf x is x >> (depth - i)
                 full = np.stack([lev[:, idx >> (depth - i)] for i, lev in enumerate(levels)])
-                out[:, c : c + step] = variation_values(full, rule.r)
+                out[:, c : c + step] = variation_values(full, rule.r, threads=1)
             return out
     return rule.root(_variation_dp(levels, rule.step, rule.folds))
 

@@ -457,6 +457,12 @@ class TestErrors:
         (("split", "--q", "64", "--poly", "0,0,1", "--n", "64", "--alpha", "nan"), "alpha"),
         # ran every level up to 11 before the error
         (("lemma1", "--poly", "0,0,1", "--sweep", "--lmax", "12"), "l_max"),
+        # 64^(10^6) raised OverflowError (exit 1)
+        (("weyl-scan", "--poly", "0,0,1", "--ns", "64", "--samples", "10", "--eps", "1000", "--bigc", "1000"),
+         "eps * big_c"),
+        # tau^n raised OverflowError (exit 1) long before it passed the bound
+        (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "1.5", "--nmax", "1" + "0" * 400),
+         "bound must be below 2^1024"),
     ])
     def test_real_out_of_range_exits_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circle_lab import _util
 from circle_lab._util import substream
 from circle_lab.ergodic_lab import (
     AverageSeries,
@@ -276,6 +278,35 @@ class TestConvergenceDiagnostic:
             for p in (1, 2, 3):
                 want = exact_pnorm(stat, p, mean=True)
                 assert diag[name][f"l{p}"] == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("r", [2.0, 3.0])
+    def test_worker_count_moves_no_bit(self, monkeypatch, r):
+        # 6145 columns split unevenly over 2 and 3 workers; the tail of 40
+        # rows is wide enough to split as well
+        started = []
+
+        def pool(max_workers):
+            started.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(_util, "ThreadPoolExecutor", pool)
+        vals = substream(24).standard_normal((80, 6145)) + 1j * substream(25).standard_normal((80, 6145))
+        series = AverageSeries(tuple(range(1, 81)), vals, FiniteSystem(6145, 3), LINEAR)
+        want = convergence_diagnostic(series, r, tail_start=41, threads=1)
+        assert started == []
+        for threads in (2, 3):
+            assert convergence_diagnostic(series, r, tail_start=41, threads=threads) == want
+        assert started == [2, 2, 3, 3]
+        assert want["variation"]["max"] == variation_values(vals, r, threads=1).max()
+
+    def test_small_series_start_no_pool(self, monkeypatch):
+        def refuse(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(_util, "ThreadPoolExecutor", refuse)
+        series = average_series(FiniteSystem(64, 3), SQUARE, random_signal(64, 13), lacunary(1.05, 4096))
+        for threads in (None, 2, 4):
+            convergence_diagnostic(series, 2.0, tail_start=1024, threads=threads)
 
     def test_rejects_infinite_exponent(self):
         series = average_series(FiniteSystem(8, 1), LINEAR, Signal.delta(8), [2, 4])

@@ -460,6 +460,17 @@ class TestDecayScan:
         assert sampled <= grid + 1e-12
         assert sampled >= 0.3 * grid
 
+    @pytest.mark.parametrize("eps, big_c", [(1000.0, 1000.0), (1e200, 1e200), (2.0, 1.0)])
+    def test_arc_bound_past_the_farey_table_raises(self, eps, big_c):
+        # 64^(10^6) raised OverflowError; 64^2 = 4096 already passes the bound 2048
+        with pytest.raises(ValueError, match=re.escape("eps * big_c must keep delta^(-C) = N^(eps * big_c) within the Farey")):
+            scan_arcs(64, 2, eps, big_c)
+
+    def test_arc_bound_below_the_farey_table_holds(self):
+        # 64^(11/6 - 1e-9) is just below 2048, and 64^-10^6 is 0, clamped to 1
+        assert scan_arcs(64, 2, 11 / 6 - 1e-9, 1.0).denominator_bound == 64.0 ** (11 / 6 - 1e-9)
+        assert scan_arcs(64, 2, -1000.0, 1000.0).denominator_bound == 1.0
+
     def test_grid_multiplier_values(self):
         grid = weyl_multiplier_grid(SQUARE, 12, 32)
         for j in (0, 5, 17):

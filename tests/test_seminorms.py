@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circle_lab import seminorms
-from circle_lab._util import pnorm, substream
+from circle_lab._util import parallel_map, pnorm, substream
 from circle_lab.polyavg import Signal
 from circle_lab.seminorms import (
     RealSequence,
@@ -408,6 +408,107 @@ class TestBlocks:
             assert np.array_equal(variation_values(a, r), variation_values(a.astype(float), r))
 
 
+def pairwise_values(a: np.ndarray, r: float) -> np.ndarray:
+    """The variation DP one pair of rows at a time over the whole stack,
+    with fresh arrays at every step and r = 3 as (m*m)*m: the serial
+    path every split and buffer layout must match bit for bit."""
+    unit = _Exponent(r, "variation").in_units(a).unit
+    v = np.zeros(a.shape)
+    for i in range(1, a.shape[0]):
+        for j in range(i):
+            m = np.abs(a[i] - a[j]).astype(float)
+            if unit is not None:
+                m = m / unit
+            if r == 2.0:
+                m = m * m
+            elif r == 3.0:
+                m = (m * m) * m
+            elif r not in (1.0, math.inf):
+                m = m**r
+            v[i] = np.maximum(v[i], m + v[j] if r != math.inf else m)
+    top = v.max(axis=0)
+    out = top if r == math.inf else top ** (1.0 / r)
+    return out if unit is None else out * unit
+
+
+def wide_stack(name: str) -> np.ndarray:
+    """A stack of 40 rows wide enough to split: 6145 columns, or 3 x 2100."""
+    rng = substream(41)
+    if name == "int64":
+        return rng.integers(-10**6, 10**6, (40, 6145))
+    if name == "complex":
+        return rng.standard_normal((40, 6145)) + 1j * rng.standard_normal((40, 6145))
+    if name == "three axes":
+        return rng.standard_normal((40, 3, 2100))
+    a = rng.standard_normal((40, 6145))
+    if name == "scaled":
+        a[:, :2000] *= 1e300  # units in the first range only
+    return a
+
+
+class TestWorkers:
+    """Wide stacks split over the worker pool in column ranges; no worker
+    count may move a bit, and small stacks never start a pool."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the pools started through seminorms."""
+        started = []
+
+        def spy(fn, items, threads=None):
+            items = list(items)
+            started.append(len(items))
+            return parallel_map(fn, items, threads)
+
+        monkeypatch.setattr(seminorms, "parallel_map", spy)
+        return started
+
+    @pytest.mark.parametrize("name, r", [
+        *((name, r) for name in ("real", "int64", "complex", "scaled", "three axes")
+          for r in (1.0, 2.0, 3.0, math.inf)),
+        ("scaled", 2000.0),  # units of the largest increment, found per range
+    ])
+    def test_worker_count_moves_no_bit(self, pools, name, r):
+        a = wide_stack(name)
+        want = pairwise_values(a, r).tobytes()
+        for threads in (1, 2, 3):
+            assert variation_values(a, r, threads=threads).tobytes() == want, threads
+        # 6145 and 3 columns split unevenly over 2 and 3 workers
+        assert pools == [2, 3]
+
+    def test_small_trailing_shapes_stay_serial(self, pools):
+        a = substream(42).standard_normal((80, 3, 5))
+        for r in (2.0, 3.0):
+            want = pairwise_values(a, r).tobytes()
+            assert all(variation_values(a, r, threads=t).tobytes() == want for t in (1, 2, 3))
+        assert pools == []
+
+    def test_narrow_wide_stack_stays_serial(self, pools):
+        # 2^22 pair increments but fewer than 2^11 cells per worker
+        a = substream(43).standard_normal((300, 2047))
+        variation_values(a, 2.0, threads=2)
+        assert pools == []
+
+    def test_martingale_fallback_starts_no_pool_in_a_worker(self, monkeypatch):
+        # at r = 700 the leaves go through variation_values at full resolution
+        asked = []
+        inner = seminorms.variation_values
+
+        def spy(samples, r, threads=None):
+            asked.append(threads)
+            return inner(samples, r, threads)
+
+        monkeypatch.setattr(seminorms, "variation_values", spy)
+        want = lepingle_stat(2, 700, 6, 40, 3, threads=1)
+        assert asked and set(asked) == {1}
+        assert lepingle_stat(2, 700, 6, 40, 3, threads=2) == want
+        assert lepingle_stat(2, 700, 6, 40, 3, threads=3) == want
+
+    def test_thread_count_is_checked(self):
+        with pytest.raises(ValueError, match="threads must be an integer >= 1, got 0"):
+            variation_values(np.ones((3, 2)), 2.0, threads=0)
+
+
 class TestLacunary:
     def test_powers_of_two(self):
         assert lacunary(2.0, 10) == (1, 2, 4, 8)
@@ -431,6 +532,20 @@ class TestLacunary:
     def test_rejects_bad_bound(self, bound):
         with pytest.raises(ValueError, match=re.escape(f"bound must be an integer >= 1, got {bound!r}")):
             lacunary(2, bound)
+
+    def test_bound_past_the_float_range_raises(self):
+        # tau^n overflowed with OverflowError before it passed the bound
+        with pytest.raises(ValueError, match="bound must be below 2\\^1024 for a non-integer tau"):
+            lacunary(1.5, 10**400)
+
+    def test_power_past_the_float_range_passes_a_smaller_bound(self):
+        # (1e200)^2 overflows, and is past any bound below 2^1024
+        assert lacunary(1e200, 10**250) == (1, math.floor(1e200))
+        assert lacunary(1.5, 2**1024 - 1)[-1] == math.floor(1.5 ** 1750)
+
+    def test_integer_tau_stays_exact(self):
+        got = lacunary(3, 10**400)
+        assert got == tuple(3**n for n in range(len(got))) and 3 ** len(got) > 10**400
 
 
 def full_resolution(levels) -> list[np.ndarray]:
