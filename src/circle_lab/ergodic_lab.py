@@ -113,7 +113,6 @@ def convergence_diagnostic(
     r: float,
     tail_start: int,
     p_values: Sequence[float] = (2.0,),
-    threads: int | None = None,
 ) -> dict:
     """Per-point variation, blockwise oscillation, and tail Cauchy width of
     N -> A_N f(x), aggregated over x.
@@ -121,7 +120,7 @@ def convergence_diagnostic(
     Oscillation anchors default to every other index of the series (the
     finest choice whose blocks are nonempty); whether the anchors double is
     reported, not required.  Aggregates use the uniform probability measure
-    on Z/QZ.  Wide series split over `threads` workers as in `variation_values`.
+    on Z/QZ.  Wide series split over worker threads as in `variation_values`.
     """
     real(r, "diagnostic exponent r", "[1, inf)")
     ns = series.indices
@@ -131,7 +130,7 @@ def convergence_diagnostic(
         raise ValueError("need at least two indices >= tail_start")
     mat = series.values  # (T, Q)
 
-    vr = variation_values(mat, r, threads)
+    vr = variation_values(mat, r)
 
     anchors = list(range(0, len(ns), 2))  # at least two: the tail holds two indices
     if anchors[-1] != len(ns) - 1:
@@ -140,7 +139,7 @@ def convergence_diagnostic(
     anchor_ns = [int(ns[i]) for i in anchors]
     doubling = all(b > 2 * a for a, b in zip(anchor_ns, anchor_ns[1:]))
 
-    width = variation_values(mat[tail:], math.inf, threads)
+    width = variation_values(mat[tail:], math.inf)
 
     def aggregate(stat: np.ndarray) -> dict:
         out = {"max": float(stat.max())}

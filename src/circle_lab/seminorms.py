@@ -150,10 +150,10 @@ class _Exponent:
         self.unit = range_units(top, r, t - 1, slack)
         return self
 
-    def step(self, mags: np.ndarray, spare: np.ndarray | None = None) -> None:
+    def step(self, mags: np.ndarray, spare: np.ndarray) -> None:
         """In place, float increments |d| become |d|^r (left alone at r = inf),
-        with r = 3's square in spare, a float buffer shaped like mags (or new).
-        The variation DP gives mags a trailing axis the units do not have."""
+        with r = 3's square at the head of spare, a flat float buffer.  The
+        variation DP gives mags a trailing axis the units do not have."""
         r = self.r
         if r == math.inf:
             return
@@ -163,7 +163,7 @@ class _Exponent:
         if r == 2.0:
             np.multiply(mags, mags, out=mags)
         elif r == 3.0:  # m * (m*m): one product of the same operands as (m*m) * m
-            np.multiply(mags, np.multiply(mags, mags, out=spare), out=mags)
+            np.multiply(mags, np.multiply(mags, mags, out=spare[: mags.size].reshape(mags.shape)), out=mags)
         elif r == 4.0:
             np.multiply(mags, mags, out=mags)
             np.multiply(mags, mags, out=mags)
@@ -187,7 +187,7 @@ def _block_oscillation(a: np.ndarray, cuts: Sequence[int], rule: _Exponent):
         devs = np.abs(a[c0:c1] - a[c0])
         peaks.append(c0 + devs.argmax(axis=0))
         dev = devs.max(axis=0)
-        rule.step(dev)
+        rule.step(dev, np.empty(dev.size))
         total = total + dev if rule.folds else np.maximum(total, dev)
     return rule.root(total), peaks
 
@@ -201,7 +201,7 @@ _BLOCK_CELLS = 1 << 15
 def _variation_dp(levels, step, folds: bool, labels=None):
     """The one variation DP: value(i) = max(0, max over j < i of step(|a_i - a_j|)
     + value(j)) per cell, value(j) added only when the rule folds; step(mags, spare)
-    works in place, with a float buffer of the same shape.  The levels a_i are the
+    works in place, with a flat float buffer as long as mags.  The levels a_i are the
     rows of a (T, ...) stack, or a list of levels whose last axes refine (each
     length divides the next), level i viewed as level_j.shape + (-1,).
 
@@ -216,7 +216,7 @@ def _variation_dp(levels, step, folds: bool, labels=None):
     n, cell = stacks[-1].shape[0], stacks[-1][0].size
     size = min(max(cell, _BLOCK_CELLS), max(n * (n - 1), 1) * cell) if len(stacks) == 1 else cell
     mags, spare = np.empty(size), np.empty(size)
-    diff = mags if stacks[0].dtype == float else np.empty(size, stacks[0].dtype)
+    diff = None if stacks[0].dtype == float else np.empty(size, stacks[0].dtype)
     fold = None if labels is not None else spare[:cell].reshape(stacks[-1].shape[1:] + (1,))
     done = []  # stacks, DP states (both with a unit last axis), level_j.shape + (-1,)
     for a in stacks:
@@ -236,8 +236,9 @@ def _variation_dp(levels, step, folds: bool, labels=None):
                     j1 = min(stop, j0 + cols)
                     shape = (i1 - i0, j1 - j0) + a_rows.shape[2:]
                     m = mags[: math.prod(shape)].reshape(shape)
-                    np.abs(np.subtract(a_rows, h[j0:j1], out=diff[: m.size].reshape(shape)), out=m)
-                    step(m, spare[: m.size].reshape(shape))
+                    d = m if diff is None else diff[: m.size].reshape(shape)
+                    np.abs(np.subtract(a_rows, h[j0:j1], out=d), out=m)
+                    step(m, spare)
                     for i in range(i0, i1):
                         if (c := (min(j1, i) if own else j1) - j0) <= 0:
                             continue
@@ -270,24 +271,24 @@ def _variation_dp(levels, step, folds: bool, labels=None):
 _SPLIT_CELLS, _SPLIT_PAIRS = 1 << 11, 1 << 22  # to split: cells per worker, increments per stack
 
 
-def variation_values(samples: np.ndarray, r: float, threads: int | None = None) -> np.ndarray:
-    """Batched r-variation without witnesses: samples has shape (T, ...) and each trailing
-    slice is one sequence of length T.  A wide stack is split along its second axis into
-    views, each in its own units, on `threads` workers; the result never depends on them."""
-    r, a = _Exponent(r, "variation").r, np.asarray(samples)
+def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
+    """Batched r-variation without witnesses: each trailing slice of samples (T, ...) is one
+    sequence.  A wide stack splits by columns over the workers, which move no bit."""
+    rule, a = _Exponent(r, "variation"), np.asarray(samples)
     if a.ndim == 0 or a.shape[0] < 1:
         raise ValueError("variation needs at least one sample")
-    workers, t, cells = resolve_threads(threads), a.shape[0], a[0].size
+    t, cells = a.shape[0], a[0].size
     wide = a.ndim > 1 and t * (t - 1) // 2 * cells >= _SPLIT_PAIRS
-    parts = min(workers, cells // _SPLIT_CELLS, a.shape[1]) if wide else 1
-
-    def values(part: np.ndarray) -> np.ndarray:
-        rule = _Exponent(r, "variation").in_units(part)
-        return rule.root(_variation_dp(part, rule.step, rule.folds))
-
+    parts = min(resolve_threads(), cells // _SPLIT_CELLS, a.shape[1]) if wide else 1
     if parts <= 1:
-        return values(a)
-    return np.concatenate(parallel_map(values, np.array_split(a, parts, axis=1), parts))
+        return _values(a, rule)
+    split = np.array_split(a, parts, axis=1)
+    return np.concatenate(parallel_map(lambda part: _values(part, _Exponent(r, "variation")), split, parts))
+
+
+def _values(a: np.ndarray, rule: _Exponent) -> np.ndarray:
+    """variation_values on this thread, in units of a's own slices."""
+    return rule.in_units(a).root(_variation_dp(a, rule.step, rule.folds))
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +298,10 @@ def variation_values(samples: np.ndarray, r: float, threads: int | None = None) 
 
 def lacunary(tau: float, bound: int) -> tuple[int, ...]:
     """The distinct integer parts of tau^n up to `bound`, sorted."""
-    real(tau, "lacunary ratio tau", "(1, inf)")
+    tau = real(tau, "lacunary ratio tau", "(1, inf)")  # powers in Python: numpy's wrap or reach inf
+    tau = int(tau) if isinstance(tau, (int, np.integer)) else float(tau)
     bound = integer(bound, "bound", 1)
-    out = set()
-    n = 0
+    out, n = set(), 0
     while True:
         try:
             v = math.floor(tau**n)
@@ -344,8 +345,8 @@ def _pointwise_variation(levels: list[np.ndarray], rule: _Exponent) -> np.ndarra
     """Pointwise r-variation, shape (B, Q), of the martingale levels of a
     batch.  A leaf's chain of levels spans at least |leaf - mean| and at
     most its trial's span; unless both are in range for the r-th powers,
-    the levels go at full resolution through `variation_values`, which
-    counts in units per leaf, in runs of leaves of about _TILE_CELLS cells."""
+    the levels go at full resolution through `_values`, on this thread and
+    in units per leaf, in runs of leaves of about _TILE_CELLS cells."""
     leaves, depth = levels[-1], len(levels) - 1
     if 1 < rule.r < math.inf:
         near = leaves - levels[0]
@@ -356,7 +357,7 @@ def _pointwise_variation(levels: list[np.ndarray], rule: _Exponent) -> np.ndarra
             for c in range(0, cols.size, step):
                 idx = cols[c : c + step]  # the cell of level i over leaf x is x >> (depth - i)
                 full = np.stack([lev[:, idx >> (depth - i)] for i, lev in enumerate(levels)])
-                out[:, c : c + step] = variation_values(full, rule.r, threads=1)
+                out[:, c : c + step] = _values(full, _Exponent(rule.r, "variation"))
             return out
     return rule.root(_variation_dp(levels, rule.step, rule.folds))
 
@@ -371,7 +372,7 @@ def lepingle_stat(
     r <= 2 the same statistic is computed but flagged, since no uniform bound
     is claimed there.  r = inf gives the largest increment between levels.
     Where a leaf's r-th powers might leave the float range, its work item
-    runs at full resolution through `variation_values`, in units per leaf.
+    runs at full resolution through the batched variation DP, in units per leaf.
 
     Trial t draws from ``substream(seed, t)``.  Work items (runs of
     consecutive trials with at most _TILE_CELLS leaf cells in all, or one

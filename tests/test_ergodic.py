@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_lab import _util
+from circle_lab import _util, seminorms
 from circle_lab._util import substream
 from circle_lab.ergodic_lab import (
     AverageSeries,
@@ -289,15 +289,19 @@ class TestConvergenceDiagnostic:
             started.append(max_workers)
             return ThreadPoolExecutor(max_workers)
 
+        def diagnostic(count):
+            monkeypatch.setattr(seminorms, "resolve_threads", lambda: count)
+            return convergence_diagnostic(series, r, tail_start=41)
+
         monkeypatch.setattr(_util, "ThreadPoolExecutor", pool)
         vals = substream(24).standard_normal((80, 6145)) + 1j * substream(25).standard_normal((80, 6145))
         series = AverageSeries(tuple(range(1, 81)), vals, FiniteSystem(6145, 3), LINEAR)
-        want = convergence_diagnostic(series, r, tail_start=41, threads=1)
+        want = diagnostic(1)
         assert started == []
-        for threads in (2, 3):
-            assert convergence_diagnostic(series, r, tail_start=41, threads=threads) == want
+        for count in (2, 3):
+            assert diagnostic(count) == want
         assert started == [2, 2, 3, 3]
-        assert want["variation"]["max"] == variation_values(vals, r, threads=1).max()
+        assert want["variation"]["max"] == variation_values(vals, r).max()
 
     def test_small_series_start_no_pool(self, monkeypatch):
         def refuse(max_workers):
@@ -305,8 +309,9 @@ class TestConvergenceDiagnostic:
 
         monkeypatch.setattr(_util, "ThreadPoolExecutor", refuse)
         series = average_series(FiniteSystem(64, 3), SQUARE, random_signal(64, 13), lacunary(1.05, 4096))
-        for threads in (None, 2, 4):
-            convergence_diagnostic(series, 2.0, tail_start=1024, threads=threads)
+        for count in (1, 2, 4):
+            monkeypatch.setattr(seminorms, "resolve_threads", lambda: count)
+            convergence_diagnostic(series, 2.0, tail_start=1024)
 
     def test_rejects_infinite_exponent(self):
         series = average_series(FiniteSystem(8, 1), LINEAR, Signal.delta(8), [2, 4])

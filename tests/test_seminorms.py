@@ -447,12 +447,12 @@ def wide_stack(name: str) -> np.ndarray:
 
 
 class TestWorkers:
-    """Wide stacks split over the worker pool in column ranges; no worker
-    count may move a bit, and small stacks never start a pool."""
+    """Wide stacks split over one worker per CPU of the affinity set, in column
+    ranges; no worker count may move a bit, and small stacks never start a pool."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The worker counts of the pools started through seminorms."""
+        """The work-item counts of the maps run through seminorms."""
         started = []
 
         def spy(fn, items, threads=None):
@@ -463,50 +463,44 @@ class TestWorkers:
         monkeypatch.setattr(seminorms, "parallel_map", spy)
         return started
 
+    @staticmethod
+    def on_workers(monkeypatch, count, a, r):
+        monkeypatch.setattr(seminorms, "resolve_threads", lambda: count)
+        return variation_values(a, r)
+
     @pytest.mark.parametrize("name, r", [
         *((name, r) for name in ("real", "int64", "complex", "scaled", "three axes")
           for r in (1.0, 2.0, 3.0, math.inf)),
         ("scaled", 2000.0),  # units of the largest increment, found per range
     ])
-    def test_worker_count_moves_no_bit(self, pools, name, r):
+    def test_worker_count_moves_no_bit(self, monkeypatch, pools, name, r):
         a = wide_stack(name)
         want = pairwise_values(a, r).tobytes()
-        for threads in (1, 2, 3):
-            assert variation_values(a, r, threads=threads).tobytes() == want, threads
+        for count in (1, 2, 3):
+            assert self.on_workers(monkeypatch, count, a, r).tobytes() == want, count
         # 6145 and 3 columns split unevenly over 2 and 3 workers
         assert pools == [2, 3]
 
-    def test_small_trailing_shapes_stay_serial(self, pools):
+    def test_small_trailing_shapes_stay_serial(self, monkeypatch, pools):
         a = substream(42).standard_normal((80, 3, 5))
         for r in (2.0, 3.0):
             want = pairwise_values(a, r).tobytes()
-            assert all(variation_values(a, r, threads=t).tobytes() == want for t in (1, 2, 3))
+            assert all(self.on_workers(monkeypatch, c, a, r).tobytes() == want for c in (1, 2, 3))
         assert pools == []
 
-    def test_narrow_wide_stack_stays_serial(self, pools):
+    def test_narrow_wide_stack_stays_serial(self, monkeypatch, pools):
         # 2^22 pair increments but fewer than 2^11 cells per worker
-        a = substream(43).standard_normal((300, 2047))
-        variation_values(a, 2.0, threads=2)
+        self.on_workers(monkeypatch, 2, substream(43).standard_normal((300, 2047)), 2.0)
         assert pools == []
 
-    def test_martingale_fallback_starts_no_pool_in_a_worker(self, monkeypatch):
-        # at r = 700 the leaves go through variation_values at full resolution
-        asked = []
-        inner = seminorms.variation_values
-
-        def spy(samples, r, threads=None):
-            asked.append(threads)
-            return inner(samples, r, threads)
-
-        monkeypatch.setattr(seminorms, "variation_values", spy)
+    def test_martingale_fallback_starts_no_pool_in_a_worker(self, monkeypatch, pools):
+        # at r = 700 the leaves go through the batched DP at full resolution,
+        # on the worker's own thread even when the split would see 3 CPUs
+        monkeypatch.setattr(seminorms, "resolve_threads", lambda: 3)
         want = lepingle_stat(2, 700, 6, 40, 3, threads=1)
-        assert asked and set(asked) == {1}
         assert lepingle_stat(2, 700, 6, 40, 3, threads=2) == want
         assert lepingle_stat(2, 700, 6, 40, 3, threads=3) == want
-
-    def test_thread_count_is_checked(self):
-        with pytest.raises(ValueError, match="threads must be an integer >= 1, got 0"):
-            variation_values(np.ones((3, 2)), 2.0, threads=0)
+        assert pools == [1, 1, 1]  # lepingle_stat's own map, one work item each
 
 
 class TestLacunary:
@@ -542,6 +536,13 @@ class TestLacunary:
         # (1e200)^2 overflows, and is past any bound below 2^1024
         assert lacunary(1e200, 10**250) == (1, math.floor(1e200))
         assert lacunary(1.5, 2**1024 - 1)[-1] == math.floor(1.5 ** 1750)
+
+    def test_numpy_tau_powers_in_python(self):
+        # np.float64(1e200)**2 overflowed to inf with a RuntimeWarning, and
+        # np.int64(3)**n wrapped past int64 and never passed the bound
+        assert lacunary(np.float64(1e200), 10**250) == (1, math.floor(1e200))
+        assert lacunary(np.int64(3), 10**20) == tuple(3**n for n in range(42))
+        assert lacunary(np.float32(1.5), 10**50) == lacunary(1.5, 10**50)
 
     def test_integer_tau_stays_exact(self):
         got = lacunary(3, 10**400)
