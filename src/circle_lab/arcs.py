@@ -228,6 +228,8 @@ class TorusIntervalSet:
         hit = (xs >= self._lo[i]) & (xs <= self._hi[i])
         if self._lo[0] < 0.0:  # seam interval also covers its wrapped image
             hit |= xs >= self._lo[0] + 1.0
+        if self._hi[-1] >= 1.0:  # a closed piece ending at 1 holds its image 0
+            hit |= xs == 0.0
         return hit
 
     def complement(self) -> "TorusIntervalSet":

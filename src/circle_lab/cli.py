@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import itertools
 import json
 import math
 import sys
@@ -35,7 +34,6 @@ from . import (
     ReducedFraction,
     Signal,
     arc_split,
-    average_linear,
     average_series,
     canonical_fractions,
     complete_sum,
@@ -43,7 +41,6 @@ from . import (
     convergence_diagnostic,
     discrepancy,
     dyadic_arcs,
-    eta,
     jump_count,
     kernel_l1_bound,
     lacunary,
@@ -59,10 +56,10 @@ from . import (
     projection_symbol,
     variation,
     weyl_decay_scan,
-    weyl_sum,
 )
 from ._util import integer, substream
 from .expsums import scan_arcs
+from .multipliers import MAX_MODULUS
 
 SCHEMA = "circle-lab/1"
 
@@ -139,6 +136,7 @@ def _read_signal(path: str | None, modulus: int, seed: int | None) -> Signal:
             return Signal.from_json(text)
         return Signal.from_csv(io.StringIO(text))
     q = integer(modulus, "modulus", 1)
+    integer(q, "modulus", high=MAX_MODULUS)  # before the signal is allocated
     if seed is None:
         return Signal.delta(q)
     rng = substream(seed)
@@ -538,100 +536,6 @@ def _cmd_discrepancy(cfg: RunConfig) -> None:
     _emit(cfg, rep.to_dict(), csv_text)
 
 
-# ---------------------------------------------------------------------------
-# Embedded self test: small references of its own, so that an installed
-# package can check itself without tests/
-# ---------------------------------------------------------------------------
-
-_SQUARE = IntPolynomial((0, 0, 1))
-
-
-def _farey_totient() -> bool:
-    """Farey counts vs independent totient sums."""
-    phi = lambda q: sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
-    return all(
-        len(canonical_fractions(n)) == 1 + sum(phi(q) for q in range(2, n + 1))
-        for n in range(1, 31)
-    )
-
-
-def _gauss_magnitude() -> bool:
-    return all(
-        abs(abs(complete_sum(_SQUARE, ReducedFraction(a, p))) - p**-0.5) < 1e-9
-        for p in (3, 5, 7, 11, 13)
-        for a in range(1, p)
-    )
-
-
-def _convolution_oracle() -> bool:
-    """FFT convolution vs the literal sum of f(x - k^2) over k = 1..37."""
-    rng = substream(0)
-    ok = True
-    for q in (64, 257):
-        f = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
-        idx = (np.arange(q)[:, None] - np.arange(1, 38) ** 2) % q
-        literal = f.values[idx].mean(axis=1)
-        ok &= np.linalg.norm(average_linear(_SQUARE, 37, f).values - literal) <= 1e-9 * f.norm(2)
-    return ok
-
-
-def _brute_variation(vals, r: float) -> float:
-    """r-variation as the largest r-sum over every subsequence."""
-    best = 0.0
-    for size in range(2, len(vals) + 1):
-        for idx in itertools.combinations(range(len(vals)), size):
-            best = max(best, sum(abs(vals[b] - vals[a]) ** r for a, b in zip(idx, idx[1:])))
-    return best ** (1.0 / r)
-
-
-def _variation_brute_force() -> bool:
-    """Seminorm DP vs brute force on short sequences."""
-    samples = [substream(1, t).standard_normal(7) for t in range(10)]
-    return all(
-        abs(variation(vals, r).value - _brute_variation(vals, r)) < 1e-12
-        for vals in samples
-        for r in (1.0, 2.0, 3.0)
-    )
-
-
-def _projection_structure() -> bool:
-    r2 = projection_property_report(256, 2, -6, 5)
-    return (
-        r2["self_adjoint_gap"] < 1e-9
-        and r2["l2_contraction_ratio"] <= 1.0 + 1e-12
-        and r2["support_leak"] < 1e-10
-        and r2["reproduction_gap"] < 1e-10
-    )
-
-
-_SELFTEST = [
-    ("farey-totient-identity", _farey_totient),
-    ("gauss-magnitude", _gauss_magnitude),
-    ("convolution-oracle", _convolution_oracle),
-    ("variation-brute-force", _variation_brute_force),
-    ("cutoff-bracket", lambda: eta(0.2) == 1.0 and eta(0.6) == 0.0 and 0.0 < eta(0.35) < 1.0),
-    ("projection-structure", _projection_structure),
-    (
-        "weyl-values",
-        lambda: abs(weyl_sum(_SQUARE, 17, 0.0) - 1.0) < 1e-15
-        and abs(weyl_sum(_SQUARE, 2, ReducedFraction(1, 2))) < 1e-15,
-    ),
-]
-
-
-@_command("selftest", "quick verification battery")
-def _cmd_selftest(cfg: RunConfig) -> None:
-    failures = []
-    for name, check in _SELFTEST:
-        ok = check()
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
-    _emit(cfg, {"failures": failures, "passed": not failures})
-    if failures:
-        raise SystemExit(1)
-
-
 def run(config: RunConfig) -> int:
     """Dispatch a resolved config; nonzero exit on violated preconditions."""
     if config.subcommand not in _COMMANDS:
@@ -642,8 +546,6 @@ def run(config: RunConfig) -> int:
     except (ValueError, RuntimeError, OSError) as exc:  # OSError: unreadable --in, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
     return 0
 
 

@@ -18,6 +18,7 @@ Gauss-Legendre quadrature otherwise (`_mm_many`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -340,6 +341,8 @@ def scan_arcs(
 ) -> ArcSystem:
     """Arc system for scale N under the rule delta = N^(-eps): denominators
     up to delta^(-C), halfwidth N^(-d) * delta^(-C) unless overridden."""
+    if n > sys.float_info.max:  # before float(n) overflows
+        raise ValueError(f"N must be an integer in [1, {sys.float_info.max!r}], got a {n.bit_length()}-bit N")
     real(eps, "eps", "(-inf, inf)")
     real(big_c, "big_c", "(-inf, inf)")
     if eps * big_c * math.log2(n) >= math.log2(2**MAX_LEVEL + 1):  # before N^(eps*C) overflows

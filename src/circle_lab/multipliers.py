@@ -35,6 +35,8 @@ from .polyavg import (
     spectrum,
 )
 
+MAX_MODULUS = 1 << 24  # the largest Q a symbol, a property report or a CLI signal is built on
+
 
 def eta(x):
     """Even smooth cutoff: 1 on [-1/4, 1/4], 0 outside (-1/2, 1/2), glued
@@ -95,6 +97,7 @@ def projection_property_report(q: int, l: int, m: int, seed: int) -> dict:
     self-adjointness, l2 contraction, spectral support containment, and
     reproduction of deeply supported signals."""
     q, rng, scale = integer(q, "modulus", 1), substream(seed), DyadicScale(l, m)
+    integer(q, "modulus", high=MAX_MODULUS)
     f = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
     g = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
     pf, pg = project_dyadic(f, scale), project_dyadic(g, scale)
@@ -177,6 +180,7 @@ class MultiplierOp:
         """Exact symbol at j/Q from one base_symbol call per batch of center
         windows, summed in center order (bit-identical to a full-grid sum)."""
         modulus = integer(modulus, "modulus", 1)
+        integer(modulus, "modulus", high=MAX_MODULUS)  # before the symbol is allocated
         h, centers = self.support_halfwidth, self.centers
         weights = np.broadcast_to(np.asarray(self.weights, dtype=np.complex128), centers.shape)
         width, starts = modulus, np.zeros(centers.size, dtype=np.int64)

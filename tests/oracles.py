@@ -336,6 +336,13 @@ def wrapped_intervals(pieces) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo), float(hi)) for lo, hi in merged)
 
 
+def torus_member(intervals, x: float) -> bool:
+    """Whether the torus point x lies in a union of closed intervals, by the
+    definition in exact rationals: x + k is in some [lo, hi] for an integer k."""
+    fx = Fraction(x) % 1
+    return any(Fraction(lo) <= fx + k <= Fraction(hi) for lo, hi in intervals for k in (-1, 0, 1))
+
+
 def pairwise_intersect(a, b) -> tuple[tuple[float, float], ...]:
     """Intersection of two normal-form interval tuples: every pair of
     pieces, with b shifted by -1, 0 and +1, in O(len(a) * len(b))."""

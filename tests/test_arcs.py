@@ -34,6 +34,7 @@ from oracles import (
     farey_min_gap,
     gap_complement,
     pairwise_intersect,
+    torus_member,
     trial_totient,
     wrapped_intervals,
 )
@@ -282,6 +283,18 @@ class TestIntervalSet:
         assert s.measure == pytest.approx(0.25)
         assert bool(s.contains(0.02)) and bool(s.contains(0.95))
         assert not s.contains(0.5)
+
+    @pytest.mark.parametrize("s", [
+        TorusIntervalSet.from_arcs([0.975], 0.025),  # the closed arc [0.95, 1.0]: 0 was not in it
+        TorusIntervalSet([(0.2, 0.3), (0.5, 1.0)]),
+    ])
+    def test_piece_ending_at_one_holds_zero(self, s):
+        assert s.intervals[-1][1] == 1.0
+        xs = [0.0, -0.0, 1.0, -1e-17, 5e-324, 1e-17, 0.05, 0.25, 0.75, 0.97, -0.05]
+        want = [torus_member(s.intervals, x) for x in xs]
+        assert want[:4] == [True] * 4 and want[4:7] == [False] * 3
+        assert s.contains(xs).tolist() == want
+        assert [bool(s.contains(x)) for x in xs] == want
 
     def test_complement(self):
         s = TorusIntervalSet.from_arcs([0.0, 0.5], 0.1)

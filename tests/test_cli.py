@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circle_lab import PipelineConfig, arc_split, cli, project
+from circle_lab import PipelineConfig, arc_split, project
 from circle_lab._util import resolve_threads, substream
 from circle_lab.cli import RunConfig, _emit, build_parser, main, run
 from circle_lab.polyavg import IntPolynomial, Signal
@@ -198,6 +198,7 @@ class TestSubcommands:
         res = doc["result"]
         assert res["self_adjoint_gap"] < 1e-9
         assert res["l2_contraction_ratio"] <= 1.0 + 1e-12
+        assert res["support_leak"] < 1e-10 and res["reproduction_gap"] < 1e-10
 
     def test_split(self, capsys):
         doc = run_json(
@@ -268,20 +269,6 @@ class TestSubcommands:
         )
         entries = doc["result"]["entries"]
         assert entries[0]["n"] == 100 and entries[1]["d_star"] < entries[0]["d_star"]
-
-    def test_selftest(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest")
-        assert code == 0
-        assert out.count("PASS") >= 7 and "FAIL" not in out
-
-    def test_selftest_failure_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_SELFTEST", [("always-fails", lambda: False)])
-        code, out, _ = run_cli(capsys, "selftest")
-        assert code == 1
-        assert out.startswith("FAIL always-fails\n")
-        assert json.loads(out.split("\n", 1)[1])["result"] == {
-            "failures": ["always-fails"], "passed": False,
-        }
 
     def test_split_save_prefix_feeds_project(self, capsys, tmp_path):
         prefix = str(tmp_path / "run")
@@ -418,6 +405,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code != 0
+
+    def test_selftest_is_gone(self, capsys):
+        # its checks are the acceptance criteria and unit tests
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
     def test_unknown_subcommand_config_exits_2(self, capsys):
         assert run(RunConfig("nope", {})) == 2
@@ -561,6 +555,14 @@ class TestErrors:
         (("remark2", "--q", "-4", "--l", "2", "--m", "-6"), "modulus"),
         # a constant polynomial: a traceback and exit 1 (ZeroDivisionError)
         (("split", "--q", "64", "--poly", "5", "--n", "64"), "degree"),
+        # numpy's _ArrayMemoryError for 16.0 TiB (exit 1)
+        (("project", "--q", str(2**40), "--n1", "4", "--n2", "0.01"), "modulus"),
+        (("project", "--q", str(2**40), "--n1", "4", "--n2", "0.01", "--symbol-only"), "modulus"),
+        (("remark2", "--q", str(2**40), "--l", "2", "--m", "-6"), "modulus"),
+        # "invalid value encountered in cast", then numpy's "Maximum allowed dimension exceeded"
+        (("project", "--q", "1" + "0" * 30, "--n1", "4", "--n2", "0.01", "--symbol-only"), "modulus"),
+        # float(N) raised OverflowError (exit 1)
+        (("weyl-scan", "--poly", "0,0,1", "--ns", "1" + "0" * 400, "--samples", "10", "--eps", "0"), "N"),
     ])
     def test_integer_out_of_range_exits_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -623,7 +625,7 @@ class TestFormat:
     @pytest.mark.parametrize("argv", [
         ("mfrak", "--poly", "0,0,1", "--n", "64", "--xi", "0.1"),
         ("lepingle", "--depth", "2", "--trials", "2"),
-        ("selftest",),
+        ("gauss", "--poly", "0,0,1", "--den", "5"),
     ])
     def test_format_elsewhere_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

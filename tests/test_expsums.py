@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ class TestWeylSum:
     def test_zero_frequency(self):
         for poly in (SQUARE, CUBE, IntPolynomial((5, -1, 4))):
             assert weyl_sum(poly, 17, 0.0) == pytest.approx(1.0)
+        assert abs(weyl_sum(SQUARE, 17, 0.0) - 1.0) < 1e-15
 
     def test_two_term_cancellation(self):
         assert abs(weyl_sum(SQUARE, 2, ReducedFraction(1, 2))) < 1e-15
@@ -470,6 +472,18 @@ class TestDecayScan:
         # 64^(11/6 - 1e-9) is just below 2048, and 64^-10^6 is 0, clamped to 1
         assert scan_arcs(64, 2, 11 / 6 - 1e-9, 1.0).denominator_bound == 64.0 ** (11 / 6 - 1e-9)
         assert scan_arcs(64, 2, -1000.0, 1000.0).denominator_bound == 1.0
+
+    @pytest.mark.parametrize("n", [10**400, 2**1024 - 1, int(sys.float_info.max) + 1])
+    def test_scale_past_the_float_range_raises(self, n):
+        # float(n) raised OverflowError (exit 1 from weyl-scan --eps 0)
+        message = f"N must be an integer in [1, {sys.float_info.max!r}], got a {n.bit_length()}-bit N"
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scan_arcs(n, 2, eps, 1.0)
+
+    def test_largest_float_scale_holds(self):
+        arcs = scan_arcs(int(sys.float_info.max), 2, 0.0, 1.0)
+        assert arcs.denominator_bound == 1.0 and arcs.halfwidth == 0.0
 
     def test_grid_multiplier_values(self):
         grid = weyl_multiplier_grid(SQUARE, 12, 32)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from circle_lab._util import substream
 from circle_lab.arcs import DyadicScale, ReducedFraction, canonical_fractions, wrap_signed
 from circle_lab.expsums import weyl_multiplier_grid
 from circle_lab.multipliers import (
+    MAX_MODULUS,
     MultiplierOp,
     PipelineConfig,
     approx_average_op,
@@ -28,6 +30,7 @@ from circle_lab.multipliers import (
     project,
     project_dyadic,
     projection_op,
+    projection_property_report,
     projection_symbol,
 )
 from circle_lab.polyavg import (
@@ -70,6 +73,7 @@ class TestEta:
         assert eta(0.25) == 1.0
         assert eta(0.5) == 0.0
         assert eta(0.6) == 0.0
+        assert 0.0 < eta(0.35) < 1.0  # strictly inside the band
 
     def test_even(self):
         for x in (0.1, 0.3, 0.45):
@@ -185,6 +189,20 @@ class TestMultiplierOp:
         # 0 divided by zero and -4 asked numpy for a negative dimension
         with pytest.raises(ValueError, match=re.escape(f"modulus must be an integer >= 1, got {modulus!r}")):
             identity_op().symbol_on_grid(modulus)
+
+    @pytest.mark.parametrize("modulus", [MAX_MODULUS + 1, 2**40, 10**30])
+    def test_modulus_past_the_ceiling(self, modulus):
+        # 2^40 asked numpy for 16 TiB; 10^30 warned "invalid value encountered in cast"
+        assert MAX_MODULUS >= 1 << 16  # the largest grid the bench uses
+        message = re.escape(f"modulus must be an integer <= {MAX_MODULUS}, got {modulus}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                identity_op().symbol_on_grid(modulus)
+            with pytest.raises(ValueError, match=message):
+                projection_symbol(modulus, 4, 0.01)
+            with pytest.raises(ValueError, match=message):
+                projection_property_report(modulus, 2, -6, 0)
 
     def test_needs_frequencies(self):
         with pytest.raises(ValueError):
