@@ -13,7 +13,6 @@ from .arcs import (
     dyadic_arcs,
     dyadic_shell,
     minor_sample,
-    torus_distance,
     wrap_signed,
 )
 from .ergodic_lab import (
@@ -25,7 +24,6 @@ from .ergodic_lab import (
     discrepancy,
     mean_ergodic_check,
     star_discrepancy,
-    vdc_correlation,
 )
 from .expsums import (
     DecayScanReport,
@@ -48,7 +46,6 @@ from .multipliers import (
     eta,
     eta_at_scale,
     factorization_gap,
-    identity_op,
     kernel_l1_bound,
     l2_operator_norm,
     lp_norm_probe,
@@ -64,10 +61,8 @@ from .polyavg import (
     IntPolynomial,
     RieszSplit,
     Signal,
-    aliasing_safe_modulus,
     average_bilinear,
     average_linear,
-    grid_frequencies,
     kernel,
     maximal_function,
     riesz_split,

@@ -16,6 +16,8 @@ import numpy as np
 T = TypeVar("T")
 R = TypeVar("R")
 
+MAX_SCALE = 1 << 24  # the largest N of a path whose work or memory grows with N
+
 
 def integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """`value` as a Python int: the library's one integer check.  It takes
@@ -56,9 +58,9 @@ def real(value, name: str, interval: str):
 
 
 def scales(values) -> list[int]:
-    """The distinct scales N of `values`, each an integer >= 1, sorted; at
-    least one."""
-    out = sorted({integer(n, "N", 1) for n in values})
+    """The distinct scales N of `values`, each an integer in [1, MAX_SCALE],
+    sorted; at least one."""
+    out = sorted({integer(n, "N", 1, MAX_SCALE) for n in values})
     if not out:
         raise ValueError("need at least one N")
     return out

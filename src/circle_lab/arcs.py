@@ -24,11 +24,6 @@ def wrap_signed(x):
     return x - np.ceil(x - 0.5)
 
 
-def torus_distance(x, y=0.0):
-    """Distance on R/Z: min(|x-y|, 1-|x-y|)."""
-    return np.abs(wrap_signed(np.asarray(x, dtype=float) - y))
-
-
 @dataclass(frozen=True)
 class TorusPoint:
     """A point of R/Z stored as its representative in [0, 1), as
@@ -79,10 +74,6 @@ class ReducedFraction:
     @property
     def value(self) -> float:
         return self.numerator / self.denominator
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
@@ -282,10 +273,6 @@ class ArcSystem:
         real(self.halfwidth, "arc halfwidth", "[0, inf)")
         object.__setattr__(self, "centers", canonical_fractions(self.denominator_bound))
 
-    @property
-    def center_values(self) -> np.ndarray:
-        return self.centers.values
-
     @cached_property
     def min_center_gap(self) -> Fraction:
         """Exact minimal torus distance between distinct centers (1 if only
@@ -301,7 +288,7 @@ class ArcSystem:
 
     @cached_property
     def intervals(self) -> TorusIntervalSet:
-        return TorusIntervalSet.from_arcs(self.center_values, self.halfwidth)
+        return TorusIntervalSet.from_arcs(self.centers.values, self.halfwidth)
 
     @property
     def coverage(self) -> float:
@@ -311,7 +298,7 @@ class ArcSystem:
         """Distance to, and index of, each point's nearest center: one of its
         two circular neighbours in the sorted centers.  Distinct neighbours
         never share a denominator, so a tie goes to the smaller one."""
-        c = self.center_values
+        c = self.centers.values
         right = np.searchsorted(c, xs % 1.0, side="right") % c.size
         pair = np.stack((right - 1, right))  # index -1 is the last center
         d = np.abs(wrap_signed(xs - c[pair]))

@@ -58,6 +58,7 @@ from . import (
     weyl_decay_scan,
 )
 from ._util import integer, substream
+from .arcs import FAREY_MAX_DENOMINATOR
 from .expsums import scan_arcs
 from .multipliers import MAX_MODULUS
 
@@ -304,10 +305,10 @@ def _cmd_weyl_scan(cfg: RunConfig) -> None:
 def _cmd_gauss(cfg: RunConfig) -> None:
     p = cfg.params
     poly = IntPolynomial.parse(p["poly"])
-    q = integer(p["den"], "--den", 1)
-    nums = [p["num"]] if p.get("num") is not None else [
-        a for a in range(q) if math.gcd(a, q) == 1 or (a == 0 and q == 1)
-    ]
+    one = p.get("num") is not None
+    # each G(a/q) costs O(q), so a table of every numerator stops at the Farey bound
+    q = integer(p["den"], "--den", 1, MAX_MODULUS if one else FAREY_MAX_DENOMINATOR)
+    nums = [p["num"]] if one else [a for a in range(q) if math.gcd(a, q) == 1 or (a == 0 and q == 1)]
     rows = []
     for a in nums:
         g = complete_sum(poly, ReducedFraction(a, q))

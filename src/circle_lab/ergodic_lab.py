@@ -4,8 +4,8 @@ averages.
 A system is Z/QZ with the shift x -> x - s; its averages along a polynomial
 orbit reduce to the convolution operators of `polyavg` with the coefficient
 scaling c -> s*c.  Diagnostics never assert limit theorems, they measure:
-variation and oscillation along a scale set, tail Cauchy widths, finite-N
-correlation estimates, and star discrepancy of real orbits.
+variation and oscillation along a scale set, tail Cauchy widths, and star
+discrepancy of real orbits.
 """
 
 from __future__ import annotations
@@ -155,20 +155,6 @@ def convergence_diagnostic(
         "oscillation": {**aggregate(osc), "anchors": anchor_ns, "doubling": doubling},
         "tail_width": aggregate(width),
     }
-
-
-def vdc_correlation(vectors, max_lag: int) -> np.ndarray:
-    """Finite-N correlation estimates s_h = |mean over n of <u_(n+h), u_n>|
-    for h = 1..max_lag; a diagnostic, no limit claim attached."""
-    u = np.asarray(vectors, dtype=np.complex128)
-    if u.ndim == 1:
-        u = u[:, None]
-    max_lag = integer(max_lag, "max_lag", 1, u.shape[0] - 1)  # below the number of vectors
-    out = np.empty(max_lag)
-    for h in range(1, max_lag + 1):
-        inner = (u[h:] * np.conj(u[:-h])).sum(axis=1)
-        out[h - 1] = abs(inner.mean())
-    return out
 
 
 @dataclass(frozen=True)

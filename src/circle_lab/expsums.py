@@ -26,8 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import integer, parallel_map, real, scales, substream
-from .arcs import MAX_LEVEL, ArcSystem, ReducedFraction, TorusPoint, minor_sample, wrap_signed
+from ._util import MAX_SCALE, integer, parallel_map, real, scales, substream
+from .arcs import MAX_LEVEL, ArcSystem, ReducedFraction, TorusPoint, dyadic_shell, minor_sample, wrap_signed
 from .polyavg import IntPolynomial, _residues, kernel, spectrum
 
 
@@ -131,10 +131,11 @@ def weyl_sum(
     A ReducedFraction or Fraction argument takes the exact path: phases
     a*P(n) are reduced mod q in integers, and since n and n + q give the
     same phase only n = 1..min(N, q) are visited, each weighted by how
-    often its residue class occurs in [1, N].  A real xi must be finite.
+    often its residue class occurs in [1, N], so N has no ceiling there.  A
+    real xi must be finite, and N at most MAX_SCALE.
     """
-    n = integer(n_range, "N", 1)
     if isinstance(xi, (ReducedFraction, Fraction)):
+        n = integer(n_range, "N", 1)
         a, q = xi.numerator % xi.denominator, xi.denominator
         m = min(n, q)
         scaled = IntPolynomial(a * c for c in poly.coefficients)
@@ -142,7 +143,7 @@ def weyl_sum(
         weights = np.full(m, n // q)
         weights[: n % q] += 1
         return complex(np.dot(weights, np.exp(2j * math.pi * phases)) / n)
-    return complex(_weyl_many(poly, n, np.array([float(xi)]))[0])
+    return complex(_weyl_many(poly, integer(n_range, "N", 1, MAX_SCALE), np.array([float(xi)]))[0])
 
 
 @lru_cache(maxsize=4096)
@@ -479,7 +480,7 @@ def lemma1_residual(
     |xi - theta| <= 1/M.
     """
     real(big_m, "M", "(0, inf)")
-    n = integer(n_range, "N", 1)
+    n = integer(n_range, "N", 1, MAX_SCALE)
     residual, bound = _lemma1_cell(poly, n, [theta], np.array([TorusPoint(xi).value]), big_m)
     return Lemma1Result(float(residual[0]), float(bound[0]), float(residual[0] / bound[0]))
 
@@ -493,8 +494,6 @@ def lemma1_grid_sweep(
 ) -> dict:
     """Max residual/bound ratio over a (N, shell level) grid with
     M = N^d * 2^(-l) and seeded admissible (theta, xi) pairs per cell."""
-    from .arcs import dyadic_shell
-
     samples_per_cell = integer(samples_per_cell, "samples_per_cell", 1)
     levels = range(integer(l_max, "l_max", 0, MAX_LEVEL) + 1)
     degree = poly.degree

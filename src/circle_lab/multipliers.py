@@ -20,17 +20,16 @@ from .arcs import (
     MAX_LEVEL,
     ArcSystem,
     DyadicScale,
-    ReducedFraction,
     TorusIntervalSet,
     canonical_fractions,
     dyadic_shell,
     wrap_signed,
 )
+from .expsums import _mm_many, complete_sum
 from .polyavg import (
     IntPolynomial,
     Signal,
     average_linear,
-    grid_frequencies,
     signal_from_spectrum,
     spectrum,
 )
@@ -104,8 +103,7 @@ def projection_property_report(q: int, l: int, m: int, seed: int) -> dict:
     self_adjoint = abs(np.vdot(pf.values, g.values) - np.vdot(f.values, pg.values))
     contraction = pf.norm(2) / f.norm(2)
 
-    xs = grid_frequencies(q)
-    dist = ArcSystem(2.0**l, 0.0).distances(xs)
+    dist = ArcSystem(2.0**l, 0.0).distances(np.arange(q) / q)
     outside = dist > 2.0**m
     support_leak = float(np.abs(spectrum(pf)[outside]).max()) if outside.any() else 0.0
 
@@ -200,10 +198,6 @@ class MultiplierOp:
                 vals = np.asarray(self.base_symbol(offsets.ravel()), dtype=np.complex128)
                 np.add.at(sym, idx.ravel(), wts.ravel() * vals)
         return sym
-
-
-def identity_op() -> MultiplierOp:
-    return MultiplierOp(np.zeros(1), 1.0, lambda x: np.ones_like(np.asarray(x, dtype=float)))
 
 
 def projection_op(n1: float, n2: float) -> MultiplierOp:
@@ -381,15 +375,6 @@ def arc_split(
 # ---------------------------------------------------------------------------
 
 
-def gauss_coefficients(
-    poly: IntPolynomial, frequencies: Sequence[ReducedFraction]
-) -> np.ndarray:
-    """The complete sums G(theta), aligned with `frequencies`."""
-    from .expsums import complete_sum
-
-    return np.array([complete_sum(poly, fr) for fr in frequencies], dtype=np.complex128)
-
-
 def approx_average_op(
     poly: IntPolynomial,
     n_range: int,
@@ -400,8 +385,6 @@ def approx_average_op(
     """The rational-center model of A_N on major arcs: weights are the
     complete sums, the base symbol is mm_N times the cutoff at scale
     2^(-degree * high_scale)."""
-    from .expsums import _mm_many
-
     level = integer(level, "level", 0, MAX_LEVEL)
     n = integer(n_range, "N", 1)
     degree = poly.degree
@@ -417,8 +400,8 @@ def approx_average_op(
         uniq, inverse = np.unique(offs, return_inverse=True)
         return _mm_many(poly, n, uniq)[inverse.reshape(offs.shape)] * cut(offs)
 
-    half = 2.0 ** (-degree * high_scale - 1)
-    return MultiplierOp(table.values, gauss_coefficients(poly, table), base, support_halfwidth=half)
+    gauss = np.array([complete_sum(poly, fr) for fr in table], dtype=np.complex128)
+    return MultiplierOp(table.values, gauss, base, support_halfwidth=2.0 ** (-degree * high_scale - 1))
 
 
 def factorization_gap(

@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import integer, pnorm
+from ._util import MAX_SCALE, integer, pnorm
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,6 @@ def signal_from_spectrum(modulus: int, coeffs: np.ndarray) -> Signal:
     return Signal(modulus, np.fft.fft(np.asarray(coeffs, dtype=np.complex128)) / modulus)
 
 
-def grid_frequencies(modulus: int) -> np.ndarray:
-    """Torus points j/Q for j = 0..Q-1."""
-    modulus = integer(modulus, "modulus", 1)
-    return np.arange(modulus) / modulus
-
-
 # ---------------------------------------------------------------------------
 # Kernels and averages
 # ---------------------------------------------------------------------------
@@ -224,7 +218,7 @@ def _residues(poly: IntPolynomial, n_max: int, modulus: int) -> np.ndarray:
 
 def kernel(poly: IntPolynomial, n_range: int, modulus: int) -> Signal:
     """Averaging kernel on Z/QZ: K(x) = #{n in [N] : P(n) = x mod Q} / N."""
-    n, q = integer(n_range, "N", 1), integer(modulus, "modulus", 1)
+    n, q = integer(n_range, "N", 1, MAX_SCALE), integer(modulus, "modulus", 1)
     counts = np.bincount(_residues(poly, n, q), minlength=q)
     return Signal(q, counts.astype(np.complex128) / n)
 
@@ -242,7 +236,7 @@ def _averages(
     every shift fixes comes back bit for bit.
     """
     q = f.modulus
-    ns = [integer(n, "N", 1) for n in ns]
+    ns = [integer(n, "N", 1, MAX_SCALE) for n in ns]
     residues = _residues(poly, max(ns, default=start), q)
     anchor_d = 0
     for n in ns:
@@ -273,7 +267,7 @@ def average_bilinear(
 ) -> Signal:
     """Mean over n = 1..N of f1(x - n) * f2(x - P(n)) on a shared Z/QZ."""
     f1._check_modulus(f2)
-    n = integer(n_range, "N", 1)
+    n = integer(n_range, "N", 1, MAX_SCALE)
     q = f1.modulus
     residues = _residues(poly, n, q)
     out = np.zeros(q, dtype=np.complex128)
@@ -313,12 +307,3 @@ def riesz_split(f: Signal, shift: int) -> RieszSplit:
     table = f.values.reshape(q // g, g).mean(axis=0)
     invariant = Signal(q, np.tile(table, q // g))
     return RieszSplit(invariant, f - invariant)
-
-
-def aliasing_safe_modulus(
-    poly: IntPolynomial, n_range: int, support_diameter: int
-) -> int:
-    """Smallest Q guaranteeing no wraparound when a finitely supported
-    function on Z is modelled on Z/QZ and averaged along P over [1, N]."""
-    diameter = integer(support_diameter, "support_diameter", 0)
-    return 2 * diameter + poly.abs_bound(integer(n_range, "N", 1)) + 1

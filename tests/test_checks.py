@@ -19,6 +19,8 @@ from circle_lab import (
     Signal,
     approx_average_op,
     arc_split,
+    average_bilinear,
+    average_linear,
     average_series,
     canonical_fractions,
     convergence_diagnostic,
@@ -26,6 +28,7 @@ from circle_lab import (
     dyadic_shell,
     factorization_gap,
     jump_count,
+    kernel,
     lacunary,
     lemma1_grid_sweep,
     lemma1_residual,
@@ -35,19 +38,22 @@ from circle_lab import (
     projection_op,
     variation,
     variation_values,
-    vdc_correlation,
     weyl_decay_scan,
+    weyl_sum,
 )
 from circle_lab._util import integer, pnorm, real
 from circle_lab.arcs import ReducedFraction, TorusIntervalSet
-from circle_lab.multipliers import MultiplierOp, eta_at_scale, identity_op, shell_vanishing_overlap
+from circle_lab.multipliers import MultiplierOp, eta_at_scale, shell_vanishing_overlap
 
 SQUARE = IntPolynomial((0, 0, 1))
 LINEAR = IntPolynomial((0, 1))
 SERIES = average_series(FiniteSystem(8, 1), LINEAR, Signal.delta(8), [2, 4, 8])
 ONES = lambda x: np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
 
-# (name in the message, its range as printed, a value out of it, call with the value)
+SCALE = "an integer in [1, 16777216]"
+
+# (name in the message, its range as printed, a value out of it, call with the value,
+# and, where the name repeats, the test id in its place)
 CASES = [
     # reals
     ("norm exponent p", "a real number in (0, inf]", 0.0, lambda v: pnorm(np.ones(3), v)),
@@ -61,7 +67,8 @@ CASES = [
     ("M", "a real number in (0, inf)", 0.0,
      lambda v: lemma1_residual(SQUARE, 64, ReducedFraction(1, 3), 0.3333, v)),
     ("projection halfwidth n2", "a real number in (0, inf)", 0.0, lambda v: projection_op(4, v)),
-    ("probe exponent p", "a real number in (1, inf)", 1.0, lambda v: lp_norm_probe(identity_op(), v, 8, 1, 0)),
+    ("probe exponent p", "a real number in (1, inf)", 1.0,
+     lambda v: lp_norm_probe(MultiplierOp(np.zeros(1), 1.0, ONES), v, 8, 1, 0)),
     ("alpha for degree 2 and p0 4", "a real number in (0, 1.25e-07)", 1e-3,
      lambda v: PipelineConfig(alpha=v, c0=64, p0=4, degree=2)),
     ("jump threshold lam", "a real number in (0, inf]", 0.0, lambda v: jump_count([0.0, 1.0], v)),
@@ -88,7 +95,6 @@ CASES = [
     ("depth", "an integer in [0, 20]", 21, lambda v: lepingle_stat(2, 3, v, 2, 0)),
     ("trials", "an integer in [1, 1000000]", 10**6 + 1, lambda v: lepingle_stat(2, 3, 2, v, 0)),
     ("l_max", "an integer in [0, 11]", 12, lambda v: lemma1_grid_sweep(SQUARE, [64], v, 1, 3)),
-    ("max_lag", "an integer in [1, 4]", 5, lambda v: vdc_correlation(np.eye(5), v)),
     ("uniform_from", "an integer in [0, 3]", 4,
      lambda v: average_series(FiniteSystem(8, 1), LINEAR, Signal.delta(8), [4, 8], uniform_from=v)),
     ("numerator", "an integer in [0, 4]", 5, lambda v: ReducedFraction(v, 5)),
@@ -98,12 +104,22 @@ CASES = [
     ("high_scale", "an integer in [-512, 511]", 600, lambda v: approx_average_op(SQUARE, 64, 2, v)),
     ("narrow_scale", "an integer in [-1024, 1023]", 2000,
      lambda v: factorization_gap(Signal.delta(64), SQUARE, 64, 2, 1, v)),
+    # scales N whose work grows with N, at most _util.MAX_SCALE: a huge N ran without end or
+    # failed inside numpy
+    ("N", SCALE, 2**24 + 1, lambda v: discrepancy(LINEAR, 0.5, [v]), "N of scales"),
+    ("N", SCALE, 2**24 + 1, lambda v: average_linear(SQUARE, v, Signal.delta(8)), "N of averages"),
+    ("N", SCALE, 2**24 + 1, lambda v: kernel(SQUARE, v, 8), "N of kernel"),
+    ("N", SCALE, 2**24 + 1, lambda v: average_bilinear(SQUARE, v, Signal.delta(8), Signal.delta(8)),
+     "N of average_bilinear"),
+    ("N", SCALE, 2**24 + 1, lambda v: lemma1_residual(SQUARE, v, ReducedFraction(1, 3), 0.3333, 4.0),
+     "N of lemma1_residual"),
+    ("N", SCALE, 2**24 + 1, lambda v: weyl_sum(SQUARE, v, 0.3), "N of weyl_sum"),
 ]
 
 
 @pytest.mark.parametrize("name, kind, call, value", [
-    pytest.param(name, kind, call, value, id=f"{name}-{value!r}")
-    for name, kind, out_of_range, call in CASES
+    pytest.param(name, kind, call, value, id=f"{label[0] if label else name}-{value!r}")
+    for name, kind, out_of_range, call, *label in CASES
     for value in (math.nan, "0.5", None, 1j, out_of_range)
     if not (name == "support_halfwidth" and value is None)  # None: no support limit
 ])

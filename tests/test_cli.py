@@ -107,6 +107,16 @@ class TestSubcommands:
         assert len(mags) == 4
         assert all(abs(m - 5**-0.5) < 1e-12 for m in mags)
 
+    def test_gauss_table_stops_at_the_farey_bound(self, capsys):
+        # a table costs O(q) per numerator: --den 100000 had not finished after 10 s
+        assert len(run_json(capsys, "gauss", "--poly", "0,0,1", "--den", "2048")["result"]["values"]) == 1024
+        code, out, err = run_cli(capsys, "gauss", "--poly", "0,0,1", "--den", "2049")
+        assert code == 2 and out == ""
+        assert err == "error: --den must be an integer in [1, 2048], got 2049\n"
+        # one numerator is bounded by multipliers.MAX_MODULUS instead
+        doc = run_json(capsys, "gauss", "--poly", "0,0,1", "--den", "2049", "--num", "1")
+        assert [(v["num"], v["den"]) for v in doc["result"]["values"]] == [(1, 2049)]
+
     def test_mfrak(self, capsys):
         doc = run_json(capsys, "mfrak", "--poly", "0,1", "--n", "50", "--xi", "0.0")
         assert doc["result"]["re"] == pytest.approx(1.0)
@@ -494,7 +504,8 @@ class TestErrors:
         (("fractions", "--n1", "inf"), "denominator bound"),
         (("fractions", "--n1", "nan"), "denominator bound"),
         (("arcs", "--n1", "inf", "--n2", "0.001"), "denominator bound"),
-        (("weyl-scan", "--poly", "0,0,1", "--ns", "0,64", "--samples", "5", "--seed", "0"), ">= 1"),
+        pytest.param(("weyl-scan", "--poly", "0,0,1", "--ns", "0,64", "--samples", "5", "--seed", "0"),
+                     "N must be an integer in [1, 16777216], got 0", id="argv6->= 1"),
         pytest.param(("lepingle", "--r", "0.5", "--depth", "4", "--trials", "2"), "variation exponent r must be a real number in [1, inf], got 0.5",
                      id="argv7-r >= 1"),
         pytest.param(("lepingle", "--r", "nan", "--depth", "4", "--trials", "2"), "variation exponent r must be a real number in [1, inf], got nan",
@@ -563,6 +574,16 @@ class TestErrors:
         (("project", "--q", "1" + "0" * 30, "--n1", "4", "--n2", "0.01", "--symbol-only"), "modulus"),
         # float(N) raised OverflowError (exit 1)
         (("weyl-scan", "--poly", "0,0,1", "--ns", "1" + "0" * 400, "--samples", "10", "--eps", "0"), "N"),
+        # O(N) work with no end in sight
+        (("lemma1", "--poly", "0,0,1", "--n", "1" + "0" * 400, "--frac", "1/3", "--xi", "0.3333", "--bigm", "2"), "N"),
+        (("weyl-scan", "--poly", "0,0,1", "--ns", "1" + "0" * 300, "--samples", "10", "--eps", "0"), "N"),
+        # numpy's "Maximum allowed size exceeded"
+        (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--nmax", "1" + "0" * 30), "N"),
+        (("split", "--q", "64", "--poly", "0,0,1", "--n", "1" + "0" * 30, "--seed", "1"), "N"),
+        (("discrepancy", "--poly", "0,0,1", "--theta", "sqrt2", "--ns", "1" + "0" * 30), "N"),
+        # O(q^2) work for the table, numpy's "Maximum allowed dimension exceeded" for one numerator
+        (("gauss", "--poly", "0,0,1", "--den", "100000"), "--den"),
+        (("gauss", "--poly", "0,0,1", "--den", "1" + "0" * 30, "--num", "1"), "--den"),
     ])
     def test_integer_out_of_range_exits_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

@@ -20,7 +20,6 @@ from circle_lab.ergodic_lab import (
     mean_ergodic_check,
     orbit_polynomial,
     star_discrepancy,
-    vdc_correlation,
 )
 from circle_lab.polyavg import IntPolynomial, Signal, average_linear, riesz_split
 from circle_lab.seminorms import lacunary, variation_values
@@ -141,8 +140,10 @@ class TestAverageSeries:
         assert np.array_equal(series.values, average_series(sys, LINEAR, f, [3, 5, 9]).values)
 
     @pytest.mark.parametrize("ns, m, message", [
-        ([2.5, 4], 0, "N must be an integer >= 1, got 2.5"),  # was read as N = 2
-        ([0, 4], 0, "N must be an integer >= 1, got 0"),
+        pytest.param([2.5, 4], 0, "N must be an integer in [1, 16777216], got 2.5",  # was read as N = 2
+                     id="ns0-0-N must be an integer >= 1, got 2.5"),
+        pytest.param([0, 4], 0, "N must be an integer in [1, 16777216], got 0",
+                     id="ns1-0-N must be an integer >= 1, got 0"),
         ([], 0, "need at least one N"),
         # an explicit id names the case; the message is checked in full
         pytest.param([4], 1.0, "uniform_from must be an integer in [0, 3], got 1.0",
@@ -331,28 +332,6 @@ class TestConvergenceDiagnostic:
             convergence_diagnostic(series, 2.0, tail_start=5)
 
 
-class TestVdcCorrelation:
-    def test_constant_unit_vector(self):
-        u = np.tile(np.array([1.0, 0.0]), (12, 1))
-        assert np.allclose(vdc_correlation(u, 5), 1.0)
-
-    def test_rotation_orbit_never_decays(self):
-        u = np.exp(2j * np.pi * np.arange(1, 31) / 3)
-        assert np.allclose(vdc_correlation(u, 6), 1.0, atol=1e-12)
-
-    def test_orthonormal_vectors(self):
-        assert np.allclose(vdc_correlation(np.eye(9), 4), 0.0)
-
-    def test_lag_validation(self):
-        with pytest.raises(ValueError):
-            vdc_correlation(np.eye(3), 3)
-
-    def test_lag_is_an_integer(self):
-        # 2.5 raised TypeError from range
-        with pytest.raises(ValueError, match=re.escape("max_lag must be an integer in [1, 4], got 2.5")):
-            vdc_correlation(np.eye(5), 2.5)
-
-
 class TestDiscrepancy:
     def test_total_concentration(self):
         rep = discrepancy(LINEAR, 0.0, [10])
@@ -371,7 +350,8 @@ class TestDiscrepancy:
 
     @pytest.mark.parametrize("ns, message", [
         ([], "need at least one N"),
-        ([2.5, 10], "N must be an integer >= 1, got 2.5"),  # was read as N = 2
+        pytest.param([2.5, 10], "N must be an integer in [1, 16777216], got 2.5",  # was read as N = 2
+                     id="ns1-N must be an integer >= 1, got 2.5"),
     ])
     def test_rejects_bad_scales(self, ns, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -454,7 +434,7 @@ class TestMeanErgodicCheck:
 
     def test_rejects_non_integer_scales(self):
         # [2.5, 4] was read as N = 2 and 4
-        with pytest.raises(ValueError, match=re.escape("N must be an integer >= 1, got 2.5")):
+        with pytest.raises(ValueError, match=re.escape("N must be an integer in [1, 16777216], got 2.5")):
             mean_ergodic_check(FiniteSystem(8, 1), Signal.delta(8), [2.5, 4])
 
     def test_nonergodic_reports_flag(self):

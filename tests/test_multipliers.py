@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import circle_lab.expsums as expsums
+import circle_lab.multipliers as multipliers
 from circle_lab._util import substream
 from circle_lab.arcs import DyadicScale, ReducedFraction, canonical_fractions, wrap_signed
 from circle_lab.expsums import weyl_multiplier_grid
@@ -22,7 +22,6 @@ from circle_lab.multipliers import (
     eta,
     eta_at_scale,
     factorization_gap,
-    identity_op,
     kernel_l1_bound,
     l2_operator_norm,
     lp_norm_probe,
@@ -43,6 +42,7 @@ from circle_lab.polyavg import (
 from oracles import exact_pnorm, planted_symbol
 
 SQUARE = IntPolynomial((0, 0, 1))
+IDENTITY = MultiplierOp(np.zeros(1), 1.0, np.ones_like)  # symbol 1 at every frequency
 
 
 def random_signal(q, seed, real=False):
@@ -170,7 +170,7 @@ class TestProjectDyadic:
 class TestMultiplierOp:
     def test_identity(self):
         f = random_signal(64, 9)
-        out = multiplier_apply(f, identity_op())
+        out = multiplier_apply(f, IDENTITY)
         assert (out - f).norm(2) <= 1e-12 * f.norm(2)
 
     def test_projection_op_reproduces_project(self):
@@ -188,7 +188,7 @@ class TestMultiplierOp:
     def test_symbol_grid_needs_a_modulus(self, modulus):
         # 0 divided by zero and -4 asked numpy for a negative dimension
         with pytest.raises(ValueError, match=re.escape(f"modulus must be an integer >= 1, got {modulus!r}")):
-            identity_op().symbol_on_grid(modulus)
+            IDENTITY.symbol_on_grid(modulus)
 
     @pytest.mark.parametrize("modulus", [MAX_MODULUS + 1, 2**40, 10**30])
     def test_modulus_past_the_ceiling(self, modulus):
@@ -198,7 +198,7 @@ class TestMultiplierOp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
-                identity_op().symbol_on_grid(modulus)
+                IDENTITY.symbol_on_grid(modulus)
             with pytest.raises(ValueError, match=message):
                 projection_symbol(modulus, 4, 0.01)
             with pytest.raises(ValueError, match=message):
@@ -244,13 +244,13 @@ class TestMultiplierOp:
 
 class TestOperatorNorms:
     def test_identity_norm(self):
-        assert l2_operator_norm(identity_op(), 32) == pytest.approx(1.0)
+        assert l2_operator_norm(IDENTITY, 32) == pytest.approx(1.0)
 
     def test_disjoint_projection_contracts(self):
         assert l2_operator_norm(projection_op(4, 2**-8), 256) <= 1.0 + 1e-12
 
     def test_probe_identity(self):
-        assert lp_norm_probe(identity_op(), 4.0, 64, 2, 0) == pytest.approx(1.0, abs=1e-12)
+        assert lp_norm_probe(IDENTITY, 4.0, 64, 2, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_probe_of_small_operator(self):
         # T = 1e-100 I: the fourth powers of Tf (about 1e-400) underflow
@@ -295,15 +295,15 @@ class TestOperatorNorms:
 
     def test_probe_validation(self):
         with pytest.raises(ValueError):
-            lp_norm_probe(identity_op(), 4.0, 16, 0, 0)
+            lp_norm_probe(IDENTITY, 4.0, 16, 0, 0)
         with pytest.raises(ValueError):
-            lp_norm_probe(identity_op(), 1.0, 16, 1, 0)
+            lp_norm_probe(IDENTITY, 1.0, 16, 1, 0)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0, 0.5, -2.0])
     def test_probe_exponent_is_checked(self, p):
         # NaN slipped past `p <= 1` and came back as a "certified" 0.0
         with pytest.raises(ValueError, match=re.escape(f"probe exponent p must be a real number in (1, inf), got {p!r}")):
-            lp_norm_probe(identity_op(), p, 8, 1, 0)
+            lp_norm_probe(IDENTITY, p, 8, 1, 0)
 
     @pytest.mark.parametrize("p", [1.5, 4.0])
     def test_probe_of_zero_operator(self, p):
@@ -537,13 +537,13 @@ class TestSymbolEngine:
 
     def test_approx_mm_once_per_distinct_offset(self, monkeypatch):
         calls = []
-        original = expsums._mm_many
+        original = multipliers._mm_many
 
         def counting(poly, n, xs):
             calls.append(np.array(xs))
             return original(poly, n, xs)
 
-        monkeypatch.setattr(expsums, "_mm_many", counting)
+        monkeypatch.setattr(multipliers, "_mm_many", counting)
         op = approx_average_op(SQUARE, 256, 2, 2)
         op.symbol_on_grid(4096)
         assert op.centers.size == 6
