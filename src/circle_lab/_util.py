@@ -17,6 +17,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 MAX_SCALE = 1 << 24  # the largest N of a path whose work or memory grows with N
+MAX_MODULUS = 1 << 24  # the largest Q a kernel, a symbol, a property report or a CLI signal is built on
 
 
 def integer(value, name: str, low: int | None = None, high: int | None = None) -> int:

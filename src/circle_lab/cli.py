@@ -3,7 +3,7 @@
 Every subcommand resolves its parameters into a RunConfig, runs one library
 call, and emits a JSON report (or, with --format csv, the table it built).
 Reports embed the resolved config and a schema tag; reruns with the same
-arguments are byte-identical unless --timestamp is requested.
+arguments are byte-identical, at any --threads.
 
 Each subcommand is declared once, by the `command` decorator on its
 handler: name, help line and flags.  The parser is built from that registry
@@ -18,7 +18,6 @@ import io
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +47,6 @@ from . import (
     lemma1_residual,
     lepingle_stat,
     lp_norm_probe,
-    minor_sup_grid,
     oscillation,
     project,
     projection_op,
@@ -57,23 +55,22 @@ from . import (
     variation,
     weyl_decay_scan,
 )
-from ._util import integer, substream
+from ._util import MAX_MODULUS, integer, substream
 from .arcs import FAREY_MAX_DENOMINATOR
-from .expsums import scan_arcs
-from .multipliers import MAX_MODULUS
 
 SCHEMA = "circle-lab/1"
 
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: subcommand, validated parameters, output shape."""
+    """Resolved invocation: subcommand, validated parameters, and the
+    execution settings that no report echoes (output shape, worker count)."""
 
     subcommand: str
     params: dict
     out_format: str = "json"
     out_path: str = "-"
-    timestamp: bool = False
+    threads: int | None = None
 
 
 def _write(text: str, path: str) -> None:
@@ -109,8 +106,6 @@ def _emit(config: RunConfig, result: dict, csv_text: str | None = None) -> None:
         "config": config.params,
         "result": result,
     }
-    if config.timestamp:
-        envelope["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     # a NaN left in a report is a quiet wrong answer: refuse it (exit 2)
     text = json.dumps(_strict(envelope), indent=2, sort_keys=True, allow_nan=False)
     _write(text, config.out_path)
@@ -134,10 +129,9 @@ def _read_signal(path: str | None, modulus: int, seed: int | None) -> Signal:
     if path:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
         if text.lstrip().startswith("{"):
-            return Signal.from_json(text)
+            return Signal.from_dict(json.loads(text))
         return Signal.from_csv(io.StringIO(text))
-    q = integer(modulus, "modulus", 1)
-    integer(q, "modulus", high=MAX_MODULUS)  # before the signal is allocated
+    q = integer(modulus, "modulus", 1, MAX_MODULUS)  # before the signal is allocated
     if seed is None:
         return Signal.delta(q)
     rng = substream(seed)
@@ -194,11 +188,8 @@ def _arg(*names: str, **kw) -> tuple:
     return names, kw
 
 
-# every subcommand takes these, after its own flags
-_COMMON = (
-    _arg("--out", default="-", help="output path, - for stdout"),
-    _arg("--timestamp", action="store_true", help="embed a wall-clock stamp"),
-)
+# every subcommand takes this, after its own flags
+_OUT = _arg("--out", default="-", help="output path, - for stdout")
 # only the subcommands that build a table take this
 _FORMAT = _arg("--format", choices=("json", "csv"), default="json")
 # resolved by _scale_pair
@@ -265,7 +256,6 @@ def _cmd_arcs(cfg: RunConfig) -> None:
           _arg("--samples", type=int, default=2000),
           _arg("--seed", type=int, default=7),
           _arg("--fixed-halfwidth", type=float),
-          _arg("--grid-oracle", type=int),
           _arg("--csv", help="also write the (N, sup_abs) table here"),
           _arg("--threads", type=int),
           _FORMAT)
@@ -281,19 +271,10 @@ def _cmd_weyl_scan(cfg: RunConfig) -> None:
         p["samples"],
         p["seed"],
         halfwidth=p.get("fixed_halfwidth"),
-        threads=p.get("threads"),
+        threads=cfg.threads,
     )
-    result = report.to_dict()
-    if p.get("grid_oracle"):
-        n0 = ns[0]
-        arcs = scan_arcs(n0, poly.degree, p["eps"], p["bigc"], p.get("fixed_halfwidth"))
-        result["grid_oracle"] = {
-            "n": n0,
-            "resolution": p["grid_oracle"],
-            "sup_abs": minor_sup_grid(poly, n0, arcs, p["grid_oracle"]),
-        }
     csv_text = "n,sup_abs\n" + "".join(f"{n},{s!r}\n" for n, s in report.points)
-    _emit(cfg, result, csv_text)
+    _emit(cfg, report.to_dict(), csv_text)
     if p.get("csv"):
         _write(csv_text, p["csv"])
 
@@ -308,7 +289,7 @@ def _cmd_gauss(cfg: RunConfig) -> None:
     one = p.get("num") is not None
     # each G(a/q) costs O(q), so a table of every numerator stops at the Farey bound
     q = integer(p["den"], "--den", 1, MAX_MODULUS if one else FAREY_MAX_DENOMINATOR)
-    nums = [p["num"]] if one else [a for a in range(q) if math.gcd(a, q) == 1 or (a == 0 and q == 1)]
+    nums = [p["num"]] if one else [a for a in range(q) if math.gcd(a, q) == 1]
     rows = []
     for a in nums:
         g = complete_sum(poly, ReducedFraction(a, q))
@@ -415,8 +396,8 @@ def _cmd_split(cfg: RunConfig) -> None:
     f = _read_signal(p.get("infile"), p["q"], p.get("seed"))
     major, minor, report = arc_split(f, poly, p["n"], pipeline, p_values=p["p_values"])
     if p.get("save_prefix"):
-        Path(p["save_prefix"] + ".major.json").write_text(major.to_json())
-        Path(p["save_prefix"] + ".minor.json").write_text(minor.to_json())
+        Path(p["save_prefix"] + ".major.json").write_text(json.dumps(major.to_dict()))
+        Path(p["save_prefix"] + ".minor.json").write_text(json.dumps(minor.to_dict()))
     _emit(cfg, report)
 
 
@@ -471,10 +452,7 @@ _seminorm("oscillation", oscillation, {"--r": float, "--anchors": _int_list})
           _arg("--threads", type=int))
 def _cmd_lepingle(cfg: RunConfig) -> None:
     p = cfg.params
-    stat = lepingle_stat(
-        p["p"], p["r"], p["depth"], p["trials"], p["seed"], threads=p.get("threads")
-    )
-    _emit(cfg, stat)
+    _emit(cfg, lepingle_stat(p["p"], p["r"], p["depth"], p["trials"], p["seed"], threads=cfg.threads))
 
 
 @_command("ergodic", "average series diagnostics on a cyclic shift",
@@ -562,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, flags, _) in _COMMANDS.items():
         sub = sp.add_parser(name, help=help_line)
-        for names, kw in flags + _COMMON:
+        for names, kw in flags + (_OUT,):
             sub.add_argument(*names, **kw)
     return parser
 
@@ -573,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
         subcommand=args.pop("command"),
         out_format=args.pop("format", "json"),
         out_path=args.pop("out"),
-        timestamp=args.pop("timestamp"),
+        threads=args.pop("threads", None),
         params={k: v for k, v in args.items() if v is not None},
     )
     return run(config)

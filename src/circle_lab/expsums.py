@@ -121,6 +121,11 @@ def _scratch(shape: tuple[int, ...]) -> list[np.ndarray]:
     return [np.empty(shape, dtype) for dtype in (np.int64, float, float, float, complex, complex)]
 
 
+# residues per chunk of a sum at a fraction; OpenBLAS splits a dot longer than
+# 10^4 over its threads, which made the rounding depend on the CPU count
+_RATIONAL_CHUNK = 1 << 13
+
+
 def weyl_sum(
     poly: IntPolynomial,
     n_range: int,
@@ -131,18 +136,25 @@ def weyl_sum(
     A ReducedFraction or Fraction argument takes the exact path: phases
     a*P(n) are reduced mod q in integers, and since n and n + q give the
     same phase only n = 1..min(N, q) are visited, each weighted by how
-    often its residue class occurs in [1, N], so N has no ceiling there.  A
-    real xi must be finite, and N at most MAX_SCALE.
+    often its residue class occurs in [1, N], in chunks of _RATIONAL_CHUNK,
+    so N has no ceiling there but min(N, q) is at most MAX_SCALE.  A real
+    xi must be finite, and N at most MAX_SCALE.
     """
     if isinstance(xi, (ReducedFraction, Fraction)):
         n = integer(n_range, "N", 1)
         a, q = xi.numerator % xi.denominator, xi.denominator
         m = min(n, q)
+        if m > MAX_SCALE:
+            raise ValueError(f"min(N, q) must be at most {MAX_SCALE}, got N = {n} and q = {q}")
         scaled = IntPolynomial(a * c for c in poly.coefficients)
-        phases = np.asarray(_residues(scaled, m, q) / q, dtype=float)
-        weights = np.full(m, n // q)
-        weights[: n % q] += 1
-        return complex(np.dot(weights, np.exp(2j * math.pi * phases)) / n)
+        total = 0j
+        for lo in range(0, m, _RATIONAL_CHUNK):
+            hi = min(lo + _RATIONAL_CHUNK, m)
+            phases = np.asarray(_residues(scaled, hi, q, lo) / q, dtype=float)
+            weights = np.full(hi - lo, n // q)
+            weights[: max(n % q - lo, 0)] += 1
+            total += np.dot(weights, np.exp(2j * math.pi * phases))
+        return complex(total / n)
     return complex(_weyl_many(poly, integer(n_range, "N", 1, MAX_SCALE), np.array([float(xi)]))[0])
 
 

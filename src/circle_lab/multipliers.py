@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import integer, pnorm, range_units, real, substream
+from ._util import MAX_MODULUS, integer, pnorm, range_units, real, substream
 from .arcs import (
     MAX_LEVEL,
     ArcSystem,
@@ -33,8 +33,6 @@ from .polyavg import (
     signal_from_spectrum,
     spectrum,
 )
-
-MAX_MODULUS = 1 << 24  # the largest Q a symbol, a property report or a CLI signal is built on
 
 
 def eta(x):
@@ -95,8 +93,7 @@ def projection_property_report(q: int, l: int, m: int, seed: int) -> dict:
     """Deviations for the four structural projection properties at (l, m):
     self-adjointness, l2 contraction, spectral support containment, and
     reproduction of deeply supported signals."""
-    q, rng, scale = integer(q, "modulus", 1), substream(seed), DyadicScale(l, m)
-    integer(q, "modulus", high=MAX_MODULUS)
+    q, rng, scale = integer(q, "modulus", 1, MAX_MODULUS), substream(seed), DyadicScale(l, m)
     f = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
     g = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
     pf, pg = project_dyadic(f, scale), project_dyadic(g, scale)
@@ -177,8 +174,7 @@ class MultiplierOp:
     def symbol_on_grid(self, modulus: int) -> np.ndarray:
         """Exact symbol at j/Q from one base_symbol call per batch of center
         windows, summed in center order (bit-identical to a full-grid sum)."""
-        modulus = integer(modulus, "modulus", 1)
-        integer(modulus, "modulus", high=MAX_MODULUS)  # before the symbol is allocated
+        modulus = integer(modulus, "modulus", 1, MAX_MODULUS)  # before the symbol is allocated
         h, centers = self.support_halfwidth, self.centers
         weights = np.broadcast_to(np.asarray(self.weights, dtype=np.complex128), centers.shape)
         width, starts = modulus, np.zeros(centers.size, dtype=np.int64)

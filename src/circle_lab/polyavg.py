@@ -9,14 +9,13 @@ inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import MAX_SCALE, integer, pnorm
+from ._util import MAX_MODULUS, MAX_SCALE, integer, pnorm
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficients == (0,)
-
     def __call__(self, n: int) -> int:
         """Exact evaluation by nested multiplication; Python integers never
         overflow."""
@@ -62,7 +57,7 @@ class IntPolynomial:
     def __str__(self) -> str:
         terms = []
         for k, c in enumerate(self.coefficients):
-            if c == 0 and not self.is_zero:
+            if c == 0 and self.coefficients != (0,):
                 continue
             if k == 0:
                 terms.append(str(c))
@@ -120,11 +115,6 @@ class Signal:
         self._check_modulus(other)
         return Signal(self.modulus, self.values - other.values)
 
-    def __mul__(self, scalar: complex) -> "Signal":
-        return Signal(self.modulus, self.values * scalar)
-
-    __rmul__ = __mul__
-
     def _check_modulus(self, other: "Signal") -> None:
         if self.modulus != other.modulus:
             raise ValueError(
@@ -134,9 +124,6 @@ class Signal:
     def norm(self, p: float = 2) -> float:
         """Counting-measure norm on Z/QZ; p may be math.inf."""
         return float(pnorm(self.values, p))
-
-    def mean(self) -> complex:
-        return complex(self.values.mean())
 
     def to_dict(self) -> dict:
         return {
@@ -150,18 +137,6 @@ class Signal:
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
         return cls(data["modulus"], re + 1j * im)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Signal":
-        return cls.from_dict(json.loads(text))
-
-    def to_csv(self, out: IO[str]) -> None:
-        out.write("index,re,im\n")
-        for i, v in enumerate(self.values):
-            out.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
 
     @classmethod
     def from_csv(cls, src: IO[str]) -> "Signal":
@@ -199,18 +174,19 @@ def signal_from_spectrum(modulus: int, coeffs: np.ndarray) -> Signal:
 # ---------------------------------------------------------------------------
 
 
-def _residues(poly: IntPolynomial, n_max: int, modulus: int) -> np.ndarray:
-    """P(n) mod Q for n = 1..n_max: the library's one integer Horner loop.
+def _residues(poly: IntPolynomial, n_max: int, modulus: int, start: int = 0) -> np.ndarray:
+    """P(n) mod Q for n = start+1..n_max: the library's one integer Horner
+    loop.
 
     With n reduced mod Q first, every intermediate stays below
     Q*(min(n_max, Q-1)+1); the loop runs in int64 while that is below 2^62
     and in exact Python integers otherwise.  Returns int64 when Q <= 2^63.
     """
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    ns = np.arange(start + 1, n_max + 1, dtype=np.int64)
     if modulus * (min(n_max, modulus - 1) + 1) >= 2**62:
         ns = ns.astype(object)
     ns %= modulus
-    acc = np.full(n_max, poly.coefficients[-1] % modulus, dtype=ns.dtype)
+    acc = np.full(ns.size, poly.coefficients[-1] % modulus, dtype=ns.dtype)
     for c in reversed(poly.coefficients[:-1]):
         acc = (acc * ns + c % modulus) % modulus
     return acc.astype(np.int64, copy=False) if modulus <= 2**63 else acc
@@ -218,7 +194,7 @@ def _residues(poly: IntPolynomial, n_max: int, modulus: int) -> np.ndarray:
 
 def kernel(poly: IntPolynomial, n_range: int, modulus: int) -> Signal:
     """Averaging kernel on Z/QZ: K(x) = #{n in [N] : P(n) = x mod Q} / N."""
-    n, q = integer(n_range, "N", 1, MAX_SCALE), integer(modulus, "modulus", 1)
+    n, q = integer(n_range, "N", 1, MAX_SCALE), integer(modulus, "modulus", 1, MAX_MODULUS)
     counts = np.bincount(_residues(poly, n, q), minlength=q)
     return Signal(q, counts.astype(np.complex128) / n)
 

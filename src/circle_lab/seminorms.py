@@ -51,9 +51,6 @@ class RealSequence:
     def of(cls, seq) -> "RealSequence":
         return seq if isinstance(seq, RealSequence) else cls(seq)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class SeminormReport:

@@ -34,8 +34,10 @@ from circle_lab import (
     lemma1_residual,
     lepingle_stat,
     lp_norm_probe,
+    minor_sup_grid,
     oscillation,
     projection_op,
+    projection_property_report,
     variation,
     variation_values,
     weyl_decay_scan,
@@ -43,6 +45,7 @@ from circle_lab import (
 )
 from circle_lab._util import integer, pnorm, real
 from circle_lab.arcs import ReducedFraction, TorusIntervalSet
+from circle_lab.expsums import scan_arcs
 from circle_lab.multipliers import MultiplierOp, eta_at_scale, shell_vanishing_overlap
 
 SQUARE = IntPolynomial((0, 0, 1))
@@ -114,6 +117,15 @@ CASES = [
     ("N", SCALE, 2**24 + 1, lambda v: lemma1_residual(SQUARE, v, ReducedFraction(1, 3), 0.3333, 4.0),
      "N of lemma1_residual"),
     ("N", SCALE, 2**24 + 1, lambda v: weyl_sum(SQUARE, v, 0.3), "N of weyl_sum"),
+    # moduli Q of a table of length Q, at most _util.MAX_MODULUS: 2^40 asked numpy for
+    # 8 TiB in kernel and minor_sup_grid
+    ("modulus", SCALE, 2**24 + 1, lambda v: kernel(SQUARE, 4, v), "modulus of kernel"),
+    ("modulus", SCALE, 2**24 + 1, lambda v: minor_sup_grid(SQUARE, 64, scan_arcs(64, 2, 0.125, 1.0), v),
+     "modulus of minor_sup_grid"),
+    ("modulus", SCALE, 2**24 + 1, MultiplierOp(np.zeros(1), 1.0, ONES).symbol_on_grid,
+     "modulus of symbol_on_grid"),
+    ("modulus", SCALE, 2**24 + 1, lambda v: projection_property_report(v, 2, -6, 0),
+     "modulus of projection_property_report"),
 ]
 
 

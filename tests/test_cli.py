@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import circle_lab.cli as cli
 from circle_lab import PipelineConfig, arc_split, project
 from circle_lab._util import resolve_threads, substream
 from circle_lab.cli import RunConfig, _emit, build_parser, main, run
@@ -41,11 +42,12 @@ class TestEnvelope:
                           "--samples", "25", "--seed", "5")
         assert a == b
 
-    def test_timestamp_optional(self, capsys):
-        doc = run_json(capsys, "fractions", "--n1", "2")
-        assert "timestamp" not in doc
-        doc = run_json(capsys, "fractions", "--n1", "2", "--timestamp")
-        assert "timestamp" in doc
+    def test_timestamp_is_a_usage_error(self, capsys):
+        # a report never depends on the clock
+        with pytest.raises(SystemExit) as exc:
+            main(["fractions", "--n1", "2", "--timestamp"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timestamp" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -93,13 +95,13 @@ class TestSubcommands:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "n,sup_abs" and len(lines) == 3
 
-    def test_weyl_scan_grid_oracle(self, capsys):
-        doc = run_json(
-            capsys, "weyl-scan", "--poly", "0,0,1", "--ns", "64", "--samples", "50",
-            "--seed", "7", "--grid-oracle", "4096",
-        )
-        res = doc["result"]
-        assert res["grid_oracle"]["sup_abs"] >= res["points"][0]["sup_abs"] - 1e-12
+    def test_grid_oracle_flag_is_a_usage_error(self, capsys):
+        # the full-grid cross-check is minor_sup_grid, called from the tests
+        with pytest.raises(SystemExit) as exc:
+            main(["weyl-scan", "--poly", "0,0,1", "--ns", "64", "--samples", "50",
+                  "--grid-oracle", "4096"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid-oracle 4096" in capsys.readouterr().err
 
     def test_gauss(self, capsys):
         doc = run_json(capsys, "gauss", "--poly", "0,0,1", "--den", "5")
@@ -113,7 +115,7 @@ class TestSubcommands:
         code, out, err = run_cli(capsys, "gauss", "--poly", "0,0,1", "--den", "2049")
         assert code == 2 and out == ""
         assert err == "error: --den must be an integer in [1, 2048], got 2049\n"
-        # one numerator is bounded by multipliers.MAX_MODULUS instead
+        # one numerator is bounded by _util.MAX_MODULUS instead
         doc = run_json(capsys, "gauss", "--poly", "0,0,1", "--den", "2049", "--num", "1")
         assert [(v["num"], v["den"]) for v in doc["result"]["values"]] == [(1, 2049)]
 
@@ -178,7 +180,7 @@ class TestSubcommands:
     def test_project_roundtrip(self, capsys, tmp_path):
         sig = Signal.delta(64)
         path = tmp_path / "sig.json"
-        path.write_text(sig.to_json())
+        path.write_text(json.dumps(sig.to_dict()))
         doc = run_json(
             capsys, "project", "--q", "64", "--n1", "2", "--n2", "0.01",
             "--in", str(path),
@@ -286,8 +288,8 @@ class TestSubcommands:
             capsys, "split", "--q", "256", "--poly", "0,0,1", "--n", "64", "--seed", "3",
             "--save-prefix", prefix,
         )
-        major = Signal.from_json(Path(prefix + ".major.json").read_text())
-        minor = Signal.from_json(Path(prefix + ".minor.json").read_text())
+        major = Signal.from_dict(json.loads(Path(prefix + ".major.json").read_text()))
+        minor = Signal.from_dict(json.loads(Path(prefix + ".minor.json").read_text()))
         rng = substream(3)
         f = Signal(256, rng.standard_normal(256) + 1j * rng.standard_normal(256))
         want = arc_split(f, IntPolynomial((0, 0, 1)), 64, PipelineConfig.desk(2))
@@ -701,14 +703,22 @@ class TestThreads:
         for value in ("1", "2"):
             code, out, err = run_cli(capsys, *LEPINGLE, "--threads", value)
             assert code == 0, err
-            outs.append(out.replace(f'"threads": {value}', '"threads": N'))
+            outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_lepingle_thread_option(self, capsys):
+    def test_lepingle_thread_option(self, capsys, monkeypatch):
+        # --threads reaches the library but, like --out, is not echoed
+        seen, lepingle_stat = [], cli.lepingle_stat
+
+        def spy(*args, threads=None):
+            seen.append(threads)
+            return lepingle_stat(*args, threads=threads)
+
+        monkeypatch.setattr(cli, "lepingle_stat", spy)
         one = run_json(capsys, *LEPINGLE, "--threads", "1")
         two = run_json(capsys, *LEPINGLE, "--threads", "2")
-        assert one["config"]["threads"] == 1 and two["config"]["threads"] == 2
-        assert one["result"] == two["result"]
+        assert seen == [1, 2]
+        assert "threads" not in one["config"] and one == two
 
     @pytest.mark.parametrize("value", [2.5, "2", 0])
     def test_thread_argument_is_an_integer(self, value):

@@ -1,14 +1,18 @@
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circle_lab.expsums as expsums
 from circle_lab._util import substream
 from circle_lab.arcs import ArcSystem, ReducedFraction, TorusPoint, minor_sample
 from circle_lab.expsums import (
@@ -154,6 +158,52 @@ class TestExactPhaseReduction:
         poly = IntPolynomial((0, 10**20 + 7, -(10**30)))
         got = weyl_sum(poly, n, Fraction(a, q))
         assert abs(got - exact_weyl(poly, n, Fraction(a, q))) < 1e-12
+
+    @pytest.mark.parametrize("a, q", [(1, 3), (5, 97), (3, 1024), (2, 70001)])
+    def test_rational_huge_n(self, a, q):
+        # N = 10^30 is N // q whole periods of the phase plus a head of N % q terms
+        n, xi = 10**30, Fraction(a, q)
+        k, r = divmod(n, q)
+        want = (k * q * exact_weyl(SQUARE, q, xi) + (r * exact_weyl(SQUARE, r, xi) if r else 0)) / n
+        assert abs(weyl_sum(SQUARE, n, xi) - want) < 1e-12
+
+    @pytest.mark.parametrize("n, q", [(1, 5), (20, 23), (23, 23), (30, 23), (100, 30), (100, 7), (45, 1000)])
+    def test_rational_chunks(self, monkeypatch, n, q):
+        # chunks of 7 residues: the head of weight N // q + 1 ends inside, at or past a chunk
+        monkeypatch.setattr(expsums, "_RATIONAL_CHUNK", 7)
+        poly = IntPolynomial((3, -(10**20), 10**30 + 11))
+        for a in (1, q - 1):
+            got = weyl_sum(poly, n, Fraction(a, q))
+            assert abs(got - exact_weyl(poly, n, Fraction(a, q))) < 1e-12
+
+    def test_rational_memory_is_bounded(self):
+        # the whole min(N, q) = 2^20 residue table took 48 MiB at once
+        tracemalloc.start()
+        try:
+            weyl_sum(SQUARE, 2**20, Fraction(1, 2**20 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_rational_sum_does_not_depend_on_blas_threads(self):
+        # one dot over all 20011 residues was split over the OpenBLAS threads, so
+        # its last bits followed the CPU count
+        code = ("from fractions import Fraction; from circle_lab import IntPolynomial, weyl_sum; "
+                "print(repr(weyl_sum(IntPolynomial((0, 0, 1)), 20011, Fraction(1, 20011))))")
+        env = {**os.environ, "PYTHONPATH": str(Path(expsums.__file__).parents[1])}
+        outs = {
+            subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": t},
+                           capture_output=True, text=True, check=True).stdout
+            for t in ("1", "2")
+        }
+        assert len(outs) == 1
+
+    @pytest.mark.parametrize("n, q", [(2**24 + 1, 2**24 + 1), (10**30, 2**24 + 3), (2**24 + 1, 10**30 + 1)])
+    def test_rational_work_past_the_ceiling(self, n, q):
+        message = f"min(N, q) must be at most 16777216, got N = {n} and q = {q}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            weyl_sum(SQUARE, n, Fraction(1, q))
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
     def test_nonfinite_xi_rejected(self, xi):
@@ -513,6 +563,13 @@ class TestDecayScan:
     def test_grid_oracle_needs_a_minor_point(self):
         with pytest.raises(ValueError, match="arcs cover every grid frequency"):
             minor_sup_grid(SQUARE, 64, ArcSystem(2, 0.3), 8)
+
+    @pytest.mark.parametrize("grid_q", [2**40, 10**30])
+    def test_grid_oracle_modulus_past_the_ceiling(self, grid_q):
+        # 2^40 asked numpy for 8 TiB; 10^30 failed in a cast from dtype('O')
+        message = f"modulus must be an integer in [1, 16777216], got {grid_q}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            minor_sup_grid(SQUARE, 64, scan_arcs(64, 2, 0.125, 1.0), grid_q)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):

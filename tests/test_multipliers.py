@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circle_lab.multipliers as multipliers
-from circle_lab._util import substream
+from circle_lab._util import MAX_MODULUS, substream
 from circle_lab.arcs import DyadicScale, ReducedFraction, canonical_fractions, wrap_signed
 from circle_lab.expsums import weyl_multiplier_grid
 from circle_lab.multipliers import (
-    MAX_MODULUS,
     MultiplierOp,
     PipelineConfig,
     approx_average_op,
@@ -187,14 +186,14 @@ class TestMultiplierOp:
     @pytest.mark.parametrize("modulus", [0, -4, 64.0])
     def test_symbol_grid_needs_a_modulus(self, modulus):
         # 0 divided by zero and -4 asked numpy for a negative dimension
-        with pytest.raises(ValueError, match=re.escape(f"modulus must be an integer >= 1, got {modulus!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"modulus must be an integer in [1, {MAX_MODULUS}], got {modulus!r}")):
             IDENTITY.symbol_on_grid(modulus)
 
     @pytest.mark.parametrize("modulus", [MAX_MODULUS + 1, 2**40, 10**30])
     def test_modulus_past_the_ceiling(self, modulus):
         # 2^40 asked numpy for 16 TiB; 10^30 warned "invalid value encountered in cast"
         assert MAX_MODULUS >= 1 << 16  # the largest grid the bench uses
-        message = re.escape(f"modulus must be an integer <= {MAX_MODULUS}, got {modulus}")
+        message = re.escape(f"modulus must be an integer in [1, {MAX_MODULUS}], got {modulus}")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
