@@ -33,9 +33,7 @@ from .expsums import (
     lemma1_grid_sweep,
     lemma1_residual,
     minor_sup_grid,
-    shell_index,
     weyl_decay_scan,
-    weyl_multiplier_grid,
     weyl_sum,
 )
 from .multipliers import (

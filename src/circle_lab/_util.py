@@ -17,7 +17,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 MAX_SCALE = 1 << 24  # the largest N of a path whose work or memory grows with N
-MAX_MODULUS = 1 << 24  # the largest Q a kernel, a symbol, a property report or a CLI signal is built on
+MAX_MODULUS = 1 << 24  # the largest Q of a kernel, symbol, property report, delta or CLI signal
+MAX_SERIES = 1 << 26  # the largest T * Q of an average series: T scales N on Z/QZ
 
 
 def integer(value, name: str, low: int | None = None, high: int | None = None) -> int:

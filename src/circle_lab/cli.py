@@ -3,7 +3,8 @@
 Every subcommand resolves its parameters into a RunConfig, runs one library
 call, and emits a JSON report (or, with --format csv, the table it built).
 Reports embed the resolved config and a schema tag; reruns with the same
-arguments are byte-identical, at any --threads.
+arguments are byte-identical, whatever CPU affinity set (the worker count of
+weyl-scan, lepingle and ergodic) they run on.
 
 Each subcommand is declared once, by the `command` decorator on its
 handler: name, help line and flags.  The parser is built from that registry
@@ -64,13 +65,12 @@ SCHEMA = "circle-lab/1"
 @dataclass
 class RunConfig:
     """Resolved invocation: subcommand, validated parameters, and the
-    execution settings that no report echoes (output shape, worker count)."""
+    output settings that no report echoes (format and path)."""
 
     subcommand: str
     params: dict
     out_format: str = "json"
     out_path: str = "-"
-    threads: int | None = None
 
 
 def _write(text: str, path: str) -> None:
@@ -256,8 +256,6 @@ def _cmd_arcs(cfg: RunConfig) -> None:
           _arg("--samples", type=int, default=2000),
           _arg("--seed", type=int, default=7),
           _arg("--fixed-halfwidth", type=float),
-          _arg("--csv", help="also write the (N, sup_abs) table here"),
-          _arg("--threads", type=int),
           _FORMAT)
 def _cmd_weyl_scan(cfg: RunConfig) -> None:
     p = cfg.params
@@ -271,12 +269,9 @@ def _cmd_weyl_scan(cfg: RunConfig) -> None:
         p["samples"],
         p["seed"],
         halfwidth=p.get("fixed_halfwidth"),
-        threads=cfg.threads,
     )
     csv_text = "n,sup_abs\n" + "".join(f"{n},{s!r}\n" for n, s in report.points)
     _emit(cfg, report.to_dict(), csv_text)
-    if p.get("csv"):
-        _write(csv_text, p["csv"])
 
 
 @_command("gauss", "complete rational sums",
@@ -448,11 +443,10 @@ _seminorm("oscillation", oscillation, {"--r": float, "--anchors": _int_list})
           _arg("--r", type=float, default=3.0),
           _arg("--depth", type=int, default=10),
           _arg("--trials", type=int, default=500),
-          _arg("--seed", type=int, default=11),
-          _arg("--threads", type=int))
+          _arg("--seed", type=int, default=11))
 def _cmd_lepingle(cfg: RunConfig) -> None:
     p = cfg.params
-    _emit(cfg, lepingle_stat(p["p"], p["r"], p["depth"], p["trials"], p["seed"], threads=cfg.threads))
+    _emit(cfg, lepingle_stat(p["p"], p["r"], p["depth"], p["trials"], p["seed"]))
 
 
 @_command("ergodic", "average series diagnostics on a cyclic shift",
@@ -467,7 +461,6 @@ def _cmd_lepingle(cfg: RunConfig) -> None:
           _arg("--point", type=int, help="emit the label,re,im series at this x"),
           _arg("--in", dest="infile"),
           _arg("--seed", type=int),
-          _arg("--csv"),
           _FORMAT)
 def _cmd_ergodic(cfg: RunConfig) -> None:
     p = cfg.params
@@ -499,8 +492,6 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
             for n, row in zip(series.indices, series.values)
         )
     _emit(cfg, {"ergodic": sys_.is_ergodic, "diagnostic": diag}, csv_text)
-    if p.get("csv"):
-        _write(csv_text, p["csv"])
 
 
 @_command("discrepancy", "star discrepancy of polynomial orbits",
@@ -551,7 +542,6 @@ def main(argv: list[str] | None = None) -> int:
         subcommand=args.pop("command"),
         out_format=args.pop("format", "json"),
         out_path=args.pop("out"),
-        threads=args.pop("threads", None),
         params={k: v for k, v in args.items() if v is not None},
     )
     return run(config)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import integer, pnorm, real, scales
+from ._util import MAX_SERIES, integer, pnorm, real, scales
 from .expsums import _phases, _reduce
 from .polyavg import IntPolynomial, Signal, _averages, riesz_split
 from .seminorms import _block_oscillation, _Exponent, variation_values
@@ -38,11 +38,6 @@ class FiniteSystem:
     @property
     def is_ergodic(self) -> bool:
         return math.gcd(self.shift % self.modulus, self.modulus) == 1
-
-    def compose(self, f: Signal, power: int = 1) -> Signal:
-        """f after T^power, i.e. x -> f(x - power * s)."""
-        power = integer(power, "power")
-        return Signal(self.modulus, np.roll(f.values, (power * self.shift) % self.modulus))
 
 
 @dataclass(frozen=True)
@@ -79,11 +74,6 @@ class AverageSeries:
         return self.values
 
 
-def orbit_polynomial(sys: FiniteSystem, poly: IntPolynomial) -> IntPolynomial:
-    """f(T^P(n) x) = f(x - s*P(n)), so the effective orbit map is s*P."""
-    return IntPolynomial(sys.shift * c for c in poly.coefficients)
-
-
 def average_series(
     sys: FiniteSystem,
     poly: IntPolynomial,
@@ -101,8 +91,11 @@ def average_series(
         raise ValueError("signal modulus must match the system")
     ns = tuple(scales(n_values))
     m = integer(uniform_from, "uniform_from", 0, ns[0] - 1)  # uniform windows need N > M
+    if len(ns) * sys.modulus > MAX_SERIES:  # before the (T, Q) array is allocated
+        raise ValueError(f"{len(ns)} scales N times modulus {sys.modulus} exceed {MAX_SERIES} values")
     vals = np.empty((len(ns), sys.modulus), dtype=np.complex128)
-    for row, avg in zip(vals, _averages(orbit_polynomial(sys, poly), f, ns, start=m)):
+    orbit = IntPolynomial(sys.shift * c for c in poly.coefficients)  # f(T^P(n) x) = f(x - s P(n))
+    for row, avg in zip(vals, _averages(orbit, f, ns, start=m)):
         row[...] = avg
     vals.flags.writeable = False
     return AverageSeries(ns, vals, sys, poly)

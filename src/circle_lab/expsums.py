@@ -121,8 +121,8 @@ def _scratch(shape: tuple[int, ...]) -> list[np.ndarray]:
     return [np.empty(shape, dtype) for dtype in (np.int64, float, float, float, complex, complex)]
 
 
-# residues per chunk of a sum at a fraction; OpenBLAS splits a dot longer than
-# 10^4 over its threads, which made the rounding depend on the CPU count
+# terms per chunk of a long dot (a rational m_N, a property report's gap): OpenBLAS
+# splits a dot longer than 10^4 over its threads, so its rounding followed the CPU count
 _RATIONAL_CHUNK = 1 << 13
 
 
@@ -165,16 +165,11 @@ def complete_sum(poly: IntPolynomial, theta: ReducedFraction) -> complex:
     return weyl_sum(poly, theta.denominator, theta)
 
 
-def weyl_multiplier_grid(poly: IntPolynomial, n_range: int, grid_q: int) -> np.ndarray:
-    """m_N at every grid frequency j/grid_q, via one FFT of the kernel."""
-    return spectrum(kernel(poly, n_range, grid_q))
-
-
 def minor_sup_grid(
     poly: IntPolynomial, n_range: int, arcs: ArcSystem, grid_q: int
 ) -> float:
     """Full-grid oracle: sup of |m_N| over grid frequencies outside the arcs."""
-    vals = np.abs(weyl_multiplier_grid(poly, n_range, grid_q))
+    vals = np.abs(spectrum(kernel(poly, n_range, grid_q)))
     xs = np.arange(grid_q) / grid_q
     minor = arcs.distances(xs) > arcs.halfwidth
     if not minor.any():
@@ -450,11 +445,6 @@ class Lemma1Result(NamedTuple):
     ratio: float
 
 
-def shell_index(q: int) -> int:
-    """Dyadic shell of a denominator: smallest l with q <= 2^l."""
-    return (integer(q, "denominator", 1) - 1).bit_length()
-
-
 def _lemma1_cell(
     poly: IntPolynomial,
     n: int,
@@ -473,7 +463,7 @@ def _lemma1_cell(
         )
     gauss = np.array([complete_sum(poly, t) for t in thetas], dtype=complex)
     residual = np.abs(_weyl_many(poly, n, xs) - gauss * _mm_many(poly, n, offsets))
-    levels = np.array([shell_index(t.denominator) for t in thetas])
+    levels = np.array([(t.denominator - 1).bit_length() for t in thetas])  # q <= 2^l
     bound = 2.0**levels * (float(n) ** (poly.degree - 1) / big_m + 1.0 / n)
     return residual, bound
 

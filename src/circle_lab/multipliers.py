@@ -25,7 +25,7 @@ from .arcs import (
     dyadic_shell,
     wrap_signed,
 )
-from .expsums import _mm_many, complete_sum
+from .expsums import _RATIONAL_CHUNK, _mm_many, complete_sum
 from .polyavg import (
     IntPolynomial,
     Signal,
@@ -97,7 +97,9 @@ def projection_property_report(q: int, l: int, m: int, seed: int) -> dict:
     f = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
     g = Signal(q, rng.standard_normal(q) + 1j * rng.standard_normal(q))
     pf, pg = project_dyadic(f, scale), project_dyadic(g, scale)
-    self_adjoint = abs(np.vdot(pf.values, g.values) - np.vdot(f.values, pg.values))
+    chunks = [slice(i, i + _RATIONAL_CHUNK) for i in range(0, q, _RATIONAL_CHUNK)]  # one thread each
+    gaps = (np.vdot(pf.values[c], g.values[c]) - np.vdot(f.values[c], pg.values[c]) for c in chunks)
+    self_adjoint = abs(sum(gaps))
     contraction = pf.norm(2) / f.norm(2)
 
     dist = ArcSystem(2.0**l, 0.0).distances(np.arange(q) / q)
@@ -321,14 +323,9 @@ class PipelineConfig:
         degree, p0 = integer(degree, "degree", 1), integer(p0, "p0", 2)
         return cls(alpha=0.5e-7 / (degree * p0), c0=c0, p0=p0, degree=degree)
 
-    def low_scale(self, n: int) -> int:
-        return math.floor(self.alpha * math.log2(n))
-
-    def high_scale(self, n: int) -> int:
-        return math.floor(math.log2(n)) - self.low_scale(n)
-
     def scale_at(self, n: int) -> DyadicScale:
-        return DyadicScale(self.low_scale(n), -self.degree * self.high_scale(n))
+        low = math.floor(self.alpha * math.log2(n))
+        return DyadicScale(low, -self.degree * (math.floor(math.log2(n)) - low))
 
 
 def arc_split(

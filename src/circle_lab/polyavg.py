@@ -96,13 +96,8 @@ class Signal:
         return sig
 
     @classmethod
-    def constant(cls, modulus: int, value: complex = 1.0) -> "Signal":
-        q = integer(modulus, "modulus", 1)
-        return cls(q, np.full(q, value, dtype=np.complex128))
-
-    @classmethod
     def delta(cls, modulus: int, at: int = 0, weight: complex = 1.0) -> "Signal":
-        q = integer(modulus, "modulus", 1)
+        q = integer(modulus, "modulus", 1, MAX_MODULUS)  # before the values are allocated
         vals = np.zeros(q, dtype=np.complex128)
         vals[integer(at, "at") % q] = weight
         return cls(q, vals)

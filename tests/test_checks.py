@@ -126,6 +126,7 @@ CASES = [
      "modulus of symbol_on_grid"),
     ("modulus", SCALE, 2**24 + 1, lambda v: projection_property_report(v, 2, -6, 0),
      "modulus of projection_property_report"),
+    ("modulus", SCALE, 2**40, Signal.delta, "modulus of Signal.delta"),  # asked numpy for 16 TiB
 ]
 
 

@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import circle_lab.cli as cli
-from circle_lab import PipelineConfig, arc_split, project
+from circle_lab import PipelineConfig, _util, arc_split, project
 from circle_lab._util import resolve_threads, substream
 from circle_lab.cli import RunConfig, _emit, build_parser, main, run
 from circle_lab.polyavg import IntPolynomial, Signal
@@ -88,10 +87,11 @@ class TestSubcommands:
 
     def test_weyl_scan_csv_columns(self, capsys, tmp_path):
         csv_path = tmp_path / "scan.csv"
-        run_json(
+        code, out, err = run_cli(
             capsys, "weyl-scan", "--poly", "0,0,1", "--ns", "64,128",
-            "--samples", "20", "--seed", "3", "--csv", str(csv_path),
+            "--samples", "20", "--seed", "3", "--format", "csv", "--out", str(csv_path),
         )
+        assert code == 0 and out == "", err
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "n,sup_abs" and len(lines) == 3
 
@@ -314,7 +314,9 @@ class TestSubcommands:
                 "--nmax", "64", "--seed", "1")
         code, table, _ = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
-        doc = run_json(capsys, *argv, "--csv", str(path))
+        code, out, err = run_cli(capsys, *argv, "--format", "csv", "--out", str(path))
+        assert code == 0 and out == "", err
+        doc = run_json(capsys, *argv)
         assert path.read_text() == table
         assert table.splitlines()[0] == "n,max_abs,mean_re,mean_im"
         assert doc["result"]["ergodic"] is True
@@ -669,56 +671,50 @@ class TestFormat:
 
 WEYL_SCAN = ("weyl-scan", "--poly", "0,0,1", "--ns", "64,128", "--samples", "5", "--seed", "0")
 LEPINGLE = ("lepingle", "--p", "2", "--r", "3", "--depth", "10", "--trials", "500", "--seed", "11")
-
-
-def bad_threads_err(capsys, argv, value):
-    try:
-        code, out, err = run_cli(capsys, *argv, "--threads", value)
-    except SystemExit as exc:  # argparse: not an int
-        code, (out, err) = exc.code, capsys.readouterr()
-        assert f"argument --threads: invalid int value: '{value}'" in err
-    else:
-        assert f"threads must be an integer >= 1, got {value}" in err
-    assert code == 2 and out == ""
-    return err
+ERGODIC = ("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "2", "--nmax", "64")
 
 
 class TestThreads:
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
-    def test_bad_thread_variable_exits_2(self, capsys, monkeypatch, argv, value):
+    def test_bad_thread_variable_is_not_read(self, capsys, monkeypatch, argv, value):
         """The retired CIRCLE_LAB_THREADS is not read, even when it is bad:
-        the bad --threads alone decides the exit, and no message names the
-        variable."""
+        the run succeeds with the bytes it gives without the variable, and
+        no message names it."""
+        code, want, err = run_cli(capsys, *argv)
+        assert code == 0, err
         monkeypatch.setenv("CIRCLE_LAB_THREADS", value)
-        assert "CIRCLE_LAB_THREADS" not in bad_threads_err(capsys, argv, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out == want and "CIRCLE_LAB_THREADS" not in err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    @pytest.mark.parametrize("flag", [("--threads", "1"), ("--threads", "abc"), ("--csv", "out.csv")])
+    @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE, ERGODIC])
+    def test_retired_execution_flags_exit_2(self, capsys, argv, flag):
+        # the worker count is the affinity set (taskset pins it), and
+        # --format csv --out PATH writes the table --csv wrote
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+
     @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
-    def test_bad_thread_option_exits_2(self, capsys, argv, value):
-        bad_threads_err(capsys, argv, value)
+    def test_bytes_do_not_depend_on_the_affinity_set(self, capsys, monkeypatch, argv):
+        counts, resolve = [], _util.resolve_threads
 
-    def test_lepingle_bytes_do_not_depend_on_threads(self, capsys):
+        def spy(requested=None):
+            counts.append(resolve(requested))
+            return counts[-1]
+
+        monkeypatch.setattr(_util, "resolve_threads", spy)
         outs = []
-        for value in ("1", "2"):
-            code, out, err = run_cli(capsys, *LEPINGLE, "--threads", value)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            code, out, err = run_cli(capsys, *argv)
             assert code == 0, err
             outs.append(out)
+            assert counts.pop() == len(cpus)
         assert outs[0] == outs[1]
-
-    def test_lepingle_thread_option(self, capsys, monkeypatch):
-        # --threads reaches the library but, like --out, is not echoed
-        seen, lepingle_stat = [], cli.lepingle_stat
-
-        def spy(*args, threads=None):
-            seen.append(threads)
-            return lepingle_stat(*args, threads=threads)
-
-        monkeypatch.setattr(cli, "lepingle_stat", spy)
-        one = run_json(capsys, *LEPINGLE, "--threads", "1")
-        two = run_json(capsys, *LEPINGLE, "--threads", "2")
-        assert seen == [1, 2]
-        assert "threads" not in one["config"] and one == two
 
     @pytest.mark.parametrize("value", [2.5, "2", 0])
     def test_thread_argument_is_an_integer(self, value):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_lab import _util, seminorms
+from circle_lab import _util, ergodic_lab, seminorms
 from circle_lab._util import substream
 from circle_lab.ergodic_lab import (
     AverageSeries,
@@ -18,7 +18,6 @@ from circle_lab.ergodic_lab import (
     convergence_diagnostic,
     discrepancy,
     mean_ergodic_check,
-    orbit_polynomial,
     star_discrepancy,
 )
 from circle_lab.polyavg import IntPolynomial, Signal, average_linear, riesz_split
@@ -66,7 +65,7 @@ class TestAverageSeries:
 
     def test_constant_signal(self):
         sys = FiniteSystem(9, 4)
-        series = average_series(sys, SQUARE, Signal.constant(9, 3.0), [2, 5])
+        series = average_series(sys, SQUARE, Signal(9, np.full(9, 3.0, dtype=complex)), [2, 5])
         for sig in series.signals:
             assert np.allclose(sig.values, 3.0)
 
@@ -162,6 +161,26 @@ class TestAverageSeries:
         with pytest.raises(ValueError, match=re.escape(message)):
             FiniteSystem(modulus, shift)
 
+    def test_series_size_is_checked_before_allocating(self):
+        # 128 scales on Z/2^20Z would be 2 GiB; Q = 2^24 at --tau 1.05 asked numpy for 32 GiB
+        f = Signal.delta(2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "128 scales N times modulus 1048576 exceed 67108864 values")):
+                average_series(FiniteSystem(2**20, 3), LINEAR, f, range(1, 129))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_series_size_ceiling_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(ergodic_lab, "MAX_SERIES", 64)
+        f = random_signal(16, 3)
+        assert average_series(FiniteSystem(16, 3), LINEAR, f, [1, 2, 3, 4]).values.shape == (4, 16)
+        with pytest.raises(ValueError, match=re.escape("5 scales N times modulus 16 exceed 64 values")):
+            average_series(FiniteSystem(16, 3), LINEAR, f, [1, 2, 3, 4, 5])
+
     def test_ergodic_flag(self):
         assert FiniteSystem(10, 3).is_ergodic
         assert not FiniteSystem(10, 4).is_ergodic
@@ -188,7 +207,7 @@ class TestSeriesLayout:
 
     def test_signals_view_rows_bit_equal_to_average_linear(self):
         series, f = self.series()
-        orbit = orbit_polynomial(series.system, series.poly)
+        orbit = IntPolynomial(series.system.shift * c for c in series.poly.coefficients)
         for n, sig in zip(series.indices, series.signals):
             assert sig.modulus == 32 and np.shares_memory(sig.values, series.values)
             assert np.array_equal(sig.values, average_linear(orbit, n, f).values)
@@ -238,7 +257,7 @@ class TestConvergenceDiagnostic:
 
     def test_constant_gives_zeros(self):
         sys = FiniteSystem(16, 3)
-        series = average_series(sys, LINEAR, Signal.constant(16), lacunary(2, 64))
+        series = average_series(sys, LINEAR, Signal(16, np.full(16, 1, dtype=complex)), lacunary(2, 64))
         diag = convergence_diagnostic(series, 2.0, tail_start=4)
         assert diag["variation"]["max"] == 0.0
         assert diag["oscillation"]["max"] == 0.0
@@ -398,7 +417,7 @@ class TestDiscrepancy:
 class TestMeanErgodicCheck:
     def test_invariant_signal(self):
         sys = FiniteSystem(12, 5)
-        rep = mean_ergodic_check(sys, Signal.constant(12, 2.5), [3, 7, 12])
+        rep = mean_ergodic_check(sys, Signal(12, np.full(12, 2.5, dtype=complex)), [3, 7, 12])
         assert all(dev == 0.0 for _, dev in rep["entries"])
 
     def test_exact_at_orbit_multiples(self):
@@ -411,7 +430,7 @@ class TestMeanErgodicCheck:
         sys = FiniteSystem(32, 7)
         rng = substream(12)
         g = Signal(32, rng.standard_normal(32))
-        cob = g - sys.compose(g, 1)
+        cob = g - Signal(32, np.roll(g.values, sys.shift))  # g after T
         for n in (5, 20, 100):
             rep = mean_ergodic_check(sys, cob, [n])
             bound = 2 * np.abs(g.values).max() / n
@@ -440,17 +459,3 @@ class TestMeanErgodicCheck:
     def test_nonergodic_reports_flag(self):
         rep = mean_ergodic_check(FiniteSystem(12, 4), Signal.delta(12), [6])
         assert not rep["ergodic"]
-
-
-class TestFiniteSystem:
-    def test_compose_power(self):
-        sys = FiniteSystem(8, 3)
-        f = Signal.delta(8)
-        assert np.array_equal(sys.compose(f, np.int64(2)).values, Signal.delta(8, 6).values)
-        assert np.array_equal(sys.compose(f, -1).values, Signal.delta(8, 5).values)
-
-    @pytest.mark.parametrize("power", [1.5, 2.0, "2"])
-    def test_compose_power_is_an_integer(self, power):
-        # 1.5 rolled the signal by int(4.5) = 4 without a word
-        with pytest.raises(ValueError, match=re.escape(f"power must be an integer, got {power!r}")):
-            FiniteSystem(8, 3).compose(Signal.delta(8), power)

@@ -29,12 +29,10 @@ from circle_lab.expsums import (
     lemma1_residual,
     minor_sup_grid,
     scan_arcs,
-    shell_index,
     weyl_decay_scan,
-    weyl_multiplier_grid,
     weyl_sum,
 )
-from circle_lab.polyavg import IntPolynomial
+from circle_lab.polyavg import IntPolynomial, kernel, spectrum
 
 from oracles import (
     exact_weyl,
@@ -537,7 +535,7 @@ class TestDecayScan:
         assert arcs.denominator_bound == 1.0 and arcs.halfwidth == 0.0
 
     def test_grid_multiplier_values(self):
-        grid = weyl_multiplier_grid(SQUARE, 12, 32)
+        grid = spectrum(kernel(SQUARE, 12, 32))
         for j in (0, 5, 17):
             assert abs(grid[j] - weyl_sum(SQUARE, 12, j / 32)) < 1e-12
 
@@ -596,13 +594,10 @@ class TestLemma1:
             lemma1_residual(SQUARE, 64, ReducedFraction(1, 3), 0.3333, big_m)
 
     def test_shell_index(self):
-        assert [shell_index(q) for q in (1, 2, 3, 4, 5, 8, 9, 16)] == [0, 1, 2, 2, 3, 3, 4, 4]
-
-    @pytest.mark.parametrize("q", [2.5, 0, -4])
-    def test_shell_index_needs_a_denominator(self, q):
-        # 2.5 raised AttributeError, and 0 gave shell 1
-        with pytest.raises(ValueError, match=re.escape(f"denominator must be an integer >= 1, got {q!r}")):
-            shell_index(q)
+        # the bound's 2^l has the smallest l with q <= 2^l; at N = M = 64 the rest is 1 + 1/64
+        thetas = [ReducedFraction(0, 1)] + [ReducedFraction(1, q) for q in (2, 3, 4, 5, 8, 9, 16)]
+        bounds = [lemma1_residual(SQUARE, 64, t, t.value, 64.0).bound for t in thetas]
+        assert bounds == [2.0**l * (1 + 1 / 64) for l in (0, 1, 2, 2, 3, 3, 4, 4)]
 
     def test_square_cell_1024_0_matches_exact_phases(self):
         # cell "1024,0" of the README sweep (seed 3, 100 samples); with float

@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,6 @@ from hypothesis import strategies as st
 import circle_lab.multipliers as multipliers
 from circle_lab._util import MAX_MODULUS, substream
 from circle_lab.arcs import DyadicScale, ReducedFraction, canonical_fractions, wrap_signed
-from circle_lab.expsums import weyl_multiplier_grid
 from circle_lab.multipliers import (
     MultiplierOp,
     PipelineConfig,
@@ -35,6 +38,7 @@ from circle_lab.polyavg import (
     IntPolynomial,
     Signal,
     average_linear,
+    kernel,
     signal_from_spectrum,
     spectrum,
 )
@@ -96,7 +100,7 @@ class TestEta:
 
 class TestProject:
     def test_constant_unchanged(self):
-        f = Signal.constant(64, 2.0 - 1j)
+        f = Signal(64, np.full(64, 2.0 - 1j, dtype=complex))
         out = project(f, 4, 2**-8)
         assert np.allclose(out.values, f.values, atol=1e-12)
 
@@ -164,6 +168,19 @@ class TestProjectDyadic:
         lhs = np.vdot(g.values, pf.values)
         rhs = np.vdot(pg.values, f.values)
         assert abs(lhs - rhs) <= 1e-10 * f.norm(2) * g.norm(2)
+
+    def test_report_gap_does_not_depend_on_blas_threads(self):
+        # two dots over all 65536 values were split over the OpenBLAS threads: the
+        # gap read 4.41e-13 on one thread and 3.27e-13 on two
+        code = ("from circle_lab import projection_property_report; "
+                "print(repr(projection_property_report(65536, 2, -6, 1)['self_adjoint_gap']))")
+        env = {**os.environ, "PYTHONPATH": str(Path(multipliers.__file__).parents[1])}
+        outs = {
+            subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": t},
+                           capture_output=True, text=True, check=True).stdout
+            for t in ("1", "2")
+        }
+        assert len(outs) == 1
 
 
 class TestMultiplierOp:
@@ -337,9 +354,8 @@ class TestPipelineConfig:
 
     def test_scales(self):
         cfg = PipelineConfig.desk(degree=2)
-        assert cfg.low_scale(4096) == 0
-        assert cfg.high_scale(4096) == 12
-        assert cfg.scale_at(4096) == DyadicScale(0, -24)
+        # denominators up to 2^0 and halfwidth 2^(-2 * 12): the low scale is 0, the high 12
+        assert cfg.scale_at(4096) == DyadicScale(0, -2 * 12)
 
 
 class TestArcSplit:
@@ -351,7 +367,7 @@ class TestArcSplit:
         assert (major + minor - total).norm(2) <= 1e-9 * total.norm(2)
 
     def test_constant_has_no_minor_part(self):
-        f = Signal.constant(256, 1.5)
+        f = Signal(256, np.full(256, 1.5, dtype=complex))
         cfg = PipelineConfig.desk(degree=2)
         _, minor, report = arc_split(f, SQUARE, 64, cfg)
         assert minor.norm(2) <= 1e-10
@@ -374,7 +390,7 @@ class TestArcSplit:
         f = signal_from_spectrum(q, spec)
         major, minor, report = arc_split(f, SQUARE, n, cfg)
         assert major.norm(2) <= 1e-10 * f.norm(2)
-        grid_sup = float(np.abs(weyl_multiplier_grid(SQUARE, n, q)[far]).max())
+        grid_sup = float(np.abs(spectrum(kernel(SQUARE, n, q))[far]).max())
         assert report["l2_ratio"] <= grid_sup + 1e-9
 
     def test_floor_enforced(self):

@@ -114,7 +114,7 @@ class TestKernel:
 
 class TestAverageLinear:
     def test_constant_fixed(self):
-        f = Signal.constant(16, 3.5 - 1j)
+        f = Signal(16, np.full(16, 3.5 - 1j, dtype=complex))
         out = average_linear(SQUARE, 9, f)
         assert np.allclose(out.values, 3.5 - 1j)
 
@@ -192,7 +192,7 @@ def invariant_cases(draw):
 
 class TestInvariantSignalsExact:
     @given(invariant_cases())
-    @example((12, SQUARE, 5, 7, 3, Signal.constant(12, 0.1)))
+    @example((12, SQUARE, 5, 7, 3, Signal(12, np.full(12, 0.1, dtype=complex))))
     @settings(max_examples=120, deadline=None)
     def test_period_signals_come_back_bit_identical(self, case):
         q, poly, shift, n, m, f = case
@@ -208,13 +208,13 @@ class TestInvariantSignalsExact:
 
 class TestAverageBilinear:
     def test_ones(self):
-        f = Signal.constant(11)
+        f = Signal(11, np.full(11, 1, dtype=complex))
         out = average_bilinear(SQUARE, 8, f, f)
         assert np.allclose(out.values, 1.0)
 
     def test_degenerate_second_factor(self):
         f = random_signal(13, 10)
-        ones = Signal.constant(13)
+        ones = Signal(13, np.full(13, 1, dtype=complex))
         out = average_bilinear(SQUARE, 9, f, ones)
         ref = average_linear(LINEAR, 9, f)
         assert np.allclose(out.values, ref.values, atol=1e-12)
@@ -231,7 +231,7 @@ class TestAverageBilinear:
 
 class TestMaximalFunction:
     def test_constant(self):
-        out = maximal_function(SQUARE, Signal.constant(9), [2, 5, 7])
+        out = maximal_function(SQUARE, Signal(9, np.full(9, 1, dtype=complex)), [2, 5, 7])
         assert np.allclose(out.values.real, 1.0)
 
     def test_delta_reciprocal(self):
@@ -299,15 +299,14 @@ class TestSignal:
         g = Signal.from_dict(json.loads(json.dumps(f.to_dict())))
         assert g.modulus == 6 and np.allclose(g.values, f.values)
 
-    @pytest.mark.parametrize("build", [
-        lambda: Signal(2.5, np.zeros(2)),
-        lambda: Signal(0, np.zeros(0)),
-        lambda: Signal.delta(0),  # was a ZeroDivisionError
-        lambda: Signal.constant(-1),
-        lambda: Signal.from_dict({"modulus": 2.0, "re": [0, 0], "im": [0, 0]}),
-    ])
-    def test_modulus_is_a_positive_integer(self, build):
-        with pytest.raises(ValueError, match="modulus must be an integer >= 1"):
+    @pytest.mark.parametrize("build, kind", [
+        (lambda: Signal(2.5, np.zeros(2)), ">= 1"),
+        (lambda: Signal(0, np.zeros(0)), ">= 1"),
+        (lambda: Signal.delta(0), "in [1, 16777216]"),  # was a ZeroDivisionError
+        (lambda: Signal.from_dict({"modulus": 2.0, "re": [0, 0], "im": [0, 0]}), ">= 1"),
+    ], ids=["float", "zero", "delta", "from_dict"])
+    def test_modulus_is_a_positive_integer(self, build, kind):
+        with pytest.raises(ValueError, match=re.escape(f"modulus must be an integer {kind}")):
             build()
 
     def test_delta_position_is_an_integer(self):

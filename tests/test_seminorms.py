@@ -566,7 +566,7 @@ class TestMartingale:
             assert np.allclose(level[0].real, expect)
 
     def test_constant(self):
-        levels = _block_levels(Signal.constant(16, 2.0).values[None])
+        levels = _block_levels(Signal(16, np.full(16, 2.0, dtype=complex)).values[None])
         stack = np.stack(full_resolution(levels))
         assert np.allclose(variation_values(stack, 2.0), 0.0)
         rule = _Exponent(2.0, "variation")
