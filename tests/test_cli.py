@@ -674,23 +674,64 @@ LEPINGLE = ("lepingle", "--p", "2", "--r", "3", "--depth", "10", "--trials", "50
 ERGODIC = ("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "2", "--nmax", "64")
 
 
+def bad_threads_err(capsys, argv, value):
+    # --threads is retired: the worker count is the affinity set (taskset pins it)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"unrecognized arguments: --threads {value}" in err
+    return err
+
+
+def runs_at_affinity(capsys, monkeypatch, argv):
+    """stdout at the affinity sets {0} and {0, 1}, and the worker count each run resolved."""
+    counts, resolve = [], _util.resolve_threads
+
+    def spy(requested=None):
+        counts.append(resolve(requested))
+        return counts[-1]
+
+    monkeypatch.setattr(_util, "resolve_threads", spy)
+    outs, seen = [], []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        outs.append(out)
+        seen.append(counts[-1])
+    return outs, seen
+
+
 class TestThreads:
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
-    def test_bad_thread_variable_is_not_read(self, capsys, monkeypatch, argv, value):
+    def test_bad_thread_variable_exits_2(self, capsys, monkeypatch, argv, value):
         """The retired CIRCLE_LAB_THREADS is not read, even when it is bad:
-        the run succeeds with the bytes it gives without the variable, and
-        no message names it."""
+        the retired --threads alone decides the exit, and no message names
+        the variable."""
+        monkeypatch.setenv("CIRCLE_LAB_THREADS", value)
+        assert "CIRCLE_LAB_THREADS" not in bad_threads_err(capsys, argv, value)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
+    def test_bad_thread_option_exits_2(self, capsys, argv, value):
+        bad_threads_err(capsys, argv, value)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
+    def test_bad_thread_variable_is_not_read(self, capsys, monkeypatch, argv, value):
+        """A bad CIRCLE_LAB_THREADS leaves the run and its bytes as they are
+        without the variable, and no message names it."""
         code, want, err = run_cli(capsys, *argv)
         assert code == 0, err
         monkeypatch.setenv("CIRCLE_LAB_THREADS", value)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and out == want and "CIRCLE_LAB_THREADS" not in err
 
-    @pytest.mark.parametrize("flag", [("--threads", "1"), ("--threads", "abc"), ("--csv", "out.csv")])
+    @pytest.mark.parametrize("flag", [("--threads", "1"), ("--csv", "out.csv")])
     @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE, ERGODIC])
     def test_retired_execution_flags_exit_2(self, capsys, argv, flag):
-        # the worker count is the affinity set (taskset pins it), and
         # --format csv --out PATH writes the table --csv wrote
         with pytest.raises(SystemExit) as exc:
             main([*argv, *flag])
@@ -698,23 +739,20 @@ class TestThreads:
         assert exc.value.code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in err
 
-    @pytest.mark.parametrize("argv", [WEYL_SCAN, LEPINGLE])
-    def test_bytes_do_not_depend_on_the_affinity_set(self, capsys, monkeypatch, argv):
-        counts, resolve = [], _util.resolve_threads
+    def test_lepingle_bytes_do_not_depend_on_threads(self, capsys, monkeypatch):
+        outs, seen = runs_at_affinity(capsys, monkeypatch, LEPINGLE)
+        assert seen == [1, 2] and outs[0] == outs[1]
 
-        def spy(requested=None):
-            counts.append(resolve(requested))
-            return counts[-1]
+    def test_weyl_scan_bytes_do_not_depend_on_threads(self, capsys, monkeypatch):
+        outs, seen = runs_at_affinity(capsys, monkeypatch, WEYL_SCAN)
+        assert seen == [1, 2] and outs[0] == outs[1]
 
-        monkeypatch.setattr(_util, "resolve_threads", spy)
-        outs = []
-        for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 0, err
-            outs.append(out)
-            assert counts.pop() == len(cpus)
-        assert outs[0] == outs[1]
+    def test_lepingle_thread_option(self, capsys, monkeypatch):
+        # the affinity set's size reaches the library but, like --out, is not echoed
+        outs, seen = runs_at_affinity(capsys, monkeypatch, LEPINGLE)
+        assert seen == [1, 2]
+        one, two = (json.loads(out) for out in outs)
+        assert "threads" not in one["config"] and one == two
 
     @pytest.mark.parametrize("value", [2.5, "2", 0])
     def test_thread_argument_is_an_integer(self, value):

@@ -459,3 +459,21 @@ class TestMeanErgodicCheck:
     def test_nonergodic_reports_flag(self):
         rep = mean_ergodic_check(FiniteSystem(12, 4), Signal.delta(12), [6])
         assert not rep["ergodic"]
+
+
+class TestFiniteSystem:
+    def test_compose_power(self):
+        # T^power f, f(x - power * s), is the N = 1 average along the constant
+        # polynomial power; the retired compose is np.roll by power * s
+        sys = FiniteSystem(8, 3)
+        f = Signal.delta(8)
+        for power, at in ((np.int64(2), 6), (-1, 5)):
+            moved = average_series(sys, IntPolynomial((power,)), f, [1]).signals[0]
+            assert np.array_equal(moved.values, Signal.delta(8, at).values)
+            assert np.array_equal(np.roll(f.values, (power * sys.shift) % 8), moved.values)
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, "2"])
+    def test_compose_power_is_an_integer(self, power):
+        # 1.5 rolled the signal by int(4.5) = 4 without a word
+        with pytest.raises(ValueError, match=re.escape(f"coefficient must be an integer, got {power!r}")):
+            average_series(FiniteSystem(8, 3), IntPolynomial((power,)), Signal.delta(8), [1])

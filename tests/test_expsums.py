@@ -599,6 +599,13 @@ class TestLemma1:
         bounds = [lemma1_residual(SQUARE, 64, t, t.value, 64.0).bound for t in thetas]
         assert bounds == [2.0**l * (1 + 1 / 64) for l in (0, 1, 2, 2, 3, 3, 4, 4)]
 
+    @pytest.mark.parametrize("q", [2.5, 0, -4])
+    def test_shell_index_needs_a_denominator(self, q):
+        # the shell (q - 1).bit_length() is taken of a checked denominator:
+        # 2.5 raised AttributeError, and 0 gave shell 1
+        with pytest.raises(ValueError, match=re.escape(f"denominator must be an integer >= 1, got {q!r}")):
+            lemma1_residual(SQUARE, 64, ReducedFraction(0, q), 0.0, 64.0)
+
     def test_square_cell_1024_0_matches_exact_phases(self):
         # cell "1024,0" of the README sweep (seed 3, 100 samples); with float
         # Horner phases its ratio was 2.85e-10 relative off
