@@ -85,17 +85,26 @@ MAX_LEVEL = 11  # the deepest dyadic level: 2^11 = FAREY_MAX_DENOMINATOR
 
 @lru_cache(maxsize=32)
 def _farey(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted (num, den, num / den) of every reduced a/q in [0, 1) with
-    q <= q_max, as int64, int64 and float64.  Distinct ones differ by
-    >= 1/q_max^2, so the float sort is exact.  Callers keep q_max within
-    FAREY_MAX_DENOMINATOR."""
-    den = np.repeat(np.arange(1, q_max + 1, dtype=np.int64), np.arange(1, q_max + 1))
-    num = np.arange(den.size, dtype=np.int64) - den * (den - 1) // 2
-    keep = np.gcd(num, den) == 1  # drops a = 0 for every q > 1
-    num, den = num[keep], den[keep]
-    val = num / den
-    order = np.argsort(val)
-    return num[order], den[order], val[order]
+    """Sorted (num, den, num / den) of every reduced a/q in [0, 1) with q <= q_max, as
+    int64, int64 and float64, sorted one slice [k/S, (k+1)/S) of about 2^14 candidates a/q
+    at a time into outputs sized by sum phi(q).  Distinct ones differ by >= 1/q_max^2, so
+    the float sort is exact.  Callers keep q_max within FAREY_MAX_DENOMINATOR."""
+    phi = np.arange(q_max + 1)  # Euler's totient, by a sieve
+    for p in range(2, q_max + 1):
+        if phi[p] == p:  # p is prime
+            phi[p::p] -= phi[p::p] // p
+    num, den = np.empty((2, int(phi[1:].sum())), np.int64)  # phi(1) = 1 counts 0/1
+    qs, pos, slices = np.arange(1, q_max + 1, dtype=np.int64), 0, max(1, q_max * q_max >> 15)
+    for k in range(slices):  # a/q is in slice k iff ceil(kq/S) <= a < ceil((k+1)q/S)
+        lo, hi = -(-k * qs // slices), -(-(k + 1) * qs // slices)
+        d = np.repeat(qs, hi - lo)
+        n = np.arange(d.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+        keep = np.gcd(n, d) == 1  # drops a = 0 for every q > 1
+        n, d = n[keep], d[keep]
+        order = np.argsort(n / d)
+        num[pos : pos + n.size], den[pos : pos + n.size] = n[order], d[order]
+        pos += n.size
+    return num, den, num / den
 
 
 def _entry(a: int, q: int) -> ReducedFraction:

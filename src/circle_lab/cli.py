@@ -14,6 +14,7 @@ on first use and reused for the life of the process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -58,6 +59,7 @@ from . import (
 )
 from ._util import MAX_MODULUS, integer, substream
 from .arcs import FAREY_MAX_DENOMINATOR
+from .ergodic_lab import _check_series, _diagnostic_tail
 
 SCHEMA = "circle-lab/1"
 
@@ -73,13 +75,13 @@ class RunConfig:
     out_path: str = "-"
 
 
-def _write(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(path).write_text(text)
+def _write(text, path: str) -> None:
+    """Write text, a str or an iterable of str pieces, to path; on stdout (path -) a str
+    gets a final newline if it lacks one."""
+    with open(path, "w") if path != "-" else contextlib.nullcontext(sys.stdout) as out:
+        out.writelines([text] if isinstance(text, str) else text)
+        if path == "-" and isinstance(text, str) and not text.endswith("\n"):
+            out.write("\n")
 
 
 def _strict(obj):
@@ -94,7 +96,7 @@ def _strict(obj):
     return obj
 
 
-def _emit(config: RunConfig, result: dict, csv_text: str | None = None) -> None:
+def _emit(config: RunConfig, result: dict | None, csv_text=None) -> None:
     if config.out_format == "csv":
         if csv_text is None:
             raise ValueError(f"--format csv: this {config.subcommand} run builds no table")
@@ -216,10 +218,14 @@ def _command(name: str, help: str, *flags: tuple):
           _FORMAT)
 def _cmd_fractions(cfg: RunConfig) -> None:
     fracs = canonical_fractions(cfg.params["n1"])
-    cols = (fracs.numerators.tolist(), fracs.denominators.tolist(), fracs.values.tolist())
-    rows = [{"num": a, "den": q, "value": v} for a, q, v in zip(*cols)]
-    csv_text = "num,den,value\n" + "".join(f"{a},{q},{v!r}\n" for a, q, v in zip(*cols))
-    _emit(cfg, {"count": len(rows), "fractions": rows}, csv_text)
+    arrays = (fracs.numerators, fracs.denominators, fracs.values)
+    if cfg.out_format == "csv":  # in pieces of 2^16 rows, each made as it is written
+        rows = (zip(*(c[i : i + 65536].tolist() for c in arrays)) for i in range(0, len(fracs), 65536))
+        _emit(cfg, None, ("num,den,value\n" * (k == 0) + "".join(f"{a},{q},{v!r}\n" for a, q, v in piece)
+                          for k, piece in enumerate(rows)))
+        return
+    rows = [{"num": a, "den": q, "value": v} for a, q, v in zip(*(a.tolist() for a in arrays))]
+    _emit(cfg, {"count": len(rows), "fractions": rows})
 
 
 @_command("arcs", "arc system geometry", *_SCALES)
@@ -466,7 +472,6 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
     p = cfg.params
     sys_ = FiniteSystem(p["mod"], p["shift"])
     poly = IntPolynomial.parse(p["poly"])
-    f = _read_signal(p.get("infile"), p["mod"], p.get("seed"))
     m = p.get("uniform_from", 0)
     ns = [n for n in lacunary(p["tau"], p["nmax"]) if n > m]  # windows (M, N] need N > M
     if m > 0 and len(ns) < 2:
@@ -474,10 +479,15 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
             f"--uniform-from {m} leaves fewer than two lacunary indices N in "
             f"({m}, {p['nmax']}]: {ns}"
         )
+    _check_series(len(ns), sys_.modulus)  # before the signal is drawn
+    f = _read_signal(p.get("infile"), p["mod"], p.get("seed"))
     series = average_series(sys_, poly, f, ns, uniform_from=m)
-    diag = convergence_diagnostic(
-        series, p["r"], p["tail_start"] if p.get("tail_start") else max(1, p["nmax"] // 4)
-    )
+    tail_start = p.get("tail_start") or max(1, p["nmax"] // 4)
+    if cfg.out_format == "json":
+        diag = convergence_diagnostic(series, p["r"], tail_start)
+        _emit(cfg, {"ergodic": sys_.is_ergodic, "diagnostic": diag})
+        return
+    _diagnostic_tail(series.indices, p["r"], tail_start)  # no diagnostic in a table, but its flags are checked
     if p.get("point") is not None:
         # one sequence N -> A_N f(x), pipeable into variation/jumps/oscillation
         x = p["point"] % p["mod"]
@@ -491,7 +501,7 @@ def _cmd_ergodic(cfg: RunConfig) -> None:
             f"{float(row.mean().real)!r},{float(row.mean().imag)!r}\n"
             for n, row in zip(series.indices, series.values)
         )
-    _emit(cfg, {"ergodic": sys_.is_ergodic, "diagnostic": diag}, csv_text)
+    _emit(cfg, None, csv_text)
 
 
 @_command("discrepancy", "star discrepancy of polynomial orbits",

@@ -74,6 +74,12 @@ class AverageSeries:
         return self.values
 
 
+def _check_series(count: int, modulus: int) -> None:
+    """Refuse a series of count scales N on Z/(modulus)Z past MAX_SERIES values."""
+    if count * modulus > MAX_SERIES:
+        raise ValueError(f"{count} scales N times modulus {modulus} exceed {MAX_SERIES} values")
+
+
 def average_series(
     sys: FiniteSystem,
     poly: IntPolynomial,
@@ -91,14 +97,24 @@ def average_series(
         raise ValueError("signal modulus must match the system")
     ns = tuple(scales(n_values))
     m = integer(uniform_from, "uniform_from", 0, ns[0] - 1)  # uniform windows need N > M
-    if len(ns) * sys.modulus > MAX_SERIES:  # before the (T, Q) array is allocated
-        raise ValueError(f"{len(ns)} scales N times modulus {sys.modulus} exceed {MAX_SERIES} values")
+    _check_series(len(ns), sys.modulus)  # before the (T, Q) array is allocated
     vals = np.empty((len(ns), sys.modulus), dtype=np.complex128)
     orbit = IntPolynomial(sys.shift * c for c in poly.coefficients)  # f(T^P(n) x) = f(x - s P(n))
     for row, avg in zip(vals, _averages(orbit, f, ns, start=m)):
         row[...] = avg
     vals.flags.writeable = False
     return AverageSeries(ns, vals, sys, poly)
+
+
+def _diagnostic_tail(indices: Sequence[int], r: float, tail_start: int) -> tuple[int, int]:
+    """convergence_diagnostic's checks of r and tail_start: tail_start as an int,
+    and where in the increasing indices the tail (two of them at least) begins."""
+    real(r, "diagnostic exponent r", "[1, inf)")
+    tail_start = integer(tail_start, "tail_start")
+    tail = bisect.bisect_left(indices, tail_start)  # indices increase: the tail is a suffix
+    if len(indices) - tail < 2:
+        raise ValueError("need at least two indices >= tail_start")
+    return tail_start, tail
 
 
 def convergence_diagnostic(
@@ -115,12 +131,8 @@ def convergence_diagnostic(
     reported, not required.  Aggregates use the uniform probability measure
     on Z/QZ.  Wide series split over worker threads as in `variation_values`.
     """
-    real(r, "diagnostic exponent r", "[1, inf)")
     ns = series.indices
-    tail_start = integer(tail_start, "tail_start")
-    tail = bisect.bisect_left(ns, tail_start)  # indices increase: the tail is a suffix
-    if len(ns) - tail < 2:
-        raise ValueError("need at least two indices >= tail_start")
+    tail_start, tail = _diagnostic_tail(ns, r, tail_start)
     mat = series.values  # (T, Q)
 
     vr = variation_values(mat, r)
@@ -128,7 +140,7 @@ def convergence_diagnostic(
     anchors = list(range(0, len(ns), 2))  # at least two: the tail holds two indices
     if anchors[-1] != len(ns) - 1:
         anchors.append(len(ns) - 1)
-    osc, _ = _block_oscillation(mat, anchors, _Exponent(r, "diagnostic").in_units(mat))
+    osc = _block_oscillation(mat, anchors, _Exponent(r, "diagnostic").in_units(mat))
     anchor_ns = [int(ns[i]) for i in anchors]
     doubling = all(b > 2 * a for a, b in zip(anchor_ns, anchor_ns[1:]))
 

@@ -108,7 +108,8 @@ def oscillation(seq, anchors: Sequence[int], r: float) -> SeminormReport:
     for t in anchor_list:
         if t not in label_pos:
             raise ValueError(f"anchor {t} is not a sequence label")
-    value, peaks = _block_oscillation(s.values[:, None], [label_pos[t] for t in anchor_list], rule)
+    peaks = []
+    value = _block_oscillation(s.values[:, None], [label_pos[t] for t in anchor_list], rule, peaks)
     doubling = all(t1 > 2 * t0 for t0, t1 in zip(anchor_list, anchor_list[1:]))
     return SeminormReport(
         "oscillation",
@@ -173,20 +174,20 @@ class _Exponent:
         return out if self.unit is None else out * self.unit
 
 
-def _block_oscillation(a: np.ndarray, cuts: Sequence[int], rule: _Exponent):
+def _block_oscillation(a: np.ndarray, cuts: Sequence[int], rule: _Exponent, peaks: list | None = None):
     """Blockwise oscillation of each trailing slice of a (T, ...): positions
     c_0 < ... < c_J cut [c_0, c_J) into blocks [c_j, c_(j+1)), and each
-    block adds its sup deviation from a[c_j].  Returns the values and, per
-    block, the positions where those sups are reached."""
+    block adds its sup deviation from a[c_j].  Returns the values; a list
+    `peaks` gets, per block, the positions where those sups are reached."""
     total = np.zeros(a.shape[1:])
-    peaks = []
     for c0, c1 in zip(cuts, cuts[1:]):
         devs = np.abs(a[c0:c1] - a[c0])
-        peaks.append(c0 + devs.argmax(axis=0))
+        if peaks is not None:
+            peaks.append(c0 + devs.argmax(axis=0))
         dev = devs.max(axis=0)
         rule.step(dev, np.empty(dev.size))
         total = total + dev if rule.folds else np.maximum(total, dev)
-    return rule.root(total), peaks
+    return rule.root(total)
 
 
 # Increments one block of the variation DP holds at most (pairs times
@@ -270,7 +271,8 @@ _SPLIT_CELLS, _SPLIT_PAIRS = 1 << 11, 1 << 22  # to split: cells per worker, inc
 
 def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
     """Batched r-variation without witnesses: each trailing slice of samples (T, ...) is one
-    sequence.  A wide stack splits by columns over the workers, which move no bit."""
+    sequence.  A wide stack splits by columns over the workers, and each runs its
+    columns in pieces of at most _TILE_CELLS value cells; neither moves a bit."""
     rule, a = _Exponent(r, "variation"), np.asarray(samples)
     if a.ndim == 0 or a.shape[0] < 1:
         raise ValueError("variation needs at least one sample")
@@ -284,7 +286,10 @@ def variation_values(samples: np.ndarray, r: float) -> np.ndarray:
 
 
 def _values(a: np.ndarray, rule: _Exponent) -> np.ndarray:
-    """variation_values on this thread, in units of a's own slices."""
+    """variation_values on this thread, in units of a's own slices, in column
+    pieces of at most _TILE_CELLS value cells (one column at least)."""
+    if a.ndim > 1 and (width := max(1, _TILE_CELLS // max(a[:, :1].size, 1))) < a.shape[1]:
+        return np.concatenate([_values(a[:, c : c + width], rule) for c in range(0, a.shape[1], width)])
     return rule.in_units(a).root(_variation_dp(a, rule.step, rule.folds))
 
 
@@ -330,9 +335,9 @@ def _block_levels(g_values: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-# Leaf cells per work item of lepingle_stat: level arrays of 2^17 float64
-# cells stay near the size of one core's L2 cache.  A deeper trial is one
-# work item on its own.
+# Leaf cells per work item of lepingle_stat, and value cells per column piece
+# of variation_values: level arrays of 2^17 float64 cells stay near the size
+# of one core's L2 cache.  A deeper trial is one work item on its own.
 _TILE_CELLS = 1 << 17
 # Largest depth and trial count lepingle_stat accepts (the ratios alone are 8 MB).
 _MAX_DEPTH, _MAX_TRIALS = 20, 10**6

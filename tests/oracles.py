@@ -287,6 +287,19 @@ def farey_fractions(n: int) -> list[Fraction]:
     return sorted({Fraction(a, q) for q in range(1, n + 1) for a in range(q)})
 
 
+def sorted_farey(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted (num, den, num / den) of every reduced a/q in [0, 1) with
+    q <= q_max, as int64, int64 and float64: every candidate a/q at once,
+    a gcd filter and one argsort of the whole table."""
+    den = np.repeat(np.arange(1, q_max + 1, dtype=np.int64), np.arange(1, q_max + 1))
+    num = np.arange(den.size, dtype=np.int64) - den * (den - 1) // 2
+    keep = np.gcd(num, den) == 1
+    num, den = num[keep], den[keep]
+    val = num / den
+    order = np.argsort(val)
+    return num[order], den[order], val[order]
+
+
 def farey_min_gap(fracs) -> Fraction:
     """Smallest torus gap of a set of fractions, by sorting them and scanning
     consecutive pairs and the wrap pair (1 for a single fraction)."""

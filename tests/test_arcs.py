@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circle_lab import arcs
 from circle_lab.arcs import (
     FAREY_MAX_DENOMINATOR,
     ArcSystem,
@@ -33,6 +37,7 @@ from oracles import (
     farey_min_gap,
     gap_complement,
     pairwise_intersect,
+    sorted_farey,
     torus_member,
     trial_totient,
     wrapped_intervals,
@@ -121,6 +126,30 @@ class TestCanonicalFractions:
         fracs = canonical_fractions(20)
         vals = [fr.value for fr in fracs]
         assert vals == sorted(vals) and len(set(vals)) == len(vals)
+
+    @pytest.mark.parametrize("q_max", [1, 2, 3, 64, 1024, 2048])
+    def test_sliced_build_matches_one_sort(self, q_max):
+        # the table is filled one slice of [0, 1) at a time: 1 slice at 64, 32 at 1024, 128 at 2048
+        want = sorted_farey(q_max)
+        table = canonical_fractions(q_max)
+        for got in (arcs._farey(q_max), (table.numerators, table.denominators, table.values)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert not a.flags.writeable
+
+    def test_full_table_scratch_is_about_one_slice(self):
+        # the 29.2 MB table at 2048 peaked 77 MB above import when it was sorted whole.
+        # Peaks are read as RUSAGE_CHILDREN of a small parent: an exec'd child's own
+        # ru_maxrss starts from its parent's (pytest's) peak
+        code = ("import resource, subprocess, sys\n"
+                "peaks = []\n"
+                "for run in ('import circle_lab', 'import circle_lab; circle_lab.canonical_fractions(2048)'):\n"
+                "    subprocess.run([sys.executable, '-c', run], check=True)\n"
+                "    peaks.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+                "print(peaks[1] - peaks[0])\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(arcs.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) / 1024 <= 40  # KiB on Linux
 
     def test_fractional_bound_floors(self):
         assert len(canonical_fractions(3.99)) == 4

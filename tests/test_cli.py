@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circle_lab import PipelineConfig, _util, arc_split, project
+from circle_lab import PipelineConfig, _util, arc_split, cli, project
 from circle_lab._util import resolve_threads, substream
 from circle_lab.cli import RunConfig, _emit, build_parser, main, run
 from circle_lab.polyavg import IntPolynomial, Signal
@@ -67,12 +69,22 @@ class TestSubcommands:
          "03b83a3f2fe4462c068cc4d50a5d15e669922cb87ee7c3ad1d0ecd68b72753ea"),
         (("arcs", "--n1", "16", "--n2", "0.001"),
          "260b27b35ae84fd8a8acead9ee626422360dda7a6b7bc46f60cf5ce06d67860e"),
+        # 79,852 rows: two pieces of the chunked CSV writer
+        (("fractions", "--n1", "512", "--format", "csv"),
+         "5a2405d3d2474f886756fb60a307a607f9f2e06ace37419212f6adde5c6492e7"),
     ])
     def test_farey_report_bytes_pinned(self, capsys, argv, digest):
         # digests of the reports made when every table entry was an object
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_chunked_csv_file_matches_stdout(self, capsys, tmp_path):
+        path = tmp_path / "fractions.csv"
+        _, want, _ = run_cli(capsys, "fractions", "--n1", "512", "--format", "csv")
+        code, out, err = run_cli(capsys, "fractions", "--n1", "512", "--format", "csv", "--out", str(path))
+        assert code == 0 and out == "", err
+        assert path.read_text() == want
 
     def test_arcs(self, capsys):
         doc = run_json(capsys, "arcs", "--n1", "4", "--n2", "0.001")
@@ -321,6 +333,34 @@ class TestSubcommands:
         assert table.splitlines()[0] == "n,max_abs,mean_re,mean_im"
         assert doc["result"]["ergodic"] is True
 
+    @pytest.mark.parametrize("point", [(), ("--point", "5")])
+    def test_ergodic_csv_runs_no_diagnostic(self, capsys, monkeypatch, point):
+        argv = ("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "2",
+                "--nmax", "64", "--seed", "1", *point, "--format", "csv")
+        _, want, _ = run_cli(capsys, *argv)
+
+        def refuse(*args, **kw):
+            raise AssertionError("a table ran the diagnostic")
+
+        monkeypatch.setattr(cli, "convergence_diagnostic", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out == want, err
+
+    def test_ergodic_series_size_is_checked_before_the_signal(self):
+        # two 2^24-point arrays (about 580 MB) were drawn before the series size was checked
+        argv = ["ergodic", "--mod", "16777216", "--shift", "3", "--poly", "0,1", "--tau", "1.05",
+                "--nmax", "4096", "--seed", "1"]
+        code = ("import resource, subprocess, sys\n"
+                f"run = subprocess.run([sys.executable, '-m', 'circle_lab.cli', *{argv!r}], capture_output=True, text=True)\n"
+                "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+                "print(run.stderr, end='')\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        status, err = out.stdout.split("\n", 1)
+        returncode, peak_kib = map(int, status.split())
+        assert returncode == 2 and err == "error: 128 scales N times modulus 16777216 exceed 67108864 values\n"
+        assert peak_kib / 1024 < 100  # KiB on Linux
+
     def test_project_without_input_is_the_delta(self, capsys):
         doc = run_json(capsys, "project", "--q", "64", "--n1", "2", "--n2", "0.01")
         want = project(Signal.delta(64), 2, 0.01)
@@ -471,6 +511,9 @@ class TestErrors:
         # tau^n raised OverflowError (exit 1) long before it passed the bound
         (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "1.5", "--nmax", "1" + "0" * 400),
          "bound must be below 2^1024"),
+        # a table prints no diagnostic, but its flags are checked all the same
+        (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--nmax", "64", "--r", "inf", "--format", "csv"),
+         "diagnostic exponent r"),
     ])
     def test_real_out_of_range_exits_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -552,6 +595,9 @@ class TestErrors:
         (("remark2", "--l", "2", "--m", "2000"), "halfwidth exponent m"),
         pytest.param(("probe-lp", "--l", "2000", "--m", "-3", "--p", "4"), "shell level l must be an integer in [0, 11], got 2000",
                      id="argv37-Farey table limit"),
+        # a table prints no diagnostic, but its flags are checked all the same
+        (("ergodic", "--mod", "16", "--shift", "3", "--poly", "0,1", "--tau", "2", "--nmax", "64", "--seed", "1", "--tail-start", "64", "--format", "csv"),
+         "need at least two indices >= tail_start"),
     ])
     def test_bad_parameter_exits_2(self, capsys, argv, word):
         code, out, err = run_cli(capsys, *argv)

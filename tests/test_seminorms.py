@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from circle_lab import seminorms
 from circle_lab._util import parallel_map, pnorm, substream
-from circle_lab.polyavg import Signal
+from circle_lab.ergodic_lab import AverageSeries, FiniteSystem, convergence_diagnostic
+from circle_lab.polyavg import IntPolynomial, Signal
 from circle_lab.seminorms import (
     RealSequence,
     _block_levels,
@@ -399,6 +400,36 @@ class TestBlocks:
         assert got_reports == want_reports
         for got, want in zip(got_values, want_values):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tile", [1, 7, 1 << 17])
+    def test_piece_budget_moves_no_bit(self, monkeypatch, tile):
+        # pieces of one column, of 2 at T = 3, and of the whole stack
+        rng = substream(33)
+        real_ = rng.standard_normal((12, 37))
+        stacks = {
+            "real": real_,
+            "complex": real_ + 1j * rng.standard_normal((12, 37)),
+            "int64": rng.integers(-10**6, 10**6, (12, 37)),
+            "scaled": real_ * 1e200,
+            "short": rng.standard_normal((3, 29)),
+            "three axes": rng.standard_normal((9, 4, 5)),
+        }
+
+        def run():
+            values = [variation_values(a, r) for a in stacks.values() for r in (1.0, 2.0, 2.5, 3.0, math.inf)]
+            diagnostics = [
+                convergence_diagnostic(AverageSeries(tuple(range(1, len(a) + 1)), a, FiniteSystem(a.shape[1], 3),
+                                                     IntPolynomial((0, 1))), r, 2)
+                for a in list(stacks.values())[:5] for r in (1.0, 2.0, 2.5, 3.0)
+            ]
+            return values, diagnostics
+
+        want_values, want_diagnostics = run()
+        monkeypatch.setattr(seminorms, "_TILE_CELLS", tile)
+        got_values, got_diagnostics = run()
+        for got, want in zip(got_values, want_values):
+            assert np.array_equal(got, want)
+        assert got_diagnostics == want_diagnostics
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     def test_integer_samples_match_their_floats(self, dtype):
